@@ -15,6 +15,10 @@
 //! makes resume byte-exact: any durable prefix consists of full-size
 //! frames, so the restarted writer re-chunks the remaining input on the
 //! same boundaries a fresh single-pass run would have used.
+//!
+//! [`StreamLayout`] and [`encode_frame`] own the stream layout itself —
+//! frame numbering, the seek index, the stream CRC and the trailer — for
+//! the writer and for every other producer of LZFC bytes.
 
 use std::io::{self, Write};
 use std::time::Instant;
@@ -105,6 +109,105 @@ pub fn payload_from_tokens(tokens: &[Token], data: &[u8], params: &LzssParams) -
     }
 }
 
+/// Assemble data frame number `seq` — record header, then `payload` — for
+/// the uncompressed bytes `data`.
+///
+/// # Errors
+/// [`ContainerError::Config`] when `seq` or `data.len()` does not fit the
+/// header's 32-bit fields (the frame count itself must stay a `u32`).
+pub fn encode_frame(
+    seq: usize,
+    data: &[u8],
+    codec: Codec,
+    payload: &[u8],
+) -> Result<Vec<u8>, ContainerError> {
+    let seq = u32::try_from(seq)
+        .ok()
+        .filter(|&s| s < u32::MAX)
+        .ok_or(ContainerError::Config { reason: "frame count exceeds u32" })?;
+    let ulen = u32::try_from(data.len())
+        .map_err(|_| ContainerError::Config { reason: "frame exceeds MAX_FRAME_BYTES" })?;
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&encode_data_header(seq, codec, ulen, payload));
+    frame.extend_from_slice(payload);
+    Ok(frame)
+}
+
+/// The running layout of one LZFC stream: frame numbering, the seek-index
+/// entries, the whole-stream CRC, and the closing index + trailer.
+///
+/// Every producer of LZFC bytes — [`FrameWriter`], the chunk-parallel and
+/// batched framers, the server's compress job — lays its frames out
+/// through this one type, which is what keeps their streams
+/// byte-identical. Frames must be pushed in sequence order.
+#[derive(Debug, Clone, Default)]
+pub struct StreamLayout {
+    entries: Vec<IndexEntry>,
+    input_bytes: u64,
+    output_bytes: u64,
+    crc: Crc32,
+}
+
+impl StreamLayout {
+    /// An empty stream.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Data frames laid out so far.
+    pub fn frames(&self) -> u32 {
+        self.entries.len() as u32
+    }
+
+    /// Uncompressed bytes the laid-out frames carry.
+    pub fn input_bytes(&self) -> u64 {
+        self.input_bytes
+    }
+
+    /// Container bytes the laid-out frames occupy.
+    pub fn output_bytes(&self) -> u64 {
+        self.output_bytes
+    }
+
+    /// Record the next frame, already assembled by [`encode_frame`] with
+    /// `seq == self.frames()`: `data` is its uncompressed input and
+    /// `frame_len` its container size.
+    pub fn push(&mut self, data: &[u8], frame_len: usize) {
+        self.entries.push(IndexEntry { header_start: self.output_bytes, ustart: self.input_bytes });
+        self.crc.update(data);
+        self.input_bytes += data.len() as u64;
+        self.output_bytes += frame_len as u64;
+    }
+
+    /// Assemble and record the next frame in one step.
+    ///
+    /// # Errors
+    /// As [`encode_frame`].
+    pub fn frame(
+        &mut self,
+        data: &[u8],
+        codec: Codec,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, ContainerError> {
+        let frame = encode_frame(self.entries.len(), data, codec, payload)?;
+        self.push(data, frame.len());
+        Ok(frame)
+    }
+
+    /// The bytes that close the stream: the seek index (when `index` is set
+    /// and there is at least one frame), then the trailer. A frameless
+    /// stream is a bare trailer.
+    pub fn finish(&self, index: bool) -> Vec<u8> {
+        let mut tail = if index && !self.entries.is_empty() {
+            encode_index_section(&self.entries, self.input_bytes, self.output_bytes)
+        } else {
+            Vec::with_capacity(HEADER_LEN)
+        };
+        tail.extend_from_slice(&encode_trailer(self.frames(), self.input_bytes, self.crc.finish()));
+        tail
+    }
+}
+
 /// Compress one frame's bytes and pick its codec: fixed-Huffman zlib when
 /// that is smaller than the input, raw otherwise. `engine` and `tokens`
 /// are caller-owned scratch so a long stream reuses its arenas.
@@ -132,15 +235,9 @@ pub struct FrameWriter<W: Write> {
     engine: TurboEngine,
     tokens: Vec<Token>,
     buf: Vec<u8>,
-    seq: u32,
-    input_bytes: u64,
-    output_bytes: u64,
+    layout: StreamLayout,
     raw_frames: u32,
-    crc: Crc32,
     events: Vec<FrameEvent>,
-    /// Per-frame (container offset, cumulative uncompressed offset) pairs,
-    /// emitted as the seek index at finalize when [`FrameConfig::index`].
-    entries: Vec<IndexEntry>,
     /// Set when resume landed after a partial tail frame: the stream can
     /// only be finished, not extended, or it would diverge from a fresh
     /// single-pass run.
@@ -164,13 +261,9 @@ impl<W: Write> FrameWriter<W> {
             engine: TurboEngine::new(),
             tokens: Vec::new(),
             buf: Vec::with_capacity(cfg.frame_bytes.min(1 << 20)),
-            seq: 0,
-            input_bytes: 0,
-            output_bytes: 0,
+            layout: StreamLayout::new(),
             raw_frames: 0,
-            crc: Crc32::new(),
             events: Vec::new(),
-            entries: Vec::new(),
             sealed: false,
             epoch: Instant::now(),
         })
@@ -224,6 +317,12 @@ impl<W: Write> FrameWriter<W> {
             entries.push(IndexEntry { header_start: *off, ustart });
             ustart += u64::from(*ulen);
         }
+        let layout = StreamLayout {
+            entries,
+            input_bytes: scan.uncompressed_bytes,
+            output_bytes: scan.valid_bytes,
+            crc: scan.crc.clone(),
+        };
         Ok(FrameWriter {
             out,
             cfg,
@@ -231,13 +330,9 @@ impl<W: Write> FrameWriter<W> {
             engine: TurboEngine::new(),
             tokens: Vec::new(),
             buf: Vec::with_capacity(cfg.frame_bytes.min(1 << 20)),
-            seq: scan.frames,
-            input_bytes: scan.uncompressed_bytes,
-            output_bytes: scan.valid_bytes,
+            layout,
             raw_frames: 0,
-            crc: scan.crc.clone(),
             events: Vec::new(),
-            entries,
             sealed,
             epoch: Instant::now(),
         })
@@ -245,14 +340,12 @@ impl<W: Write> FrameWriter<W> {
 
     /// Uncompressed bytes accepted so far (including a resumed prefix).
     pub fn input_bytes(&self) -> u64 {
-        self.input_bytes + self.buf.len() as u64
+        self.layout.input_bytes() + self.buf.len() as u64
     }
 
     fn emit_frame(&mut self, take: usize) -> io::Result<()> {
         debug_assert!(take > 0 && take <= self.buf.len());
-        if self.seq == u32::MAX {
-            return Err(io::Error::other("frame count exceeds u32"));
-        }
+        let seq = self.layout.frames();
         let start_us = self.epoch.elapsed().as_secs_f64() * 1e6;
         let encode_t0 = Instant::now();
         let (codec, payload) = encode_frame_payload(
@@ -263,18 +356,15 @@ impl<W: Write> FrameWriter<W> {
         );
         let encode_us = encode_t0.elapsed().as_secs_f64() * 1e6;
         let crc_t0 = Instant::now();
-        let ulen = u32::try_from(take).expect("frame_bytes validated <= MAX_FRAME_BYTES");
-        let header = encode_data_header(self.seq, codec, ulen, &payload);
-        self.entries.push(IndexEntry { header_start: self.output_bytes, ustart: self.input_bytes });
-        self.crc.update(&self.buf[..take]);
+        let frame =
+            self.layout.frame(&self.buf[..take], codec, &payload).map_err(io::Error::other)?;
         let crc_us = crc_t0.elapsed().as_secs_f64() * 1e6;
-        self.out.write_all(&header)?;
-        self.out.write_all(&payload)?;
+        self.out.write_all(&frame)?;
         // The durability checkpoint: one flush per completed frame.
         self.out.flush()?;
         if self.cfg.collect_events {
             self.events.push(FrameEvent {
-                seq: self.seq,
+                seq,
                 uncompressed_bytes: take as u64,
                 payload_bytes: payload.len() as u64,
                 codec: codec.as_str(),
@@ -287,9 +377,6 @@ impl<W: Write> FrameWriter<W> {
         if codec == Codec::Raw {
             self.raw_frames += 1;
         }
-        self.seq += 1;
-        self.input_bytes += take as u64;
-        self.output_bytes += (HEADER_LEN + payload.len()) as u64;
         self.buf.drain(..take);
         Ok(())
     }
@@ -307,21 +394,13 @@ impl<W: Write> FrameWriter<W> {
             let take = self.buf.len();
             self.emit_frame_checked(take)?;
         }
-        if self.cfg.index && self.seq > 0 {
-            // Empty streams stay a bare trailer; everything else gets the
-            // seek index immediately before the trailer.
-            let section = encode_index_section(&self.entries, self.input_bytes, self.output_bytes);
-            self.out.write_all(&section)?;
-            self.output_bytes += section.len() as u64;
-        }
-        let trailer = encode_trailer(self.seq, self.input_bytes, self.crc.clone().finish());
-        self.out.write_all(&trailer)?;
+        let tail = self.layout.finish(self.cfg.index);
+        self.out.write_all(&tail)?;
         self.out.flush()?;
-        self.output_bytes += HEADER_LEN as u64;
         let summary = FramedSummary {
-            frames: self.seq,
-            input_bytes: self.input_bytes,
-            output_bytes: self.output_bytes,
+            frames: self.layout.frames(),
+            input_bytes: self.layout.input_bytes(),
+            output_bytes: self.layout.output_bytes() + tail.len() as u64,
             raw_frames: self.raw_frames,
             events: std::mem::take(&mut self.events),
         };

@@ -1,10 +1,13 @@
 //! Parameter-series construction and the sweep runner.
 
+use std::convert::Infallible;
+
 use lzfpga_core::config::CLOCK_HZ;
 use lzfpga_core::pipeline::compress_to_zlib;
 use lzfpga_core::stats::{HwState, NUM_STATES};
 use lzfpga_core::HwConfig;
 use lzfpga_lzss::params::CompressionLevel;
+use lzfpga_parallel::exec::ordered_map;
 
 /// One parameter set to evaluate, with a display label.
 #[derive(Debug, Clone)]
@@ -86,38 +89,21 @@ pub fn evaluate(data: &[u8], point: &EstimatePoint) -> EstimateResult {
     }
 }
 
-/// Run all points over `data`, distributing across `threads` OS threads
-/// (`std::thread::scope`; results keep input order).
+/// Run all points over `data` on up to `threads` OS threads (0 runs
+/// serially); results keep input order.
 pub fn run_sweep(data: &[u8], points: &[EstimatePoint], threads: usize) -> Vec<EstimateResult> {
-    let threads = threads.max(1).min(points.len().max(1));
-    if threads <= 1 || points.len() <= 1 {
-        return points.iter().map(|p| evaluate(data, p)).collect();
-    }
-    // Self-scheduling over an atomic index: threads claim points one at a
-    // time (configurations differ wildly in cost, so static chunking would
-    // leave cores idle) and file results into index-keyed slots behind one
-    // mutex — contention is negligible next to the cost of `evaluate`.
-    let results: std::sync::Mutex<Vec<Option<EstimateResult>>> =
-        std::sync::Mutex::new(vec![None; points.len()]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
-                }
-                let r = evaluate(data, &points[i]);
-                results.lock().expect("sweep slot lock")[i] = Some(r);
-            });
-        }
-    });
+    // Workers claim points one at a time: configurations differ wildly in
+    // cost, so static chunking would leave cores idle.
+    let mut results = Vec::with_capacity(points.len());
+    let (_, outcome) = ordered_map(
+        points,
+        threads.max(1),
+        |_| (),
+        |_, _, p| Ok::<_, Infallible>(evaluate(data, p)),
+        |_, r| results.push(r),
+    );
+    let Ok(()) = outcome;
     results
-        .into_inner()
-        .expect("sweep slot lock")
-        .into_iter()
-        .map(|r| r.expect("all points evaluated"))
-        .collect()
 }
 
 /// Series builder: the Fig. 2/3 grid — every (dictionary, hash) pair.

@@ -16,56 +16,37 @@
 //!   kind** — parallelism is an implementation detail, never a format
 //!   change.
 //!
-//! Host-side parallelism uses `std::thread::scope` with a shared atomic
-//! work queue (no work stealing needed — chunks are uniform). The stitcher
-//! runs on the calling thread and consumes chunk results *in order as they
-//! land*, so the Deflate bit-packing of chunk `i` overlaps the matching of
-//! chunks `i+1..` — a two-stage software pipeline mirroring the paper's
-//! matcher→Huffman FIFO decoupling.
+//! Every driver here — zlib, framed, batched, strict decode, range decode
+//! — is a thin adaptor over [`exec::ordered_map`]: workers claim chunks
+//! while the calling thread consumes their results *in order as they
+//! land*, so the Deflate bit-packing or frame layout of chunk `i` overlaps
+//! the matching of chunks `i+1..`, the paper's matcher→Huffman FIFO
+//! decoupling in software. Every per-chunk attempt runs through the one
+//! degradation ladder, [`exec::ladder`] (engine, retry, then the never
+//! injectable reference compressor), whose recoveries land in the job's
+//! [`FailureReport`]; only a chunk whose reference attempt also fails
+//! yields [`ParallelError::ChunkFailed`].
 //!
-//! Two front-ends produce the (identical) token streams:
-//!
-//! * [`EngineKind::Modelled`] — the cycle-accurate hardware model, whose
-//!   per-chunk cycle counts feed the multi-engine *makespan* model
-//!   (chunks round-robin onto `instances` engines), reproducing the
-//!   near-linear scaling a multi-engine design gets until DMA saturates;
-//! * [`EngineKind::Turbo`] — the word-at-a-time software fast path
-//!   ([`lzfpga_lzss::turbo`]); each worker keeps one reusable
-//!   [`TurboEngine`] and recycles token buffers through a freelist, so the
-//!   steady state allocates nothing per chunk.
-//!
-//! **Observability.** With [`ParallelConfig::telemetry`] set, the run
-//! additionally reports a [`PipelineTelemetry`]: per-worker busy/idle time
-//! and freelist traffic, stitcher stall vs encode time, how long finished
-//! chunks waited in the reorder queue, the aggregated turbo-engine match
-//! counters, and a chrome://tracing span stream (one timeline row per
-//! worker plus the stitcher). Telemetry never changes the output bytes —
-//! it only watches the clock around the existing stages.
-//!
-//! **Fault tolerance.** Every per-chunk compression attempt runs under
-//! [`std::panic::catch_unwind`], so a crashing engine (or an injected
-//! failpoint panic) never takes the job down. A failed chunk climbs a
-//! degradation ladder: retry once on the same engine, then fall back to
-//! the single-threaded reference compressor — which is token-identical to
-//! both front-ends, so the output bytes stay bit-exact even for degraded
-//! chunks. Only a chunk that fails all three attempts fails the job, with
-//! a typed [`ParallelError::ChunkFailed`]. Every recovery action lands in
-//! the job's [`FailureReport`] (`ParallelReport::failures`). Failpoints
-//! ([`compress_parallel_with`]) use the same zero-cost-generic pattern as
-//! the telemetry probes: production callers pay nothing.
+//! Two front-ends produce identical token streams: [`EngineKind::Modelled`],
+//! the cycle-accurate hardware model whose per-chunk cycle counts feed the
+//! multi-engine *makespan* model, and [`EngineKind::Turbo`], the software
+//! fast path, whose workers keep one [`TurboEngine`] each and recycle token
+//! buffers through a freelist. With [`ParallelConfig::telemetry`] set, a
+//! run also reports a [`PipelineTelemetry`] (worker busy/idle time,
+//! stitcher stalls, reorder-queue waits, turbo counters, chrome://tracing
+//! spans); telemetry never changes the output bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+pub mod exec;
+
+use std::sync::Mutex;
 use std::time::Instant;
 
 use lzfpga_container::{
-    check_structure, decode_frame, encode_data_header, encode_index_section, encode_trailer,
-    finish_stream_checks, payload_from_tokens, plan_range, ContainerError, FrameConfig, IndexEntry,
-    HEADER_LEN,
+    check_structure, decode_frame, encode_frame, finish_stream_checks, payload_from_tokens,
+    plan_range, ContainerError, FrameConfig, StreamLayout, HEADER_LEN,
 };
 use lzfpga_core::config::CLOCK_HZ;
 use lzfpga_core::{HwCompressor, HwConfig};
@@ -74,12 +55,14 @@ use lzfpga_deflate::crc32::Crc32;
 use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder};
 use lzfpga_deflate::token::Token;
 use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_header};
-use lzfpga_faults::{Failpoints, FailureReport, InjectedFault, NoFaults};
-use lzfpga_lzss::{BatchEngine, TurboEngine};
+use lzfpga_faults::{Failpoints, FailureReport, NoFaults};
+use lzfpga_lzss::{BatchEngine, LzssParams, TurboEngine};
 use lzfpga_telemetry::{
     frame_span, span_args, stage_span, FrameEvent, FrameOutcome, PipelineTelemetry, SpanTimer,
     StitcherStats, TraceEvent, TurboCounters, WorkerStats, ROOT_SPAN,
 };
+
+use exec::{ladder, ordered_map, Rung};
 
 /// Which compressor front-end produces the per-chunk token streams.
 ///
@@ -291,6 +274,125 @@ impl ParallelReport {
     }
 }
 
+/// One worker's engine, counters, span row and fault ledger, reused
+/// across every item it claims.
+struct Worker<E> {
+    engine: E,
+    counters: TurboCounters,
+    stats: WorkerStats,
+    timer: Option<SpanTimer>,
+    /// End of this worker's last busy span (spawn time before the first).
+    idle_since_us: f64,
+    failures: FailureReport,
+}
+
+impl<E> Worker<E> {
+    fn new(engine: E, worker: usize, timer: Option<SpanTimer>) -> Self {
+        Worker {
+            engine,
+            counters: TurboCounters::default(),
+            stats: WorkerStats { worker, ..WorkerStats::default() },
+            idle_since_us: timer.as_ref().map_or(0.0, SpanTimer::now_us),
+            timer,
+            failures: FailureReport::default(),
+        }
+    }
+}
+
+impl Worker<TurboEngine> {
+    /// Tokenize chunk `i` through the ladder into `buf`; returns the
+    /// engine cycles (0 for turbo and for degraded chunks).
+    fn tokens<F: Failpoints>(
+        &mut self,
+        cfg: &ParallelConfig,
+        i: usize,
+        chunk: &[u8],
+        buf: &mut Vec<Token>,
+        site: &'static str,
+        faults: &F,
+    ) -> Result<u64, u64> {
+        let params = cfg.hw.as_lzss_params();
+        let Worker { engine, counters, timer, failures, .. } = self;
+        ladder(faults, site, i..i + 1, failures, timer.as_mut(), |rung| {
+            buf.clear();
+            match (rung, cfg.engine) {
+                (Rung::Reference, _) => *buf = lzfpga_lzss::compress(chunk, &params),
+                (_, EngineKind::Modelled) => {
+                    let rep = HwCompressor::new(cfg.hw).compress(chunk);
+                    *buf = rep.tokens;
+                    return Ok(rep.cycles);
+                }
+                (_, EngineKind::Turbo) if cfg.telemetry => {
+                    engine.compress_into_probed(chunk, &params, buf, counters);
+                }
+                (_, EngineKind::Turbo) => {
+                    engine.compress_into_faulty(chunk, &params, buf, faults)?
+                }
+            }
+            Ok(0)
+        })
+    }
+}
+
+impl Worker<BatchEngine> {
+    /// Tokenize one lane group (inputs `base..`) through the ladder: the
+    /// batch engine, a batch retry, then the reference compressor lane by
+    /// lane.
+    fn batch_tokens(
+        &mut self,
+        group: &[&[u8]],
+        params: &LzssParams,
+        base: usize,
+        probed: bool,
+    ) -> Result<Vec<Vec<Token>>, u64> {
+        let Worker { engine, counters, failures, .. } = self;
+        let lanes = base..base + group.len();
+        ladder(&NoFaults, "parallel.batch.group", lanes, failures, None, |rung| {
+            Ok(match rung {
+                Rung::Reference => group.iter().map(|l| lzfpga_lzss::compress(l, params)).collect(),
+                _ if probed => engine.compress_batch_probed(group, params, counters),
+                _ => engine.compress_batch(group, params),
+            })
+        })
+    }
+}
+
+/// Every worker's ledgers of one run, merged in worker order.
+#[derive(Default)]
+struct Merged {
+    failures: FailureReport,
+    counters: TurboCounters,
+    trace_events: Vec<TraceEvent>,
+    stats: Vec<WorkerStats>,
+}
+
+fn merge<E>(workers: Vec<Worker<E>>) -> Merged {
+    let mut merged = Merged::default();
+    for mut w in workers {
+        merged.failures.merge(&w.failures);
+        merged.counters.merge(&w.counters);
+        if let Some(t) = w.timer.as_mut() {
+            merged.trace_events.extend(t.drain());
+        }
+        merged.stats.push(w.stats);
+    }
+    merged
+}
+
+/// The root file span every chunk or frame span of a job parents to, so
+/// the whole job renders as one causal tree in chrome://tracing.
+fn root_span(name: &str, epoch: Instant, bytes: usize, parts: (&'static str, usize)) -> TraceEvent {
+    let mut args = span_args(ROOT_SPAN, 0);
+    args.push(("bytes", (bytes as u64).into()));
+    args.push((parts.0, (parts.1 as u64).into()));
+    let dur_us = epoch.elapsed().as_secs_f64() * 1e6;
+    TraceEvent { name: name.to_string(), cat: "file", tid: 0, ts_us: 0.0, dur_us, args }
+}
+
+fn chunk_failed((index, attempts): (usize, u64)) -> ParallelError {
+    ParallelError::ChunkFailed { index, attempts }
+}
+
 /// One finished chunk waiting for the stitcher.
 struct ChunkDone {
     tokens: Vec<Token>,
@@ -298,91 +400,6 @@ struct ChunkDone {
     /// Completion time in µs since the run epoch (0 when telemetry is off);
     /// lets the stitcher measure how long the chunk sat in the queue.
     done_us: f64,
-}
-
-/// What a worker files into a chunk's slot.
-enum SlotState {
-    /// The chunk compressed (possibly after retries/degradation).
-    Done(ChunkDone),
-    /// All three ladder attempts failed.
-    Failed {
-        /// Attempts consumed on this chunk.
-        attempts: u64,
-    },
-}
-
-type Slot = Option<SlotState>;
-
-/// What one worker hands back for the telemetry report.
-type WorkerYield = (WorkerStats, TurboCounters, Vec<TraceEvent>);
-
-/// Run one chunk through the panic/degradation ladder the parallel
-/// drivers use, standalone: attempt 0 on the turbo engine, attempt 1
-/// retries it, attempt 2 falls back to the single-threaded reference
-/// compressor. Every attempt runs under [`catch_unwind`]; the two engine
-/// attempts check the failpoint `site` first, so injected errors and
-/// panics are absorbed exactly like `compress_parallel`'s workers absorb
-/// them — and the ledger in `report` records each recovery the same way
-/// (`attempts`, `retries`, `degraded_chunks`, `worker_restarts`,
-/// `injected_errors`). The reference rung is deliberately not injectable
-/// (like the salvage rung of the range reader's ladder): it is the
-/// last-resort path whose failure would fail the whole request, so drills
-/// can storm the engine sites as hard as they like and still assert
-/// byte-exact output.
-///
-/// The token stream is identical across all three rungs, so callers
-/// (notably `lzfpga-server`'s per-request jobs) get byte-stable output no
-/// matter how hostile the run was. `index` is the caller's chunk/frame
-/// number, used only for the ledger's chunk lists.
-///
-/// # Errors
-/// The attempts consumed, when even the reference fallback failed.
-pub fn compress_chunk_ladder<F: Failpoints>(
-    turbo: &mut TurboEngine,
-    chunk: &[u8],
-    params: &lzfpga_lzss::LzssParams,
-    site: &str,
-    faults: &F,
-    report: &mut FailureReport,
-    index: usize,
-) -> Result<Vec<Token>, u64> {
-    let mut buf: Vec<Token> = Vec::new();
-    let mut attempts = 0u64;
-    for attempt in 0..3u32 {
-        attempts += 1;
-        report.attempts += 1;
-        match attempt {
-            1 => report.retries += 1,
-            2 => {
-                report.degraded_chunks.push(index);
-                report.degraded_chunks.sort_unstable();
-            }
-            _ => {}
-        }
-        // Same unwind-isolation soundness argument as the pipeline
-        // workers: buf is cleared on entry and the turbo engine re-zeroes
-        // its arenas per call, so a mid-compress panic poisons nothing.
-        let result = catch_unwind(AssertUnwindSafe(|| -> Result<(), InjectedFault> {
-            buf.clear();
-            if attempt == 2 {
-                buf = lzfpga_lzss::compress(chunk, params);
-                return Ok(());
-            }
-            if faults.check(site) {
-                return Err(InjectedFault { site: "ladder" });
-            }
-            turbo.compress_into_faulty(chunk, params, &mut buf, faults)?;
-            Ok(())
-        }));
-        match result {
-            Ok(Ok(())) => return Ok(buf),
-            Ok(Err(_injected)) => report.injected_errors += 1,
-            Err(_panic) => report.worker_restarts += 1,
-        }
-    }
-    report.failed_chunks.push(index);
-    report.failed_chunks.sort_unstable();
-    Err(attempts)
 }
 
 /// Compress `data` chunk-parallel into one standard zlib stream.
@@ -401,16 +418,11 @@ pub fn compress_parallel(
     compress_parallel_with(data, cfg, &NoFaults)
 }
 
-/// [`compress_parallel`] with failpoints active.
-///
-/// Sites: `parallel.worker.chunk` fires once per per-chunk attempt (so hit
-/// counts walk the ladder: retry, then reference fallback); the turbo
-/// front-end additionally routes through `turbo.compress.enter` /
-/// `turbo.compress.exit` (except when telemetry is on, where the probed
-/// compress path is used instead). Injected panics are caught by the
-/// worker's unwind isolation and count as `worker_restarts`; injected
-/// errors count as `injected_errors`. All fired faults are drained into
-/// [`ParallelReport::failures`].
+/// [`compress_parallel`] with failpoints active: site
+/// `parallel.worker.chunk` fires before each chunk's engine and retry
+/// attempts (never its reference rung), and the turbo front-end also routes
+/// through `turbo.compress.enter` / `.exit` unless telemetry is on. Fired
+/// faults are drained into [`ParallelReport::failures`].
 pub fn compress_parallel_with<F: Failpoints>(
     data: &[u8],
     cfg: &ParallelConfig,
@@ -420,254 +432,90 @@ pub fn compress_parallel_with<F: Failpoints>(
     let chunks: Vec<&[u8]> =
         if data.is_empty() { vec![&[]] } else { data.chunks(cfg.chunk_bytes).collect() };
     let n_chunks = chunks.len();
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        cfg.workers
-    }
-    .clamp(1, n_chunks);
-
-    // Workers pull chunk indices from a shared atomic counter and file the
-    // token stream into its index's slot; the stitcher (this thread) waits
-    // on the condvar for the next in-order slot and encodes it while later
-    // chunks are still being matched. Turbo workers recycle token buffers
-    // through the freelist, so steady-state chunks allocate nothing.
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Slot>> = Mutex::new((0..n_chunks).map(|_| None).collect());
-    let ready = Condvar::new();
+    let turbo = cfg.engine == EngineKind::Turbo;
+    // Turbo workers recycle token buffers through the freelist, so
+    // steady-state chunks allocate nothing.
     let freelist: Mutex<Vec<Vec<Token>>> = Mutex::new(Vec::new());
-    let params = cfg.hw.as_lzss_params();
     let epoch = Instant::now();
-    let worker_yields: Mutex<Vec<WorkerYield>> = Mutex::new(Vec::new());
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
 
     let mut enc = DeflateEncoder::new();
     let mut reports = Vec::with_capacity(n_chunks);
     let mut stitch_timer = cfg.telemetry.then(|| SpanTimer::new(epoch, 0));
     let mut stitcher = StitcherStats::default();
-    let mut stitch_error: Option<ParallelError> = None;
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (next, slots, ready, freelist, params, chunks, worker_yields, failure_acc) =
-                (&next, &slots, &ready, &freelist, &params, &chunks, &worker_yields, &failure_acc);
-            s.spawn(move || {
-                let mut turbo = TurboEngine::new();
-                let mut counters = TurboCounters::default();
-                let mut stats = WorkerStats { worker: w, ..WorkerStats::default() };
-                let mut timer = cfg.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
-                let spawned_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                let mut local = FailureReport::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    let start_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                    let popped = if cfg.engine == EngineKind::Turbo {
-                        let popped = freelist.lock().expect("freelist lock").pop();
-                        if popped.is_some() {
-                            stats.freelist_hits += 1;
-                        } else {
-                            stats.freelist_misses += 1;
-                        }
-                        popped
-                    } else {
-                        None
-                    };
-                    let mut buf = popped.unwrap_or_default();
-
-                    // Degradation ladder: attempt 0 on the configured
-                    // engine, attempt 1 retries it, attempt 2 falls back
-                    // to the reference compressor (token-identical, so
-                    // the output bytes do not change; cycle counts for a
-                    // degraded Modelled chunk read 0).
-                    let mut outcome: Option<u64> = None;
-                    let mut chunk_attempts = 0u64;
-                    for attempt in 0..3u32 {
-                        chunk_attempts += 1;
-                        local.attempts += 1;
-                        match attempt {
-                            1 => local.retries += 1,
-                            2 => local.degraded_chunks.push(i),
-                            _ => {}
-                        }
-                        // The buffer and engine cross the unwind boundary,
-                        // which is sound here: `buf` is cleared on entry and
-                        // the turbo engine re-zeroes its arenas per call, so
-                        // a mid-compress panic leaves no poisoned state.
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| -> Result<u64, InjectedFault> {
-                                if faults.check("parallel.worker.chunk") {
-                                    return Err(InjectedFault { site: "parallel.worker.chunk" });
-                                }
-                                buf.clear();
-                                if attempt == 2 {
-                                    buf = lzfpga_lzss::compress(chunks[i], params);
-                                    return Ok(0);
-                                }
-                                match cfg.engine {
-                                    EngineKind::Modelled => {
-                                        let rep = HwCompressor::new(cfg.hw).compress(chunks[i]);
-                                        buf = rep.tokens;
-                                        Ok(rep.cycles)
-                                    }
-                                    EngineKind::Turbo => {
-                                        if cfg.telemetry {
-                                            turbo.compress_into_probed(
-                                                chunks[i],
-                                                params,
-                                                &mut buf,
-                                                &mut counters,
-                                            );
-                                        } else {
-                                            turbo.compress_into_faulty(
-                                                chunks[i], params, &mut buf, faults,
-                                            )?;
-                                        }
-                                        Ok(0)
-                                    }
-                                }
-                            }));
-                        match result {
-                            Ok(Ok(cycles)) => {
-                                outcome = Some(cycles);
-                                break;
-                            }
-                            Ok(Err(_injected)) => local.injected_errors += 1,
-                            Err(_panic) => local.worker_restarts += 1,
-                        }
-                    }
-
-                    let Some(cycles) = outcome else {
-                        local.failed_chunks.push(i);
-                        slots.lock().expect("slot lock")[i] =
-                            Some(SlotState::Failed { attempts: chunk_attempts });
-                        ready.notify_all();
-                        continue;
-                    };
-                    let tokens = buf;
-                    let done_us = if let Some(t) = timer.as_mut() {
-                        let mut args = span_args(frame_span(i as u64), ROOT_SPAN);
-                        args.push(("bytes", chunks[i].len().into()));
-                        args.push(("tokens", tokens.len().into()));
-                        stats.busy_s +=
-                            t.complete(format!("compress chunk {i}"), "compress", start_us, args);
-                        stats.chunks += 1;
-                        stats.input_bytes += chunks[i].len() as u64;
-                        t.now_us()
-                    } else {
-                        0.0
-                    };
-                    slots.lock().expect("slot lock")[i] =
-                        Some(SlotState::Done(ChunkDone { tokens, cycles, done_us }));
-                    ready.notify_all();
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(mut t) = timer {
-                    let lifetime_s = (t.now_us() - spawned_us) / 1e6;
-                    stats.idle_s = (lifetime_s - stats.busy_s).max(0.0);
-                    worker_yields.lock().expect("telemetry lock").push((
-                        stats,
-                        counters,
-                        t.drain(),
-                    ));
-                }
-            });
-        }
-
+    let mut wait_start_us = 0.0;
+    let (workers, outcome) = ordered_map(
+        &chunks,
+        cfg.workers,
+        |w| {
+            let timer = cfg.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
+            Worker::new(TurboEngine::new(), w, timer)
+        },
+        |w, i, chunk| {
+            let start_us = w.timer.as_ref().map_or(0.0, SpanTimer::now_us);
+            let mut tokens = Vec::new();
+            if turbo {
+                let popped = freelist.lock().expect("freelist lock").pop();
+                w.stats.freelist_hits += u64::from(popped.is_some());
+                w.stats.freelist_misses += u64::from(popped.is_none());
+                tokens = popped.unwrap_or_default();
+            }
+            let cycles = w.tokens(cfg, i, chunk, &mut tokens, "parallel.worker.chunk", faults)?;
+            let Some(t) = w.timer.as_mut() else {
+                return Ok(ChunkDone { tokens, cycles, done_us: 0.0 });
+            };
+            let mut args = span_args(frame_span(i as u64), ROOT_SPAN);
+            args.push(("bytes", chunk.len().into()));
+            args.push(("tokens", tokens.len().into()));
+            w.stats.busy_s += t.complete(format!("compress chunk {i}"), "compress", start_us, args);
+            w.stats.idle_s += ((start_us - w.idle_since_us) / 1e6).max(0.0);
+            w.stats.chunks += 1;
+            w.stats.input_bytes += chunk.len() as u64;
+            w.idle_since_us = t.now_us();
+            Ok(ChunkDone { tokens, cycles, done_us: w.idle_since_us })
+        },
         // Stitch: per-chunk block runs, in order, overlapping the workers.
-        for (i, chunk) in chunks.iter().enumerate() {
-            let wait_start_us = stitch_timer.as_ref().map_or(0.0, SpanTimer::now_us);
-            let state = {
-                let mut guard = slots.lock().expect("slot lock");
-                loop {
-                    if let Some(state) = guard[i].take() {
-                        break state;
-                    }
-                    guard = ready.wait(guard).expect("slot lock");
-                }
-            };
-            let done = match state {
-                SlotState::Done(done) => done,
-                SlotState::Failed { attempts } => {
-                    // Workers keep draining the remaining chunk indices so
-                    // the scope joins promptly; the job reports the first
-                    // failed chunk.
-                    stitch_error = Some(ParallelError::ChunkFailed { index: i, attempts });
-                    break;
-                }
-            };
+        |i, done| {
+            let last = i + 1 == n_chunks;
             if let Some(t) = stitch_timer.as_mut() {
                 let frame_id = frame_span(i as u64);
-                stitcher.stall_s += t.complete(
-                    format!("wait chunk {i}"),
-                    "stall",
-                    wait_start_us,
-                    span_args(stage_span(frame_id, 1), frame_id),
-                );
+                let stall = span_args(stage_span(frame_id, 1), frame_id);
+                stitcher.stall_s +=
+                    t.complete(format!("wait chunk {i}"), "stall", wait_start_us, stall);
                 stitcher.queue_wait_s += ((t.now_us() - done.done_us) / 1e6).max(0.0);
                 let enc_start_us = t.now_us();
-                enc.write_block(&done.tokens, BlockKind::FixedHuffman, i + 1 == n_chunks);
-                stitcher.encode_s += t.complete(
-                    format!("encode chunk {i}"),
-                    "encode",
-                    enc_start_us,
-                    span_args(stage_span(frame_id, 0), frame_id),
-                );
+                enc.write_block(&done.tokens, BlockKind::FixedHuffman, last);
+                let encode = span_args(stage_span(frame_id, 0), frame_id);
+                stitcher.encode_s +=
+                    t.complete(format!("encode chunk {i}"), "encode", enc_start_us, encode);
+                wait_start_us = t.now_us();
             } else {
-                enc.write_block(&done.tokens, BlockKind::FixedHuffman, i + 1 == n_chunks);
+                enc.write_block(&done.tokens, BlockKind::FixedHuffman, last);
             }
-            reports.push(ChunkReport {
-                index: i,
-                input_bytes: chunk.len() as u64,
-                cycles: done.cycles,
-                tokens: done.tokens.len() as u64,
-            });
-            if cfg.engine == EngineKind::Turbo {
+            let (cycles, tokens) = (done.cycles, done.tokens.len() as u64);
+            let input_bytes = chunks[i].len() as u64;
+            reports.push(ChunkReport { index: i, input_bytes, cycles, tokens });
+            if turbo {
                 let mut buf = done.tokens;
                 buf.clear();
                 let mut list = freelist.lock().expect("freelist lock");
                 list.push(buf);
                 stitcher.freelist_peak = stitcher.freelist_peak.max(list.len() as u64);
             }
-        }
-    });
-
-    let mut failures = failure_acc.into_inner().expect("failure lock");
+        },
+    );
+    let merged = merge(workers);
+    let mut failures = merged.failures;
     failures.injected = faults.drain_events();
-    if let Some(err) = stitch_error {
-        return Err(err);
-    }
+    outcome.map_err(chunk_failed)?;
 
     let telemetry = stitch_timer.map(|mut t| {
-        let mut yields = worker_yields.into_inner().expect("telemetry lock");
-        yields.sort_by_key(|(stats, _, _)| stats.worker);
-        let mut turbo = TurboCounters::default();
         let mut trace_events = t.drain();
-        let mut worker_stats = Vec::with_capacity(yields.len());
-        for (stats, counters, events) in yields {
-            turbo.merge(&counters);
-            trace_events.extend(events);
-            worker_stats.push(stats);
-        }
+        trace_events.extend(merged.trace_events);
+        let root = root_span("parallel compress", epoch, data.len(), ("chunks", n_chunks));
+        trace_events.insert(0, root);
+        let (workers, turbo) = (merged.stats, merged.counters);
         let wall_s = epoch.elapsed().as_secs_f64();
-        // Root file span: every chunk span parents here, so the whole job
-        // renders as one causal tree in chrome://tracing.
-        let mut root_args = span_args(ROOT_SPAN, 0);
-        root_args.push(("bytes", (data.len() as u64).into()));
-        root_args.push(("chunks", (n_chunks as u64).into()));
-        trace_events.insert(
-            0,
-            TraceEvent {
-                name: "parallel compress".to_string(),
-                cat: "file",
-                tid: 0,
-                ts_us: 0.0,
-                dur_us: wall_s * 1e6,
-                args: root_args,
-            },
-        );
-        PipelineTelemetry { wall_s, workers: worker_stats, stitcher, turbo, trace_events }
+        PipelineTelemetry { wall_s, workers, stitcher, turbo, trace_events }
     });
 
     // zlib framing: header, the stitched blocks, single Adler trailer.
@@ -704,6 +552,95 @@ struct FrameDone {
     encode_us: f64,
     /// Worker pickup time in µs since the run epoch ([`FrameEvent::start_us`]).
     start_us: f64,
+}
+
+impl FrameDone {
+    /// Frame `i` from its tokens (encoding timed from `t0`): the shared
+    /// codec decision, then header + payload.
+    fn encode(i: usize, chunk: &[u8], tokens: &[Token], params: &LzssParams, t0: Instant) -> Self {
+        let (codec, payload) = payload_from_tokens(tokens, chunk, params);
+        let frame = encode_frame(i, chunk, codec, &payload)
+            .expect("frame_bytes validated <= MAX_FRAME_BYTES");
+        FrameDone {
+            frame,
+            codec: codec.as_str(),
+            cycles: 0,
+            tokens: tokens.len() as u64,
+            encode_us: t0.elapsed().as_secs_f64() * 1e6,
+            start_us: 0.0,
+        }
+    }
+}
+
+/// The ordered half of both framed drivers: lays finished frames out in
+/// sequence through the container's [`StreamLayout`] and collects their
+/// events and chunk reports.
+struct Framer<'a> {
+    cfg: &'a FrameConfig,
+    layout: StreamLayout,
+    framed: Vec<u8>,
+    chunks: Vec<ChunkReport>,
+    events: Vec<FrameEvent>,
+}
+
+impl<'a> Framer<'a> {
+    fn new(cfg: &'a FrameConfig) -> Self {
+        let (framed, chunks, events) = (Vec::new(), Vec::new(), Vec::new());
+        Framer { cfg, layout: StreamLayout::new(), framed, chunks, events }
+    }
+
+    fn push(&mut self, i: usize, chunk: &[u8], done: FrameDone) {
+        self.layout.push(chunk, done.frame.len());
+        self.framed.extend_from_slice(&done.frame);
+        if self.cfg.collect_events {
+            self.events.push(FrameEvent {
+                seq: i as u32,
+                uncompressed_bytes: chunk.len() as u64,
+                payload_bytes: (done.frame.len() - HEADER_LEN) as u64,
+                codec: done.codec,
+                crc_us: 0.0,
+                encode_us: done.encode_us,
+                start_us: done.start_us,
+                outcome: FrameOutcome::Written,
+            });
+        }
+        let (input_bytes, cycles, tokens) = (chunk.len() as u64, done.cycles, done.tokens);
+        self.chunks.push(ChunkReport { index: i, input_bytes, cycles, tokens });
+    }
+
+    /// Close the stream (seek index + trailer) and build the report.
+    fn finish(
+        mut self,
+        failures: FailureReport,
+        counters: Option<TurboCounters>,
+        trace_events: Vec<TraceEvent>,
+    ) -> FramedParallelReport {
+        self.framed.extend_from_slice(&self.layout.finish(self.cfg.index));
+        FramedParallelReport {
+            framed: self.framed,
+            frames: self.layout.frames(),
+            input_bytes: self.layout.input_bytes(),
+            chunks: self.chunks,
+            failures,
+            events: self.events,
+            counters,
+            trace_events,
+        }
+    }
+}
+
+/// The effective configuration of a framed run: frames are the chunks.
+fn framed_config(
+    cfg: &ParallelConfig,
+    frame_cfg: &FrameConfig,
+) -> Result<ParallelConfig, ParallelError> {
+    let frame_bytes = frame_cfg.frame_bytes;
+    if frame_bytes > lzfpga_container::MAX_FRAME_BYTES {
+        return Err(ParallelConfigError::FrameTooLarge { frame_bytes }.into());
+    }
+    let eff = ParallelConfig { chunk_bytes: frame_bytes, ..*cfg };
+    eff.validate()?;
+    Ok(eff)
 }
 
 /// Result of a chunk-parallel framed (LZFC) compression run.
@@ -756,310 +693,87 @@ pub fn compress_frames_parallel(
 
 /// [`compress_frames_parallel`] with failpoints active.
 ///
-/// Site `parallel.frame.chunk` fires once per per-frame attempt, walking
-/// the same ladder as `parallel.worker.chunk`: retry on the configured
-/// engine, then the reference compressor (token-identical, so degraded
-/// frames keep the output bytes exact).
+/// Site `parallel.frame.chunk` fires once per engine or retry attempt of
+/// a frame, walking the same ladder as `parallel.worker.chunk`.
 pub fn compress_frames_parallel_with<F: Failpoints>(
     data: &[u8],
     cfg: &ParallelConfig,
     frame_cfg: &FrameConfig,
     faults: &F,
 ) -> Result<FramedParallelReport, ParallelError> {
-    if frame_cfg.frame_bytes > lzfpga_container::MAX_FRAME_BYTES {
-        return Err(
-            ParallelConfigError::FrameTooLarge { frame_bytes: frame_cfg.frame_bytes }.into()
-        );
-    }
-    let eff = ParallelConfig { chunk_bytes: frame_cfg.frame_bytes, ..*cfg };
-    eff.validate()?;
+    let eff = framed_config(cfg, frame_cfg)?;
+    let params = eff.hw.as_lzss_params();
     // Unlike the zlib path, an empty input has zero frames (the stream is
     // a bare trailer), matching FrameWriter exactly.
     let chunks: Vec<&[u8]> = data.chunks(eff.chunk_bytes).collect();
-    let n_chunks = chunks.len();
-    let workers = if eff.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        eff.workers
-    }
-    .clamp(1, n_chunks.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<FrameDone, u64>>>> =
-        Mutex::new((0..n_chunks).map(|_| None).collect());
-    let ready = Condvar::new();
-    let params = eff.hw.as_lzss_params();
     let epoch = Instant::now();
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
-    let counter_acc: Mutex<TurboCounters> = Mutex::new(TurboCounters::default());
-    let trace_acc: Mutex<Vec<TraceEvent>> = Mutex::new(Vec::new());
-
-    let mut framed = Vec::new();
-    let mut entries: Vec<IndexEntry> = Vec::with_capacity(n_chunks);
-    let mut ustart = 0u64;
-    let mut reports = Vec::with_capacity(n_chunks);
-    let mut events = Vec::new();
-    let mut stitch_error: Option<ParallelError> = None;
     let mut stitch_timer = eff.telemetry.then(|| SpanTimer::new(epoch, 0));
-    std::thread::scope(|s| {
-        for w in 0..workers.min(n_chunks) {
-            let (next, slots, ready, params, chunks, failure_acc, counter_acc, trace_acc) =
-                (&next, &slots, &ready, &params, &chunks, &failure_acc, &counter_acc, &trace_acc);
-            s.spawn(move || {
-                let mut turbo = TurboEngine::new();
-                let mut counters = eff.telemetry.then(TurboCounters::default);
-                let mut timer = eff.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
-                let mut local = FailureReport::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let start_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    let frame_id = frame_span(i as u64);
-                    let mut buf: Vec<Token> = Vec::new();
-                    let mut outcome: Option<u64> = None;
-                    let mut chunk_attempts = 0u64;
-                    for attempt in 0..3u32 {
-                        chunk_attempts += 1;
-                        local.attempts += 1;
-                        match attempt {
-                            1 => local.retries += 1,
-                            2 => local.degraded_chunks.push(i),
-                            _ => {}
-                        }
-                        let attempt_start_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                        // Same unwind-isolation soundness argument as the
-                        // zlib path: buf is cleared on entry and the turbo
-                        // engine re-zeroes its arenas per call.
-                        let result =
-                            catch_unwind(AssertUnwindSafe(|| -> Result<u64, InjectedFault> {
-                                if faults.check("parallel.frame.chunk") {
-                                    return Err(InjectedFault { site: "parallel.frame.chunk" });
-                                }
-                                buf.clear();
-                                if attempt == 2 {
-                                    buf = lzfpga_lzss::compress(chunks[i], params);
-                                    return Ok(0);
-                                }
-                                match eff.engine {
-                                    EngineKind::Modelled => {
-                                        let rep = HwCompressor::new(eff.hw).compress(chunks[i]);
-                                        buf = rep.tokens;
-                                        Ok(rep.cycles)
-                                    }
-                                    EngineKind::Turbo => {
-                                        if let Some(c) = counters.as_mut() {
-                                            turbo.compress_into_probed(
-                                                chunks[i], params, &mut buf, c,
-                                            );
-                                        } else {
-                                            turbo.compress_into_faulty(
-                                                chunks[i], params, &mut buf, faults,
-                                            )?;
-                                        }
-                                        Ok(0)
-                                    }
-                                }
-                            }));
-                        match result {
-                            Ok(Ok(cycles)) => {
-                                outcome = Some(cycles);
-                                break;
-                            }
-                            Ok(Err(_injected)) => {
-                                local.injected_errors += 1;
-                                if let Some(t) = timer.as_mut() {
-                                    // Failed attempts stay on the frame's
-                                    // branch of the span tree, so injected
-                                    // faults are visible in the causal view.
-                                    t.complete(
-                                        format!("fault frame {i} attempt {attempt}"),
-                                        "fault",
-                                        attempt_start_us,
-                                        span_args(stage_span(frame_id, 8 + attempt), frame_id),
-                                    );
-                                }
-                            }
-                            Err(_panic) => {
-                                local.worker_restarts += 1;
-                                if let Some(t) = timer.as_mut() {
-                                    t.complete(
-                                        format!("panic frame {i} attempt {attempt}"),
-                                        "fault",
-                                        attempt_start_us,
-                                        span_args(stage_span(frame_id, 8 + attempt), frame_id),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    let state = match outcome {
-                        Some(cycles) => {
-                            if let Some(t) = timer.as_mut() {
-                                t.complete(
-                                    format!("tokens frame {i}"),
-                                    "compress",
-                                    start_us,
-                                    span_args(stage_span(frame_id, 0), frame_id),
-                                );
-                            }
-                            let enc_start_us = timer.as_ref().map_or(0.0, SpanTimer::now_us);
-                            let (codec, payload) = payload_from_tokens(&buf, chunks[i], params);
-                            let payload_len = payload.len();
-                            let ulen = u32::try_from(chunks[i].len())
-                                .expect("frame_bytes validated <= MAX_FRAME_BYTES");
-                            let seq = u32::try_from(i).expect("frame count exceeds u32");
-                            let header = encode_data_header(seq, codec, ulen, &payload);
-                            let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-                            frame.extend_from_slice(&header);
-                            frame.extend_from_slice(&payload);
-                            if let Some(t) = timer.as_mut() {
-                                t.complete(
-                                    format!("encode frame {i}"),
-                                    "encode",
-                                    enc_start_us,
-                                    span_args(stage_span(frame_id, 1), frame_id),
-                                );
-                                let mut args = span_args(frame_id, ROOT_SPAN);
-                                args.push(("bytes", chunks[i].len().into()));
-                                args.push(("payload_bytes", payload_len.into()));
-                                t.complete(format!("frame {i}"), "frame", start_us, args);
-                            }
-                            Ok(FrameDone {
-                                frame,
-                                codec: codec.as_str(),
-                                cycles,
-                                tokens: buf.len() as u64,
-                                encode_us: t0.elapsed().as_secs_f64() * 1e6,
-                                start_us,
-                            })
-                        }
-                        None => {
-                            local.failed_chunks.push(i);
-                            Err(chunk_attempts)
-                        }
-                    };
-                    slots.lock().expect("slot lock")[i] = Some(state);
-                    ready.notify_all();
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(c) = counters {
-                    counter_acc.lock().expect("counter lock").merge(&c);
-                }
-                if let Some(mut t) = timer {
-                    trace_acc.lock().expect("trace lock").extend(t.drain());
-                }
+    let mut wait_start_us = 0.0;
+    let mut framer = Framer::new(frame_cfg);
+    let (workers, outcome) = ordered_map(
+        &chunks,
+        eff.workers,
+        |w| {
+            let timer = eff.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
+            Worker::new(TurboEngine::new(), w, timer)
+        },
+        |w, i, chunk| {
+            let t0 = Instant::now();
+            let start_us = epoch.elapsed().as_secs_f64() * 1e6;
+            let mut tokens = Vec::new();
+            let cycles = w.tokens(&eff, i, chunk, &mut tokens, "parallel.frame.chunk", faults)?;
+            let frame_id = frame_span(i as u64);
+            let stage = |k| span_args(stage_span(frame_id, k), frame_id);
+            let enc_start_us = w.timer.as_mut().map_or(0.0, |t| {
+                t.complete(format!("tokens frame {i}"), "compress", start_us, stage(0));
+                t.now_us()
             });
-        }
-
-        // Stitch frames in order while later chunks are still compressing.
-        for (i, chunk) in chunks.iter().enumerate() {
-            let wait_start_us = stitch_timer.as_ref().map_or(0.0, SpanTimer::now_us);
-            let state = {
-                let mut guard = slots.lock().expect("slot lock");
-                loop {
-                    if let Some(state) = guard[i].take() {
-                        break state;
-                    }
-                    guard = ready.wait(guard).expect("slot lock");
-                }
-            };
-            let done = match state {
-                Ok(done) => done,
-                Err(attempts) => {
-                    stitch_error = Some(ParallelError::ChunkFailed { index: i, attempts });
-                    break;
-                }
-            };
+            let done =
+                FrameDone { cycles, start_us, ..FrameDone::encode(i, chunk, &tokens, &params, t0) };
+            if let Some(t) = w.timer.as_mut() {
+                t.complete(format!("encode frame {i}"), "encode", enc_start_us, stage(1));
+                let mut args = span_args(frame_id, ROOT_SPAN);
+                args.push(("bytes", chunk.len().into()));
+                args.push(("payload_bytes", (done.frame.len() - HEADER_LEN).into()));
+                t.complete(format!("frame {i}"), "frame", start_us, args);
+            }
+            Ok(done)
+        },
+        // Lay frames out in order while later chunks are still compressing.
+        |i, done| {
             if let Some(t) = stitch_timer.as_mut() {
                 let frame_id = frame_span(i as u64);
-                t.complete(
-                    format!("wait frame {i}"),
-                    "stall",
-                    wait_start_us,
-                    span_args(stage_span(frame_id, 4), frame_id),
-                );
+                let stall = span_args(stage_span(frame_id, 4), frame_id);
+                t.complete(format!("wait frame {i}"), "stall", wait_start_us, stall);
+                wait_start_us = t.now_us();
             }
-            entries.push(IndexEntry { header_start: framed.len() as u64, ustart });
-            ustart += chunk.len() as u64;
-            framed.extend_from_slice(&done.frame);
-            if frame_cfg.collect_events {
-                events.push(FrameEvent {
-                    seq: i as u32,
-                    uncompressed_bytes: chunk.len() as u64,
-                    payload_bytes: (done.frame.len() - HEADER_LEN) as u64,
-                    codec: done.codec,
-                    crc_us: 0.0,
-                    encode_us: done.encode_us,
-                    start_us: done.start_us,
-                    outcome: FrameOutcome::Written,
-                });
-            }
-            reports.push(ChunkReport {
-                index: i,
-                input_bytes: chunk.len() as u64,
-                cycles: done.cycles,
-                tokens: done.tokens,
-            });
-        }
-    });
-
-    let mut failures = failure_acc.into_inner().expect("failure lock");
+            framer.push(i, chunks[i], done);
+        },
+    );
+    let merged = merge(workers);
+    let mut failures = merged.failures;
     failures.injected = faults.drain_events();
-    if let Some(err) = stitch_error {
-        return Err(err);
-    }
+    outcome.map_err(chunk_failed)?;
 
-    // Assemble the causal span tree: stitcher spans + worker spans under
-    // one root file span that the frame spans parent to.
+    // The causal span tree: stitcher spans + worker spans under one root
+    // file span that the frame spans parent to.
     let trace_events = match stitch_timer {
         Some(mut t) => {
             let mut list = t.drain();
-            list.extend(trace_acc.into_inner().expect("trace lock"));
-            let mut root_args = span_args(ROOT_SPAN, 0);
-            root_args.push(("bytes", (data.len() as u64).into()));
-            root_args.push(("frames", (n_chunks as u64).into()));
+            list.extend(merged.trace_events);
             list.insert(
                 0,
-                TraceEvent {
-                    name: "frame compress".to_string(),
-                    cat: "file",
-                    tid: 0,
-                    ts_us: 0.0,
-                    dur_us: epoch.elapsed().as_secs_f64() * 1e6,
-                    args: root_args,
-                },
+                root_span("frame compress", epoch, data.len(), ("frames", chunks.len())),
             );
             list
         }
         None => Vec::new(),
     };
-
-    // Seek index + trailer, byte-identical to FrameWriter's finalize
-    // (which accumulates the CRC incrementally).
-    if frame_cfg.index && n_chunks > 0 {
-        let section = encode_index_section(&entries, data.len() as u64, framed.len() as u64);
-        framed.extend_from_slice(&section);
-    }
-    let mut crc = Crc32::new();
-    crc.update(data);
-    framed.extend_from_slice(&encode_trailer(n_chunks as u32, data.len() as u64, crc.finish()));
-
-    Ok(FramedParallelReport {
-        framed,
-        frames: n_chunks as u32,
-        input_bytes: data.len() as u64,
-        chunks: reports,
-        failures,
-        events,
-        counters: eff
-            .telemetry
-            .then(|| counter_acc.into_inner().expect("counter lock"))
-            .filter(|c| c.kernel_runs > 0 || c.literals > 0 || c.matches > 0),
-        trace_events,
-    })
+    let counters = eff
+        .telemetry
+        .then_some(merged.counters)
+        .filter(|c| c.kernel_runs > 0 || c.literals > 0 || c.matches > 0);
+    Ok(framer.finish(failures, counters, trace_events))
 }
 
 /// Strictly decode an LZFC stream with frame payloads verified and
@@ -1075,39 +789,19 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
 /// several frames are damaged, the lowest-numbered frame's error wins.
 pub fn decompress_frames_parallel(bytes: &[u8], workers: usize) -> Result<Vec<u8>, ContainerError> {
     let structure = check_structure(bytes)?;
-    let n = structure.frames.len();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(4, |w| w.get())
-    } else {
-        workers
-    }
-    .clamp(1, n.max(1));
-
-    type DecodeSlot = Option<Result<Vec<u8>, ContainerError>>;
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<DecodeSlot>> = Mutex::new((0..n).map(|_| None).collect());
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            let (next, slots, structure) = (&next, &slots, &structure);
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let decoded = decode_frame(bytes, &structure.frames[i]);
-                slots.lock().expect("slot lock")[i] = Some(decoded);
-            });
-        }
-    });
-
-    let slots = slots.into_inner().expect("slot lock");
     let mut out = Vec::new();
     let mut crc = Crc32::new();
-    for slot in slots {
-        let data = slot.expect("every frame index was claimed")?;
-        crc.update(&data);
-        out.extend_from_slice(&data);
-    }
+    let (_, outcome) = ordered_map(
+        &structure.frames,
+        workers,
+        |_| (),
+        |_, _, span| decode_frame(bytes, span),
+        |_, data| {
+            crc.update(&data);
+            out.extend_from_slice(&data);
+        },
+    );
+    outcome.map_err(|(_, e)| e)?;
     finish_stream_checks(&structure, out.len() as u64, crc.finish())?;
     Ok(out)
 }
@@ -1136,16 +830,12 @@ pub fn decode_range_parallel(
     decode_range_parallel_with(bytes, range, workers, &NoFaults, &mut FailureReport::default())
 }
 
-/// [`decode_range_parallel`] with failpoints active on the decode side.
-///
-/// Site `parallel.range.frame` fires once per per-frame decode attempt;
-/// each frame gets the same bounded ladder the compress side uses (three
-/// attempts under [`catch_unwind`], so injected errors count as
-/// `injected_errors` and injected panics as `worker_restarts` in
-/// `report`). A frame whose every attempt was injected away is reported
-/// as [`ContainerError::RangeUnavailable`] at that frame's first
-/// uncompressed offset — the bytes could not be produced, and refusing
-/// the range is the only answer that never serves wrong bytes.
+/// [`decode_range_parallel`] with failpoints active: each covering frame's
+/// decode runs through the same ladder as the compress side, with site
+/// `parallel.range.frame` checked before its first two attempts and the
+/// ledger landing in `report`. A real stream error is final on the first
+/// attempt not injected away; a frame whose every attempt panicked is
+/// refused as [`ContainerError::RangeUnavailable`] at its first offset.
 ///
 /// # Errors
 /// The strict decoder's typed error for damaged streams, or the
@@ -1158,80 +848,36 @@ pub fn decode_range_parallel_with<F: Failpoints>(
     report: &mut FailureReport,
 ) -> Result<Vec<u8>, ContainerError> {
     let (plan, clamped) = plan_range(bytes, range)?;
-    let n = plan.len();
-    if n == 0 {
+    if plan.is_empty() {
+        // Empty and inverted ranges serve nothing (and may carry start > end).
         return Ok(Vec::new());
     }
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(4, |w| w.get())
-    } else {
-        workers
-    }
-    .clamp(1, n);
-
-    type DecodeSlot = Option<Result<Vec<u8>, ContainerError>>;
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<DecodeSlot>> = Mutex::new((0..n).map(|_| None).collect());
-    let failure_acc: Mutex<&mut FailureReport> = Mutex::new(report);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let (next, slots, plan, failure_acc) = (&next, &slots, &plan, &failure_acc);
-            s.spawn(move || {
-                let mut local = FailureReport::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // The decode-side ladder: three attempts, each behind
-                    // the failpoint and an unwind boundary. decode_frame
-                    // itself is deterministic, so a real stream error is
-                    // final on the first non-injected attempt.
-                    let mut decoded: DecodeSlot = None;
-                    for attempt in 0..3u32 {
-                        local.attempts += 1;
-                        if attempt == 1 {
-                            local.retries += 1;
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            if faults.check("parallel.range.frame") {
-                                return Err(());
-                            }
-                            Ok(decode_frame(bytes, &plan[i].0))
-                        }));
-                        match result {
-                            Ok(Ok(r)) => {
-                                decoded = Some(r);
-                                break;
-                            }
-                            Ok(Err(())) => local.injected_errors += 1,
-                            Err(_panic) => local.worker_restarts += 1,
-                        }
-                    }
-                    let decoded = decoded.unwrap_or_else(|| {
-                        local.failed_chunks.push(i);
-                        Err(ContainerError::RangeUnavailable { offset: plan[i].1 })
-                    });
-                    slots.lock().expect("slot lock")[i] = Some(decoded);
-                }
-                local.failed_chunks.sort_unstable();
-                failure_acc.lock().expect("failure lock").merge(&local);
-            });
-        }
-    });
-
-    let slots = slots.into_inner().expect("slot lock");
     let mut out = Vec::with_capacity((clamped.end - clamped.start) as usize);
-    for (slot, &(_, fstart)) in slots.into_iter().zip(&plan) {
-        let data = slot.expect("every frame index was claimed")?;
-        // decode_frame verified data.len() == the header's ulen, and the
-        // planner verified the header against the frame map — the slice
-        // arithmetic below cannot go out of bounds.
-        let fend = fstart + data.len() as u64;
-        let lo = (clamped.start.max(fstart) - fstart) as usize;
-        let hi = (clamped.end.min(fend) - fstart) as usize;
-        out.extend_from_slice(&data[lo..hi]);
+    let (ledgers, outcome) = ordered_map(
+        &plan,
+        workers,
+        |_| FailureReport::default(),
+        |ledger, i, (span, fstart)| {
+            ladder(faults, "parallel.range.frame", i..i + 1, ledger, None, |_| {
+                Ok(decode_frame(bytes, span))
+            })
+            .unwrap_or(Err(ContainerError::RangeUnavailable { offset: *fstart }))
+        },
+        |i, data| {
+            // decode_frame verified data.len() == the header's ulen, and the
+            // planner verified the header against the frame map — the slice
+            // arithmetic below cannot go out of bounds.
+            let fstart = plan[i].1;
+            let fend = fstart + data.len() as u64;
+            let lo = (clamped.start.max(fstart) - fstart) as usize;
+            let hi = (clamped.end.min(fend) - fstart) as usize;
+            out.extend_from_slice(&data[lo..hi]);
+        },
+    );
+    for ledger in &ledgers {
+        report.merge(ledger);
     }
+    outcome.map_err(|(_, e)| e)?;
     Ok(out)
 }
 
@@ -1252,56 +898,6 @@ pub struct BatchReport {
     pub counters: Option<TurboCounters>,
     /// Fault-tolerance ledger (batch → batch retry → reference fallback).
     pub failures: FailureReport,
-}
-
-/// What one worker produced for a group of `lanes` consecutive inputs.
-enum GroupState<T> {
-    /// Per-lane results, in lane order.
-    Done(Vec<T>),
-    /// Every ladder rung failed; holds the attempts consumed.
-    Failed(u64),
-}
-
-/// Run the ladder for one group: batch engine, batch retry, then the
-/// reference compressor lane by lane (token-identical, so the fallback
-/// never changes output bytes). Returns the per-lane token streams.
-fn batch_group_tokens(
-    engine: &mut BatchEngine,
-    group: &[&[u8]],
-    params: &lzfpga_lzss::LzssParams,
-    counters: Option<&mut TurboCounters>,
-    local: &mut FailureReport,
-    frame_base: usize,
-) -> GroupState<Vec<Token>> {
-    let mut counters = counters;
-    let mut attempts = 0u64;
-    for attempt in 0..3u32 {
-        attempts += 1;
-        local.attempts += 1;
-        match attempt {
-            1 => local.retries += 1,
-            2 => local.degraded_chunks.extend(frame_base..frame_base + group.len()),
-            _ => {}
-        }
-        // Same unwind-isolation argument as the chunk workers: the batch
-        // engine re-zeroes its lane arenas per call, so a mid-batch panic
-        // leaves no poisoned state behind.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if attempt == 2 {
-                group.iter().map(|lane| lzfpga_lzss::compress(lane, params)).collect()
-            } else if let Some(c) = counters.as_deref_mut() {
-                engine.compress_batch_probed(group, params, c)
-            } else {
-                engine.compress_batch(group, params)
-            }
-        }));
-        match result {
-            Ok(tokens) => return GroupState::Done(tokens),
-            Err(_panic) => local.worker_restarts += 1,
-        }
-    }
-    local.failed_chunks.extend(frame_base..frame_base + group.len());
-    GroupState::Failed(attempts)
 }
 
 /// Compress independent inputs through the multi-lane batched driver: each
@@ -1329,79 +925,29 @@ pub fn compress_batch(
     let params = cfg.hw.as_lzss_params();
     let window = cfg.hw.window_size.max(256);
     let groups: Vec<&[&[u8]]> = inputs.chunks(lanes).collect();
-    let n_groups = groups.len();
-    let workers = if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        cfg.workers
-    }
-    .clamp(1, n_groups.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<GroupState<Vec<u8>>>>> =
-        Mutex::new((0..n_groups).map(|_| None).collect());
-    let counter_acc: Mutex<TurboCounters> = Mutex::new(TurboCounters::default());
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
-
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_groups) {
-            let (next, slots, groups, params, counter_acc, failure_acc) =
-                (&next, &slots, &groups, &params, &counter_acc, &failure_acc);
-            s.spawn(move || {
-                let mut engine = BatchEngine::new();
-                let mut counters = cfg.telemetry.then(TurboCounters::default);
-                let mut local = FailureReport::default();
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= n_groups {
-                        break;
-                    }
-                    let state = match batch_group_tokens(
-                        &mut engine,
-                        groups[g],
-                        params,
-                        counters.as_mut(),
-                        &mut local,
-                        g * lanes,
-                    ) {
-                        GroupState::Done(tokens) => GroupState::Done(
-                            tokens
-                                .iter()
-                                .zip(groups[g])
-                                .map(|(t, lane)| {
-                                    zlib_compress_tokens(t, lane, BlockKind::FixedHuffman, window)
-                                })
-                                .collect(),
-                        ),
-                        GroupState::Failed(attempts) => GroupState::Failed(attempts),
-                    };
-                    slots.lock().expect("slot lock")[g] = Some(state);
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(c) = counters {
-                    counter_acc.lock().expect("counter lock").merge(&c);
-                }
-            });
-        }
-    });
-
-    let failures = failure_acc.into_inner().expect("failure lock");
     let mut streams = Vec::with_capacity(inputs.len());
-    for (g, slot) in slots.into_inner().expect("slot lock").into_iter().enumerate() {
-        match slot.expect("every group index was claimed") {
-            GroupState::Done(group_streams) => streams.extend(group_streams),
-            GroupState::Failed(attempts) => {
-                return Err(ParallelError::ChunkFailed { index: g * lanes, attempts });
-            }
-        }
-    }
-
+    let (workers, outcome) = ordered_map(
+        &groups,
+        cfg.workers,
+        |w| Worker::new(BatchEngine::new(), w, None),
+        |w, g, group| {
+            let tokens = w.batch_tokens(group, &params, g * lanes, cfg.telemetry)?;
+            Ok(tokens
+                .iter()
+                .zip(*group)
+                .map(|(t, lane)| zlib_compress_tokens(t, lane, BlockKind::FixedHuffman, window))
+                .collect::<Vec<_>>())
+        },
+        |_, group_streams| streams.extend(group_streams),
+    );
+    let merged = merge(workers);
+    outcome.map_err(|(g, attempts)| chunk_failed((g * lanes, attempts)))?;
     Ok(BatchReport {
         streams,
         input_bytes: inputs.iter().map(|d| d.len() as u64).sum(),
         lanes,
-        counters: cfg.telemetry.then(|| counter_acc.into_inner().expect("counter lock")),
-        failures,
+        counters: cfg.telemetry.then_some(merged.counters),
+        failures: merged.failures,
     })
 }
 
@@ -1424,156 +970,44 @@ pub fn compress_frames_batched(
     frame_cfg: &FrameConfig,
     lanes: usize,
 ) -> Result<FramedParallelReport, ParallelError> {
-    if frame_cfg.frame_bytes > lzfpga_container::MAX_FRAME_BYTES {
-        return Err(
-            ParallelConfigError::FrameTooLarge { frame_bytes: frame_cfg.frame_bytes }.into()
-        );
-    }
-    let eff = ParallelConfig { chunk_bytes: frame_cfg.frame_bytes, ..*cfg };
-    eff.validate()?;
+    let eff = framed_config(cfg, frame_cfg)?;
     if lanes == 0 {
         return Err(ParallelConfigError::NoLanes.into());
     }
     let params = eff.hw.as_lzss_params();
     let chunks: Vec<&[u8]> = data.chunks(eff.chunk_bytes).collect();
-    let n_chunks = chunks.len();
     let groups: Vec<&[&[u8]]> = chunks.chunks(lanes).collect();
-    let n_groups = groups.len();
-    let workers = if eff.workers == 0 {
-        std::thread::available_parallelism().map_or(4, |n| n.get())
-    } else {
-        eff.workers
-    }
-    .clamp(1, n_groups.max(1));
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<GroupState<FrameDone>>>> =
-        Mutex::new((0..n_groups).map(|_| None).collect());
-    let counter_acc: Mutex<TurboCounters> = Mutex::new(TurboCounters::default());
-    let failure_acc: Mutex<FailureReport> = Mutex::new(FailureReport::default());
     let epoch = Instant::now();
-
-    std::thread::scope(|s| {
-        for _ in 0..workers.min(n_groups) {
-            let (next, slots, groups, params, counter_acc, failure_acc) =
-                (&next, &slots, &groups, &params, &counter_acc, &failure_acc);
-            s.spawn(move || {
-                let mut engine = BatchEngine::new();
-                let mut counters = eff.telemetry.then(TurboCounters::default);
-                let mut local = FailureReport::default();
-                loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= n_groups {
-                        break;
-                    }
-                    let t0 = Instant::now();
-                    let start_us = epoch.elapsed().as_secs_f64() * 1e6;
-                    let frame_base = g * lanes;
-                    let state = match batch_group_tokens(
-                        &mut engine,
-                        groups[g],
-                        params,
-                        counters.as_mut(),
-                        &mut local,
-                        frame_base,
-                    ) {
-                        GroupState::Done(tokens) => GroupState::Done(
-                            tokens
-                                .iter()
-                                .zip(groups[g])
-                                .enumerate()
-                                .map(|(j, (buf, lane))| {
-                                    let (codec, payload) = payload_from_tokens(buf, lane, params);
-                                    let ulen = u32::try_from(lane.len())
-                                        .expect("frame_bytes validated <= MAX_FRAME_BYTES");
-                                    let seq = u32::try_from(frame_base + j)
-                                        .expect("frame count exceeds u32");
-                                    let header = encode_data_header(seq, codec, ulen, &payload);
-                                    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-                                    frame.extend_from_slice(&header);
-                                    frame.extend_from_slice(&payload);
-                                    FrameDone {
-                                        frame,
-                                        codec: codec.as_str(),
-                                        cycles: 0,
-                                        tokens: buf.len() as u64,
-                                        encode_us: t0.elapsed().as_secs_f64() * 1e6,
-                                        start_us,
-                                    }
-                                })
-                                .collect(),
-                        ),
-                        GroupState::Failed(attempts) => GroupState::Failed(attempts),
-                    };
-                    slots.lock().expect("slot lock")[g] = Some(state);
-                }
-                failure_acc.lock().expect("failure lock").merge(&local);
-                if let Some(c) = counters {
-                    counter_acc.lock().expect("counter lock").merge(&c);
-                }
-            });
-        }
-    });
-
-    let failures = failure_acc.into_inner().expect("failure lock");
-    let mut framed = Vec::new();
-    let mut entries: Vec<IndexEntry> = Vec::with_capacity(n_chunks);
-    let mut ustart = 0u64;
-    let mut reports = Vec::with_capacity(n_chunks);
-    let mut events = Vec::new();
-    for (g, slot) in slots.into_inner().expect("slot lock").into_iter().enumerate() {
-        let dones = match slot.expect("every group index was claimed") {
-            GroupState::Done(dones) => dones,
-            GroupState::Failed(attempts) => {
-                return Err(ParallelError::ChunkFailed { index: g * lanes, attempts });
+    let mut framer = Framer::new(frame_cfg);
+    let (workers, outcome) = ordered_map(
+        &groups,
+        eff.workers,
+        |w| Worker::new(BatchEngine::new(), w, None),
+        |w, g, group| {
+            let t0 = Instant::now();
+            let start_us = epoch.elapsed().as_secs_f64() * 1e6;
+            let base = g * lanes;
+            let tokens = w.batch_tokens(group, &params, base, eff.telemetry)?;
+            Ok(tokens
+                .iter()
+                .zip(*group)
+                .enumerate()
+                .map(|(j, (t, lane))| FrameDone {
+                    start_us,
+                    ..FrameDone::encode(base + j, lane, t, &params, t0)
+                })
+                .collect::<Vec<_>>())
+        },
+        |g, dones| {
+            for (j, done) in dones.into_iter().enumerate() {
+                framer.push(g * lanes + j, chunks[g * lanes + j], done);
             }
-        };
-        for (j, done) in dones.into_iter().enumerate() {
-            let i = g * lanes + j;
-            entries.push(IndexEntry { header_start: framed.len() as u64, ustart });
-            ustart += chunks[i].len() as u64;
-            framed.extend_from_slice(&done.frame);
-            if frame_cfg.collect_events {
-                events.push(FrameEvent {
-                    seq: i as u32,
-                    uncompressed_bytes: chunks[i].len() as u64,
-                    payload_bytes: (done.frame.len() - HEADER_LEN) as u64,
-                    codec: done.codec,
-                    crc_us: 0.0,
-                    encode_us: done.encode_us,
-                    start_us: done.start_us,
-                    outcome: FrameOutcome::Written,
-                });
-            }
-            reports.push(ChunkReport {
-                index: i,
-                input_bytes: chunks[i].len() as u64,
-                cycles: done.cycles,
-                tokens: done.tokens,
-            });
-        }
-    }
-
-    if frame_cfg.index && n_chunks > 0 {
-        let section = encode_index_section(&entries, data.len() as u64, framed.len() as u64);
-        framed.extend_from_slice(&section);
-    }
-    let mut crc = Crc32::new();
-    crc.update(data);
-    framed.extend_from_slice(&encode_trailer(n_chunks as u32, data.len() as u64, crc.finish()));
-
-    Ok(FramedParallelReport {
-        framed,
-        frames: n_chunks as u32,
-        input_bytes: data.len() as u64,
-        chunks: reports,
-        failures,
-        events,
-        counters: cfg.telemetry.then(|| counter_acc.into_inner().expect("counter lock")),
-        trace_events: Vec::new(),
-    })
+        },
+    );
+    let merged = merge(workers);
+    outcome.map_err(|(g, attempts)| chunk_failed((g * lanes, attempts)))?;
+    Ok(framer.finish(merged.failures, eff.telemetry.then_some(merged.counters), Vec::new()))
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1795,14 +1229,20 @@ mod tests {
     }
 
     #[test]
-    fn a_chunk_that_fails_every_attempt_fails_the_job() {
+    fn a_chunk_whose_engine_rungs_all_fail_degrades_byte_exactly() {
         use lzfpga_faults::{FailPlan, FailRule};
         let data = generate(Corpus::LogLines, 2, 40_000);
+        let clean = compress_parallel(&data, &turbo_cfg(8 * 1024, 1)).unwrap();
+        // Hits 1 and 2 are chunk 0's engine and retry rungs; its reference
+        // rung is never injectable. Hit 3 fails chunk 1's first attempt.
         let plan = FailPlan::new(3)
             .rule(FailRule::new("parallel.worker.chunk").on_hit(1).times(3).errors());
-        let err = compress_parallel_with(&data, &turbo_cfg(8 * 1024, 1), &plan).unwrap_err();
-        assert!(matches!(err, ParallelError::ChunkFailed { index: 0, attempts: 3 }));
-        assert_eq!(err.to_string(), "chunk 0 failed after 3 attempts");
+        let rep = compress_parallel_with(&data, &turbo_cfg(8 * 1024, 1), &plan).unwrap();
+        assert_eq!(rep.compressed, clean.compressed);
+        assert_eq!(rep.failures.degraded_chunks, vec![0]);
+        assert!(rep.failures.failed_chunks.is_empty());
+        assert_eq!(rep.failures.injected_errors, 3);
+        assert_eq!(rep.failures.retries, 2);
     }
 
     #[test]
@@ -1932,12 +1372,15 @@ mod tests {
         assert_eq!(rep.failures.worker_restarts, 1);
         assert_eq!(rep.failures.retries, 1);
         assert_eq!(rep.failures.injected[0].site, "parallel.frame.chunk");
-        // A frame that fails every rung fails the job with its index.
+        // A frame whose engine rungs all fail degrades to the reference
+        // rung, which is never injectable: the bytes stay exact.
         let plan = FailPlan::new(4)
             .rule(FailRule::new("parallel.frame.chunk").on_hit(1).times(3).errors());
-        let err = compress_frames_parallel_with(&data, &turbo_cfg(32 * 1024, 1), &frame_cfg, &plan)
-            .unwrap_err();
-        assert!(matches!(err, ParallelError::ChunkFailed { index: 0, attempts: 3 }));
+        let rep = compress_frames_parallel_with(&data, &turbo_cfg(32 * 1024, 1), &frame_cfg, &plan)
+            .unwrap();
+        assert_eq!(rep.framed, clean.framed);
+        assert_eq!(rep.failures.degraded_chunks, vec![0]);
+        assert!(rep.failures.failed_chunks.is_empty());
     }
 
     #[test]

@@ -5,24 +5,26 @@
 //! Instead every job walks its input frame by frame and calls
 //! [`RequestCtl::checkpoint`] between frames, so a cancel, an expired
 //! deadline, or a drain-deadline sweep stops the work at the next frame
-//! boundary. The compress body reuses `parallel`'s degradation ladder
-//! ([`lzfpga_parallel::compress_chunk_ladder`]): engine, retry with
-//! backoff, reference fallback — so an injected panic degrades a frame
-//! instead of failing the request, and the bytes stay identical to
-//! `FrameWriter` output either way.
+//! boundary. The compress body keeps its serial frame loop but runs each
+//! frame through the workspace's one degradation ladder
+//! ([`lzfpga_parallel::exec::ladder`]): engine, retry, then the never
+//! injectable reference compressor — so an injected panic degrades a frame
+//! instead of failing the request — and lays the frames out through
+//! [`StreamLayout`], so the bytes stay identical to `FrameWriter` output
+//! either way.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use lzfpga_container::{
-    check_structure, decode_frame, encode_data_header, encode_index_section, encode_trailer,
-    open_indexed_faulty, payload_from_tokens, ContainerError, IndexEntry, MAX_FRAME_BYTES,
+    check_structure, decode_frame, open_indexed_faulty, payload_from_tokens, ContainerError,
+    StreamLayout, MAX_FRAME_BYTES,
 };
 use lzfpga_core::HwConfig;
 use lzfpga_deflate::crc32::Crc32;
 use lzfpga_faults::{Failpoints, FailureReport, FaultAction, FaultEvent};
 use lzfpga_lzss::TurboEngine;
-use lzfpga_parallel::compress_chunk_ladder;
+use lzfpga_parallel::exec::{ladder, Rung};
 
 use crate::proto::RejectCode;
 use crate::quota::Charge;
@@ -161,50 +163,34 @@ pub fn compress_job(
     let params = hw.as_lzss_params();
     let faults = FaultsRef(faults);
     let mut turbo = TurboEngine::new();
+    let mut layout = StreamLayout::new();
     let mut framed = Vec::new();
-    let mut entries: Vec<IndexEntry> = Vec::new();
-    let mut ustart = 0u64;
     for (i, chunk) in data.chunks(frame_bytes).enumerate() {
         ctl.checkpoint()?;
-        let tokens = compress_chunk_ladder(
-            &mut turbo,
-            chunk,
-            &params,
-            "server.chunk",
-            &faults,
-            &mut ledger.failures,
-            i,
-        )
-        .map_err(|attempts| {
-            JobFail::new(
-                RejectCode::Internal,
-                format!("frame {i} failed all {attempts} ladder attempts"),
-            )
-        })?;
+        let tokens =
+            ladder(&faults, "server.chunk", i..i + 1, &mut ledger.failures, None, |rung| {
+                if rung == Rung::Reference {
+                    return Ok(lzfpga_lzss::compress(chunk, &params));
+                }
+                let mut tokens = Vec::new();
+                turbo.compress_into_faulty(chunk, &params, &mut tokens, &faults)?;
+                Ok(tokens)
+            })
+            .map_err(|attempts| {
+                JobFail::new(
+                    RejectCode::Internal,
+                    format!("frame {i} failed all {attempts} ladder attempts"),
+                )
+            })?;
         let (codec, payload) = payload_from_tokens(&tokens, chunk, &params);
-        let ulen = u32::try_from(chunk.len()).expect("frame_bytes validated <= MAX_FRAME_BYTES");
-        let seq = u32::try_from(i).map_err(|_| {
+        let frame = layout.frame(chunk, codec, &payload).map_err(|_| {
             JobFail::new(RejectCode::TooLarge, "input exceeds the container frame count")
         })?;
-        let header = encode_data_header(seq, codec, ulen, &payload);
-        entries.push(IndexEntry { header_start: framed.len() as u64, ustart });
-        ustart += chunk.len() as u64;
-        framed.extend_from_slice(&header);
-        framed.extend_from_slice(&payload);
+        framed.extend_from_slice(&frame);
         ledger.frames += 1;
     }
     ctl.checkpoint()?;
-    if !entries.is_empty() {
-        let section = encode_index_section(&entries, data.len() as u64, framed.len() as u64);
-        framed.extend_from_slice(&section);
-    }
-    let mut crc = Crc32::new();
-    crc.update(data);
-    framed.extend_from_slice(&encode_trailer(
-        entries.len() as u32,
-        data.len() as u64,
-        crc.finish(),
-    ));
+    framed.extend_from_slice(&layout.finish(true));
     ledger.failures.injected = faults.drain_events();
     Ok(framed)
 }

@@ -10,6 +10,11 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+# The crates behind the parallel executor, the fault ladder and the LZFC
+# stream layout carry their own unit tests.
+echo "== crate tests: parallel, server, container, estimator =="
+cargo test --release -q -p lzfpga-parallel -p lzfpga-server -p lzfpga-container -p lzfpga-estimator
+
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
