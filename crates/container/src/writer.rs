@@ -321,7 +321,7 @@ impl<W: Write> FrameWriter<W> {
             entries,
             input_bytes: scan.uncompressed_bytes,
             output_bytes: scan.valid_bytes,
-            crc: scan.crc.clone(),
+            crc: scan.crc,
         };
         Ok(FrameWriter {
             out,
@@ -466,7 +466,7 @@ impl ResumeScan {
     /// caller checks this against the source file's first
     /// [`ResumeScan::uncompressed_bytes`] bytes before skipping them.
     pub fn prefix_crc(&self) -> u32 {
-        self.crc.clone().finish()
+        self.crc.finish()
     }
 }
 
@@ -508,7 +508,7 @@ pub fn scan_partial(bytes: &[u8]) -> ResumeScan {
         if rec.trailer {
             let totals_ok = u64::from(rec.seq) == u64::from(scan.frames)
                 && rec.total_uncompressed() == scan.uncompressed_bytes
-                && rec.payload_crc == scan.crc.clone().finish();
+                && rec.payload_crc == scan.crc.finish();
             if totals_ok {
                 scan.complete = true;
                 scan.valid_bytes = (pos + HEADER_LEN) as u64;

@@ -641,6 +641,26 @@ mod tests {
     }
 
     #[test]
+    fn cycle_report_is_pinned_on_a_fixed_stream() {
+        // The model charges one cycle per decoded symbol, so how the shared
+        // Huffman `Decoder` finds a symbol must never move a cycle. These
+        // figures were recorded with the bit-serial decoder.
+        use lzfpga_workloads::{generate, Corpus};
+        let data = generate(Corpus::LogLines, 77, 30_000);
+        let rep = compress_to_zlib(&data, &HwConfig::paper_fast());
+        let dec = HwDecompressor::new(DecompConfig::paper_fast())
+            .decompress_zlib(&rep.compressed)
+            .unwrap();
+        assert_eq!(dec.bytes, data);
+        assert_eq!(dec.tokens.len(), 5_973);
+        assert_eq!(dec.cycles, 19_635);
+        assert_eq!(dec.stats.get(HwState::Match), 8_736);
+        assert_eq!(dec.stats.get(HwState::Output), 10_898);
+        assert_eq!(dec.stats.get(HwState::Fetch), 1);
+        assert_eq!(dec.stats.get(HwState::Waiting), 0);
+    }
+
+    #[test]
     fn corrupted_adler_rejected() {
         let data = b"checksummed payload".repeat(10);
         let rep = compress_to_zlib(&data, &HwConfig::paper_fast());

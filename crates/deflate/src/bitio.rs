@@ -77,6 +77,11 @@ impl BitWriter {
 }
 
 /// Reads bits LSB-first from a byte slice.
+///
+/// The buffer holds `bitcount` unread bits at its bottom. Bits above them
+/// are either zero or the stream's own next bits (a word refill loads a
+/// whole 8 bytes but only counts the bytes that fit), so a masked read of
+/// at most `bitcount` bits is always exact.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -96,8 +101,18 @@ impl<'a> BitReader<'a> {
         Self { data, pos: 0, bitbuf: 0, bitcount: 0 }
     }
 
+    /// Top the buffer up to at least 57 bits, or to the end of input. Only
+    /// called with `bitcount <= 56`.
     #[inline]
     fn refill(&mut self) {
+        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+            self.bitbuf |= word << self.bitcount;
+            let bytes = (64 - self.bitcount) / 8;
+            self.pos += bytes as usize;
+            self.bitcount += bytes * 8;
+            return;
+        }
         while self.bitcount <= 56 && self.pos < self.data.len() {
             self.bitbuf |= u64::from(self.data[self.pos]) << self.bitcount;
             self.pos += 1;
@@ -105,22 +120,34 @@ impl<'a> BitReader<'a> {
         }
     }
 
+    /// The next `n` bits (0..=57) without consuming them, and how many of
+    /// them the input holds: `n` unless the input ends sooner, in which case
+    /// the missing high bits read as zero.
+    #[inline]
+    pub fn peek(&mut self, n: u32) -> (u64, u32) {
+        debug_assert!(n <= 57);
+        if self.bitcount < n {
+            self.refill();
+        }
+        (self.bitbuf & ((1u64 << n) - 1), self.bitcount.min(n))
+    }
+
+    /// Drop `n` bits that a [`Self::peek`] reported as present.
+    #[inline]
+    pub fn consume(&mut self, n: u32) {
+        debug_assert!(n <= self.bitcount, "consume past the peeked bits");
+        self.bitbuf >>= n;
+        self.bitcount -= n;
+    }
+
     /// Read `n` bits (0..=57), LSB-first.
     #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u64, OutOfBits> {
-        debug_assert!(n <= 57);
-        if n == 0 {
-            return Ok(0);
+        let (v, avail) = self.peek(n);
+        if avail < n {
+            return Err(OutOfBits);
         }
-        if self.bitcount < n {
-            self.refill();
-            if self.bitcount < n {
-                return Err(OutOfBits);
-            }
-        }
-        let v = self.bitbuf & ((1u64 << n) - 1);
-        self.bitbuf >>= n;
-        self.bitcount -= n;
+        self.consume(n);
         Ok(v)
     }
 
@@ -132,9 +159,7 @@ impl<'a> BitReader<'a> {
 
     /// Discard buffered bits up to the next byte boundary.
     pub fn align_to_byte(&mut self) {
-        let drop = self.bitcount % 8;
-        self.bitbuf >>= drop;
-        self.bitcount -= drop;
+        self.consume(self.bitcount % 8);
     }
 
     /// Read a whole byte; reader must be byte-aligned (after

@@ -6,8 +6,10 @@
 //! * [`canonical_codes`] — lengths → codes (the RFC algorithm verbatim),
 //! * [`Codebook`] — an encoder-side table with pre-reversed codes (Deflate
 //!   emits Huffman codes MSB-first into an LSB-first bit stream),
-//! * [`Decoder`] — a decoder built from the same lengths, using the
-//!   counts/offsets canonical decode (the approach of Mark Adler's `puff`),
+//! * [`Decoder`] — a table-driven decoder built from the same lengths: one
+//!   lookup on the next [`FAST_BITS`] stream bits resolves every code that
+//!   short, and longer codes finish with the counts/symbols canonical walk
+//!   over the same peeked bits,
 //! * [`build_lengths`] — frequency histogram → length-limited code lengths
 //!   (for the dynamic-Huffman encoder).
 
@@ -117,6 +119,10 @@ impl Codebook {
     }
 }
 
+/// Bits resolved by one [`Decoder`] table lookup. Every fixed-table code
+/// (at most 9 bits) and almost every dynamic one fits.
+pub const FAST_BITS: u32 = 10;
+
 /// Decoder-side canonical Huffman table.
 #[derive(Debug, Clone)]
 pub struct Decoder {
@@ -124,6 +130,10 @@ pub struct Decoder {
     count: [u16; MAX_BITS + 1],
     /// Symbols sorted by (length, symbol).
     symbols: Vec<u16>,
+    /// Indexed by the next [`FAST_BITS`] stream bits: `symbol << 4 | len`
+    /// for the code of length `len <= FAST_BITS` those bits start with, or
+    /// 0 when no code that short does (a longer code or a gap).
+    fast: Vec<u16>,
 }
 
 /// Errors from canonical decoding.
@@ -165,31 +175,77 @@ impl Decoder {
                 return None;
             }
         }
-        // offsets[len] = index of first symbol of that length in `symbols`.
+        // offsets[len] = index of first symbol of that length in `symbols`;
+        // next_code[len] = the canonical code of that symbol.
         let mut offs = [0usize; MAX_BITS + 2];
+        let mut next_code = [0u16; MAX_BITS + 1];
         for len in 1..=MAX_BITS {
             offs[len + 1] = offs[len] + count[len] as usize;
+            next_code[len] = (next_code[len - 1] + count[len - 1]) << 1;
         }
         let mut symbols = vec![0u16; lengths.iter().filter(|&&l| l != 0).count()];
+        let mut fast = vec![0u16; 1 << FAST_BITS];
         for (sym, &len) in lengths.iter().enumerate() {
-            if len != 0 {
-                symbols[offs[len as usize]] = sym as u16;
-                offs[len as usize] += 1;
+            if len == 0 {
+                continue;
+            }
+            symbols[offs[len as usize]] = sym as u16;
+            offs[len as usize] += 1;
+            let code = next_code[len as usize];
+            next_code[len as usize] += 1;
+            if u32::from(len) <= FAST_BITS {
+                let entry = (sym as u16) << 4 | u16::from(len);
+                let first = reverse_bits(code, len) as usize;
+                for slot in fast[first..].iter_mut().step_by(1 << len) {
+                    *slot = entry;
+                }
             }
         }
-        Some(Self { count, symbols })
+        Some(Self { count, symbols, fast })
     }
 
     /// Decode one symbol, reading bits MSB-of-code-first.
+    #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16, DecodeError> {
+        let (bits, avail) = r.peek(MAX_BITS as u32);
+        let (sym, len) = self.decode_bits(bits, avail)?;
+        r.consume(len);
+        Ok(sym)
+    }
+
+    /// Decode one symbol from `bits`, the next stream bits LSB-first, of
+    /// which the low `avail` are present (the rest read as zero). Returns
+    /// the symbol and its code length; consumes nothing.
+    ///
+    /// A code longer than `avail` is [`DecodeError::OutOfInput`]; bits that
+    /// start no code are [`DecodeError::InvalidCode`] once 15 of them are
+    /// present, and [`DecodeError::OutOfInput`] before that — exactly where
+    /// a bit-at-a-time walk would stop.
+    #[inline]
+    pub(crate) fn decode_bits(&self, bits: u64, avail: u32) -> Result<(u16, u32), DecodeError> {
+        let entry = self.fast[(bits & ((1 << FAST_BITS) - 1)) as usize];
+        let len = u32::from(entry & 0xF);
+        if len != 0 && len <= avail {
+            return Ok((entry >> 4, len));
+        }
+        self.walk(bits, avail)
+    }
+
+    /// The canonical counts/symbols walk over peeked bits: codes longer
+    /// than [`FAST_BITS`], gaps, and codes cut short by the end of input.
+    #[cold]
+    fn walk(&self, bits: u64, avail: u32) -> Result<(u16, u32), DecodeError> {
         let mut code: u32 = 0;
         let mut first: u32 = 0;
         let mut index: u32 = 0;
-        for len in 1..=MAX_BITS {
-            code |= r.read_bit()?;
-            let cnt = u32::from(self.count[len]);
+        for len in 1..=MAX_BITS as u32 {
+            if len > avail {
+                return Err(DecodeError::OutOfInput);
+            }
+            code |= (bits >> (len - 1)) as u32 & 1;
+            let cnt = u32::from(self.count[len as usize]);
             if code < first + cnt {
-                return Ok(self.symbols[(index + (code - first)) as usize]);
+                return Ok((self.symbols[(index + (code - first)) as usize], len));
             }
             index += cnt;
             first = (first + cnt) << 1;

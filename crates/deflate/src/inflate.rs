@@ -5,11 +5,19 @@
 //! reference model"). Every compressed stream produced by any stage in this
 //! workspace must inflate back to the original bytes.
 
+use std::sync::OnceLock;
+
 use crate::bitio::{BitReader, OutOfBits};
 use crate::fixed::{
     distance_base, fixed_dist_lengths, fixed_litlen_lengths, length_base, END_OF_BLOCK,
 };
 use crate::huffman::{DecodeError, Decoder};
+
+/// Up-front output reservation per compressed input byte. The reservation
+/// is bounded by the input, never by a length a header claims, so a forged
+/// header cannot make the reader allocate; outputs that expand further
+/// grow the vector as usual.
+const RESERVE_PER_INPUT_BYTE: u64 = 4;
 
 /// Errors produced while decoding a Deflate stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,6 +165,8 @@ pub fn inflate_into_limited(
     compressed_len: usize,
 ) -> Result<(), InflateError> {
     let cap = limits.output_cap(compressed_len);
+    let hint = cap.min(compressed_len as u64 * RESERVE_PER_INPUT_BYTE);
+    out.reserve(usize::try_from(hint).unwrap_or(0).saturating_sub(out.len()));
     let mut blocks: u64 = 0;
     loop {
         blocks += 1;
@@ -175,6 +185,17 @@ pub fn inflate_one_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<boo
     inflate_one_block_capped(r, out, u64::MAX)
 }
 
+/// The fixed-Huffman litlen and distance decoders, built once per process.
+fn fixed_decoders() -> &'static (Decoder, Decoder) {
+    static FIXED: OnceLock<(Decoder, Decoder)> = OnceLock::new();
+    FIXED.get_or_init(|| {
+        (
+            Decoder::from_lengths(&fixed_litlen_lengths()).expect("fixed litlen table is valid"),
+            Decoder::from_lengths(&fixed_dist_lengths()).expect("fixed dist table is valid"),
+        )
+    })
+}
+
 fn inflate_one_block_capped(
     r: &mut BitReader<'_>,
     out: &mut Vec<u8>,
@@ -185,11 +206,8 @@ fn inflate_one_block_capped(
     match btype {
         0b00 => inflate_stored(r, out, cap)?,
         0b01 => {
-            let lit = Decoder::from_lengths(&fixed_litlen_lengths())
-                .expect("fixed litlen table is valid");
-            let dist =
-                Decoder::from_lengths(&fixed_dist_lengths()).expect("fixed dist table is valid");
-            inflate_compressed(r, out, &lit, &dist, cap)?;
+            let (lit, dist) = fixed_decoders();
+            inflate_compressed(r, out, lit, dist, cap)?;
         }
         0b10 => {
             let (lit, dist) = read_dynamic_tables(r)?;
@@ -367,37 +385,71 @@ fn inflate_compressed(
     cap: u64,
 ) -> Result<(), InflateError> {
     loop {
-        let sym = lit.decode(r)?;
+        let (bits, avail) = r.peek(15);
+        let (sym, n) = lit.decode_bits(bits, avail)?;
         match sym {
             0..=255 => {
                 if out.len() as u64 >= cap {
                     return Err(InflateError::OutputLimitExceeded);
                 }
+                r.consume(n);
                 out.push(sym as u8);
             }
-            256 => return Ok(()),
+            256 => {
+                r.consume(n);
+                return Ok(());
+            }
             257..=285 => {
+                r.consume(n);
+                let (bits, avail) = r.peek(33);
+                let mut used = 0;
                 let (base, extra) = length_base(sym).ok_or(InflateError::BadSymbol)?;
-                let len = base + r.read_bits(extra)? as u32;
-                let dsym = dist.decode(r)?;
+                let len = base + take_bits(bits, avail, &mut used, extra)? as u32;
+                let (dsym, dlen) = dist.decode_bits(bits >> used, avail - used)?;
+                used += dlen;
                 let (dbase, dextra) = distance_base(dsym).ok_or(InflateError::BadSymbol)?;
-                let d = dbase + r.read_bits(dextra)? as u32;
-                let d = d as usize;
+                let d = (dbase + take_bits(bits, avail, &mut used, dextra)? as u32) as usize;
+                r.consume(used);
                 if d > out.len() {
                     return Err(InflateError::DistanceTooFar);
                 }
                 if out.len() as u64 + u64::from(len) > cap {
                     return Err(InflateError::OutputLimitExceeded);
                 }
-                // Byte-by-byte copy handles self-overlap (dist < len).
-                let start = out.len() - d;
-                for k in 0..len as usize {
-                    let b = out[start + k];
-                    out.push(b);
-                }
+                copy_match(out, d, len as usize);
             }
             _ => return Err(InflateError::BadSymbol),
         }
+    }
+}
+
+/// The `n` extra bits after the first `*used` of `bits` (`avail` present).
+#[inline]
+fn take_bits(bits: u64, avail: u32, used: &mut u32, n: u32) -> Result<u64, InflateError> {
+    if *used + n > avail {
+        return Err(InflateError::UnexpectedEof);
+    }
+    let v = (bits >> *used) & ((1 << n) - 1);
+    *used += n;
+    Ok(v)
+}
+
+/// Append `len` bytes copied from `dist` bytes back (`1 <= dist <=
+/// out.len()`). An overlapping copy (`dist < len`) repeats the last `dist`
+/// bytes; it is done in chunks that are whole multiples of the pattern, so
+/// each chunk reads only bytes already written.
+#[inline]
+fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
+    let start = out.len() - dist;
+    if dist >= len {
+        out.extend_from_within(start..start + len);
+        return;
+    }
+    let mut left = len;
+    while left > 0 {
+        let chunk = (out.len() - start).min(left);
+        out.extend_from_within(start..start + chunk);
+        left -= chunk;
     }
 }
 

@@ -10,10 +10,12 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-# The crates behind the parallel executor, the fault ladder and the LZFC
-# stream layout carry their own unit tests.
-echo "== crate tests: parallel, server, container, estimator =="
-cargo test --release -q -p lzfpga-parallel -p lzfpga-server -p lzfpga-container -p lzfpga-estimator
+# The crates behind the parallel executor, the fault ladder, the LZFC
+# stream layout, the Deflate codec and the hardware model carry their own
+# unit and property tests.
+echo "== crate tests: parallel, server, container, estimator, deflate, core =="
+cargo test --release -q -p lzfpga-parallel -p lzfpga-server -p lzfpga-container -p lzfpga-estimator \
+    -p lzfpga-deflate -p lzfpga-core
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
