@@ -48,8 +48,8 @@ pub use range::{
 };
 pub use salvage::{salvage, salvage_with, LostRange, Salvage, SalvageOptions, SalvageReport};
 pub use writer::{
-    encode_frame, encode_frame_payload, payload_from_tokens, scan_partial, FrameConfig,
-    FrameWriter, FramedSummary, ResumeScan, StreamLayout,
+    encode_frame, encode_frame_payload, payload_from_sink, payload_from_tokens, scan_partial,
+    FrameConfig, FrameWriter, FramedSummary, ResumeScan, StreamLayout,
 };
 
 use lzfpga_deflate::crc32::Crc32;

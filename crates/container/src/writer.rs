@@ -24,7 +24,7 @@ use std::io::{self, Write};
 use std::time::Instant;
 
 use lzfpga_deflate::crc32::Crc32;
-use lzfpga_deflate::{zlib_compress_tokens, BlockKind, Token};
+use lzfpga_deflate::{FixedZlibSink, Token, TokenSink};
 use lzfpga_lzss::{LzssParams, TurboEngine};
 use lzfpga_telemetry::{FrameEvent, FrameOutcome};
 
@@ -94,19 +94,26 @@ pub struct FramedSummary {
     pub events: Vec<FrameEvent>,
 }
 
-/// Encode an already-produced token stream into a frame's stored payload,
-/// choosing [`Codec::Raw`] when compression would expand the frame.
+/// Close a frame's fixed-Huffman stream and pick its stored payload:
+/// [`Codec::Raw`] when compression would not shrink the frame `data`.
 ///
-/// This is *the* codec decision — [`FrameWriter`] and the chunk-parallel
-/// framed compressor both route through it, which is what makes their
-/// outputs byte-identical.
-pub fn payload_from_tokens(tokens: &[Token], data: &[u8], params: &LzssParams) -> (Codec, Vec<u8>) {
-    let zlib = zlib_compress_tokens(tokens, data, BlockKind::FixedHuffman, params.window_size);
+/// This is *the* codec decision — [`FrameWriter`], the chunk-parallel
+/// framed compressor and the server all route through it, which is what
+/// makes their outputs byte-identical.
+pub fn payload_from_sink(sink: FixedZlibSink, data: &[u8]) -> (Codec, Vec<u8>) {
+    let zlib = sink.finish(data);
     if zlib.len() >= data.len() {
         (Codec::Raw, data.to_vec())
     } else {
         (Codec::FixedZlib, zlib)
     }
+}
+
+/// [`payload_from_sink`] for an already-produced token stream.
+pub fn payload_from_tokens(tokens: &[Token], data: &[u8], params: &LzssParams) -> (Codec, Vec<u8>) {
+    let mut sink = FixedZlibSink::new(params.window_size);
+    sink.push_tokens(tokens);
+    payload_from_sink(sink, data)
 }
 
 /// Assemble data frame number `seq` — record header, then `payload` — for
@@ -209,17 +216,17 @@ impl StreamLayout {
 }
 
 /// Compress one frame's bytes and pick its codec: fixed-Huffman zlib when
-/// that is smaller than the input, raw otherwise. `engine` and `tokens`
-/// are caller-owned scratch so a long stream reuses its arenas.
+/// that is smaller than the input, raw otherwise. The engine streams its
+/// tokens straight into the fixed-table packer; `engine` is caller-owned
+/// so a long stream reuses its arenas.
 pub fn encode_frame_payload(
     data: &[u8],
     params: &LzssParams,
     engine: &mut TurboEngine,
-    tokens: &mut Vec<Token>,
 ) -> (Codec, Vec<u8>) {
-    tokens.clear();
-    engine.compress_into(data, params, tokens);
-    payload_from_tokens(tokens, data, params)
+    let mut sink = FixedZlibSink::new(params.window_size);
+    engine.compress_into(data, params, &mut sink);
+    payload_from_sink(sink, data)
 }
 
 /// Streaming LZFC compressor over any [`io::Write`].
@@ -233,7 +240,6 @@ pub struct FrameWriter<W: Write> {
     cfg: FrameConfig,
     params: LzssParams,
     engine: TurboEngine,
-    tokens: Vec<Token>,
     buf: Vec<u8>,
     layout: StreamLayout,
     raw_frames: u32,
@@ -259,7 +265,6 @@ impl<W: Write> FrameWriter<W> {
             cfg,
             params,
             engine: TurboEngine::new(),
-            tokens: Vec::new(),
             buf: Vec::with_capacity(cfg.frame_bytes.min(1 << 20)),
             layout: StreamLayout::new(),
             raw_frames: 0,
@@ -328,7 +333,6 @@ impl<W: Write> FrameWriter<W> {
             cfg,
             params,
             engine: TurboEngine::new(),
-            tokens: Vec::new(),
             buf: Vec::with_capacity(cfg.frame_bytes.min(1 << 20)),
             layout,
             raw_frames: 0,
@@ -348,12 +352,8 @@ impl<W: Write> FrameWriter<W> {
         let seq = self.layout.frames();
         let start_us = self.epoch.elapsed().as_secs_f64() * 1e6;
         let encode_t0 = Instant::now();
-        let (codec, payload) = encode_frame_payload(
-            &self.buf[..take],
-            &self.params,
-            &mut self.engine,
-            &mut self.tokens,
-        );
+        let (codec, payload) =
+            encode_frame_payload(&self.buf[..take], &self.params, &mut self.engine);
         let encode_us = encode_t0.elapsed().as_secs_f64() * 1e6;
         let crc_t0 = Instant::now();
         let frame =
@@ -591,6 +591,25 @@ mod tests {
             + crate::index::index_section_len(summary.frames as usize);
         assert_eq!(stream.len(), expected);
         assert_eq!(unframe(&stream).unwrap(), noise);
+    }
+
+    #[test]
+    fn fused_payload_equals_the_token_path_with_the_same_codec() {
+        let mut engine = TurboEngine::new();
+        // Incompressible, empty and 1-byte frames would expand: raw.
+        let cases = [
+            (generate(Corpus::Wiki, 5, 30_000), Codec::FixedZlib),
+            (generate(Corpus::Constant, 5, 30_000), Codec::FixedZlib),
+            (generate(Corpus::Random, 5, 30_000), Codec::Raw),
+            (Vec::new(), Codec::Raw),
+            (vec![7u8], Codec::Raw),
+        ];
+        for (data, codec) in &cases {
+            let tokens = engine.compress(data, &params());
+            let fused = encode_frame_payload(data, &params(), &mut engine);
+            assert_eq!(fused, payload_from_tokens(&tokens, data, &params()));
+            assert_eq!(fused.0, *codec);
+        }
     }
 
     #[test]

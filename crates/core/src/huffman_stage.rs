@@ -30,10 +30,7 @@
 //! end-of-block, zero padding) — enforced by tests here and fuzzed in the
 //! integration suite.
 
-use lzfpga_deflate::fixed::{
-    distance_symbol, fixed_dist_lengths, fixed_litlen_lengths, length_symbol, END_OF_BLOCK,
-};
-use lzfpga_deflate::huffman::Codebook;
+use lzfpga_deflate::fixed::{fixed_match_bits, END_OF_BLOCK, FIXED_LITLEN};
 use lzfpga_deflate::token::Token;
 
 /// A bundle of up to 31 code bits produced by the map stage for one D/L
@@ -69,8 +66,6 @@ pub struct HuffmanStageStats {
 /// The pipelined fixed-table Huffman encoder model.
 #[derive(Debug, Clone)]
 pub struct HuffmanStage {
-    litlen: Codebook,
-    dist: Codebook,
     /// Stage-1 output register: the mapped bundle awaiting packing.
     map_reg: Option<BitBundle>,
     /// Stage-2 accumulator.
@@ -89,13 +84,12 @@ impl Default for HuffmanStage {
 }
 
 impl HuffmanStage {
-    /// Power-up: codebooks are constant ROMs; the Deflate block header
+    /// Power-up: the code ROM is the const fixed-code table
+    /// ([`FIXED_LITLEN`], [`fixed_match_bits`]); the Deflate block header
     /// (BFINAL=1, BTYPE=01) is preloaded into the accumulator, as the
     /// hardware emits it combinationally when the stream opens.
     pub fn new() -> Self {
         let mut s = Self {
-            litlen: Codebook::from_lengths(&fixed_litlen_lengths()),
-            dist: Codebook::from_lengths(&fixed_dist_lengths()),
             map_reg: None,
             acc: 0,
             acc_bits: 0,
@@ -111,28 +105,13 @@ impl HuffmanStage {
 
     /// Map one token to its fixed-table bit bundle (the stage-1 ROM logic).
     pub fn map_token(&self, token: Token) -> BitBundle {
-        let mut bits = 0u64;
-        let mut count = 0u32;
-        let mut push = |value: u64, n: u32| {
-            bits |= value << count;
-            count += n;
-        };
-        match token {
+        let (bits, count) = match token {
             Token::Literal(b) => {
-                let (code, len) = self.litlen.code(b as usize);
-                push(u64::from(code), u32::from(len));
+                let (code, len) = FIXED_LITLEN[usize::from(b)];
+                (u64::from(code), u32::from(len))
             }
-            Token::Match { dist, len } => {
-                let l = length_symbol(len);
-                let (code, n) = self.litlen.code(l.symbol as usize);
-                push(u64::from(code), u32::from(n));
-                push(u64::from(l.extra_val), l.extra_bits);
-                let d = distance_symbol(dist);
-                let (code, n) = self.dist.code(d.symbol as usize);
-                push(u64::from(code), u32::from(n));
-                push(u64::from(d.extra_val), d.extra_bits);
-            }
-        }
+            Token::Match { dist, len } => fixed_match_bits(dist, len),
+        };
         debug_assert!(count <= MAX_BUNDLE_BITS, "bundle of {count} bits overflows the datapath");
         BitBundle { bits, count }
     }
@@ -220,7 +199,7 @@ impl HuffmanStage {
         while self.acc_bits >= 32 {
             self.pop_word_into(&mut tail);
         }
-        let (code, len) = self.litlen.code(END_OF_BLOCK);
+        let (code, len) = FIXED_LITLEN[END_OF_BLOCK];
         self.push_bits(u64::from(code), u32::from(len));
         // Zero-pad to the 32-bit word boundary, as the final DMA beat does.
         while self.acc_bits > 0 {

@@ -7,9 +7,17 @@
 //! before calling [`BitWriter::write_bits`] (see [`crate::huffman`]).
 
 /// Accumulates bits LSB-first into a byte vector.
+///
+/// Every write stores the whole 64-bit accumulator with one 8-byte copy
+/// into slack past the completed bytes (zero-filled as it grows), then
+/// advances by the whole bytes it completed. The bits left over stay in
+/// the accumulator; their copy in the slack is overwritten by the next
+/// store. [`Self::finish`] trims the slack.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
+    /// Completed bytes `[..pos]`, then slack for the next word store.
     out: Vec<u8>,
+    pos: usize,
     bitbuf: u64,
     bitcount: u32,
 }
@@ -26,54 +34,73 @@ impl BitWriter {
     pub fn write_bits(&mut self, value: u64, n: u32) {
         debug_assert!(n <= 57, "write_bits supports at most 57 bits at once");
         debug_assert!(n == 64 || value < (1u64 << n), "value {value} wider than {n} bits");
-        self.bitbuf |= value << self.bitcount;
-        self.bitcount += n;
-        if self.bitcount >= 8 {
-            // Flush every complete byte in one memcpy-sized append; bitcount
-            // can reach 64 (7 buffered + 57 new), where the shift below would
-            // be out of range, hence the checked variant.
-            let flushed = (self.bitcount / 8) as usize;
-            self.out.extend_from_slice(&self.bitbuf.to_le_bytes()[..flushed]);
-            self.bitbuf = self.bitbuf.checked_shr(flushed as u32 * 8).unwrap_or(0);
-            self.bitcount -= flushed as u32 * 8;
+        // Work on locals and write the fields back after the byte store,
+        // which could otherwise alias them and force reloads.
+        let bitbuf = self.bitbuf | value << self.bitcount;
+        let bitcount = self.bitcount + n;
+        let pos = self.pos;
+        if self.out.len() < pos + 8 {
+            self.out = grown(std::mem::take(&mut self.out), pos + 8);
         }
+        self.out[pos..pos + 8].copy_from_slice(&bitbuf.to_le_bytes());
+        // bitcount can reach 64 (7 buffered + 57 new), where a plain shift
+        // would be out of range, hence the checked variant.
+        let flushed = bitcount & !7;
+        self.pos = pos + (flushed / 8) as usize;
+        self.bitbuf = bitbuf.checked_shr(flushed).unwrap_or(0);
+        self.bitcount = bitcount - flushed;
     }
 
     /// Pad with zero bits to the next byte boundary (used before stored
     /// blocks and at stream end).
     pub fn align_to_byte(&mut self) {
         if self.bitcount > 0 {
-            self.out.push((self.bitbuf & 0xFF) as u8);
-            self.bitbuf = 0;
-            self.bitcount = 0;
+            self.write_bits(0, 8 - self.bitcount);
         }
     }
 
-    /// Append a whole byte; the writer must be byte-aligned.
+    /// Append whole bytes; the writer must be byte-aligned.
     ///
     /// # Panics
     /// Panics if not aligned — stored-block payloads must follow the
     /// alignment padding mandated by the spec.
-    pub fn write_aligned_byte(&mut self, byte: u8) {
+    pub fn write_aligned_bytes(&mut self, bytes: &[u8]) {
         assert_eq!(self.bitcount, 0, "writer not byte-aligned");
-        self.out.push(byte);
+        let end = self.pos + bytes.len();
+        if self.out.len() < end {
+            self.out = grown(std::mem::take(&mut self.out), end);
+        }
+        self.out[self.pos..end].copy_from_slice(bytes);
+        self.pos = end;
     }
 
     /// Bits written so far (including buffered, not-yet-flushed bits).
     pub fn bit_len(&self) -> u64 {
-        self.out.len() as u64 * 8 + u64::from(self.bitcount)
+        self.pos as u64 * 8 + u64::from(self.bitcount)
     }
 
     /// Finish the stream: align and return the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.align_to_byte();
+        self.out.truncate(self.pos);
         self.out
     }
 
     /// Borrow the completed bytes without consuming (excludes buffered bits).
     pub fn as_bytes(&self) -> &[u8] {
-        &self.out
+        &self.out[..self.pos]
     }
+}
+
+/// `out` made at least `need` bytes long, doubling so that stores amortise
+/// to no reallocation. Taking and returning the vector by value keeps a
+/// writer's address from escaping, so a writer held in a local keeps its
+/// fields in registers.
+#[cold]
+fn grown(mut out: Vec<u8>, need: usize) -> Vec<u8> {
+    let len = need.max(out.len() * 2).max(64);
+    out.resize(len, 0);
+    out
 }
 
 /// Reads bits LSB-first from a byte slice.
@@ -222,7 +249,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_bits(0b1, 1);
         w.align_to_byte();
-        w.write_aligned_byte(0xAA);
+        w.write_aligned_bytes(&[0xAA]);
         let bytes = w.finish();
         assert_eq!(bytes, vec![0x01, 0xAA]);
 

@@ -10,13 +10,16 @@
 //!   compared to the dynamic huffman coders"); implemented so the repo can
 //!   quantify that gap.
 
+use crate::adler32::adler32;
 use crate::bitio::BitWriter;
 use crate::fixed::{
-    distance_symbol, fixed_dist_lengths, fixed_litlen_lengths, length_symbol, END_OF_BLOCK,
-    NUM_DIST, NUM_LITLEN,
+    distance_symbol, fixed_match_bits, length_symbol, END_OF_BLOCK, FIXED_LITLEN, NUM_DIST,
+    NUM_LITLEN,
 };
 use crate::huffman::{build_lengths, Codebook};
+use crate::sink::TokenSink;
 use crate::token::Token;
+use crate::zlib::zlib_header;
 
 /// Deflate block type selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +103,7 @@ impl DeflateEncoder {
         self.writer.write_bits(0b00, 2); // BTYPE = stored
         self.writer.align_to_byte();
         // LEN = 0, NLEN = !0.
-        for b in [0x00, 0x00, 0xFF, 0xFF] {
-            self.writer.write_aligned_byte(b);
-        }
+        self.writer.write_aligned_bytes(&[0x00, 0x00, 0xFF, 0xFF]);
     }
 
     /// Finish the Deflate stream and return its bytes.
@@ -130,30 +131,18 @@ impl DeflateEncoder {
             self.writer.write_bits(0b00, 2);
             self.writer.align_to_byte();
             let len = chunk.len() as u16;
-            for b in len.to_le_bytes() {
-                self.writer.write_aligned_byte(b);
-            }
-            for b in (!len).to_le_bytes() {
-                self.writer.write_aligned_byte(b);
-            }
-            for &b in chunk {
-                self.writer.write_aligned_byte(b);
-            }
+            self.writer.write_aligned_bytes(&len.to_le_bytes());
+            self.writer.write_aligned_bytes(&(!len).to_le_bytes());
+            self.writer.write_aligned_bytes(chunk);
         }
     }
 
+    /// The slice entry point of the fixed packer ([`FixedZlibSink`] is the
+    /// streaming one).
     fn write_fixed(&mut self, tokens: &[Token], last: bool) {
-        self.writer.write_bits(u64::from(last), 1);
-        self.writer.write_bits(0b01, 2);
-        // The fixed codebooks never change; build them once per process.
-        static FIXED: std::sync::OnceLock<(Codebook, Codebook)> = std::sync::OnceLock::new();
-        let (litlen, dist) = FIXED.get_or_init(|| {
-            (
-                Codebook::from_lengths(&fixed_litlen_lengths()),
-                Codebook::from_lengths(&fixed_dist_lengths()),
-            )
-        });
-        self.write_symbols(tokens, litlen, dist);
+        fixed_block_header(&mut self.writer, last);
+        fixed_tokens(&mut self.writer, tokens);
+        fixed_end_of_block(&mut self.writer);
     }
 
     fn write_dynamic(&mut self, tokens: &[Token], last: bool) {
@@ -216,6 +205,8 @@ impl DeflateEncoder {
         self.write_symbols(tokens, &litlen, &dist);
     }
 
+    /// Emit `tokens` and the end-of-block code under a dynamic block's
+    /// codebooks.
     fn write_symbols(&mut self, tokens: &[Token], litlen: &Codebook, dist: &Codebook) {
         // Direct (code, bits) table for the literal path: one fixed-size
         // array index per literal instead of two slice loads, and the
@@ -300,24 +291,115 @@ fn rle_code_lengths(lengths: &[u8]) -> Vec<(u16, u32, u32)> {
     out
 }
 
+// The fixed-Huffman packer: every token is one const-table read
+// (`crate::fixed`) and one word write, the software form of the paper's
+// pipelined fixed-table encoder that "does not introduce any delays" (§IV).
+
+/// BFINAL, then BTYPE = 01 (fixed tables).
+fn fixed_block_header(w: &mut BitWriter, last: bool) {
+    w.write_bits(u64::from(last) | 0b01 << 1, 3);
+}
+
+#[inline]
+fn fixed_literal(w: &mut BitWriter, byte: u8) {
+    let (code, n) = FIXED_LITLEN[usize::from(byte)];
+    w.write_bits(u64::from(code), u32::from(n));
+}
+
+#[inline]
+fn fixed_match(w: &mut BitWriter, dist: u32, len: u32) {
+    let (bits, n) = fixed_match_bits(dist, len);
+    w.write_bits(bits, n);
+}
+
+/// Pack a buffered token stream. The writer moves into a local for the
+/// loop so its fields stay in registers instead of being reloaded after
+/// every byte store.
+fn fixed_tokens(w: &mut BitWriter, tokens: &[Token]) {
+    let mut local = std::mem::take(w);
+    for t in tokens {
+        match *t {
+            Token::Literal(b) => fixed_literal(&mut local, b),
+            Token::Match { dist, len } => fixed_match(&mut local, dist, len),
+        }
+    }
+    *w = local;
+}
+
+fn fixed_end_of_block(w: &mut BitWriter) {
+    let (code, n) = FIXED_LITLEN[END_OF_BLOCK];
+    w.write_bits(u64::from(code), u32::from(n));
+}
+
+/// A [`TokenSink`] that packs the command stream into a complete
+/// fixed-Huffman zlib stream as it arrives: the matcher feeds the encoder
+/// directly and no token buffer exists.
+///
+/// [`FixedZlibSink::new`] writes the zlib header and the block header;
+/// every literal and match is packed on arrival; [`FixedZlibSink::finish`]
+/// writes end-of-block, the byte alignment and the Adler-32 trailer. The
+/// bytes equal [`crate::zlib_compress_tokens`] with
+/// [`BlockKind::FixedHuffman`] over the same tokens, which runs this sink.
+#[derive(Debug)]
+pub struct FixedZlibSink {
+    writer: BitWriter,
+    tokens: u64,
+}
+
+impl FixedZlibSink {
+    /// A stream for an LZ77 window of `window_size` bytes (the zlib
+    /// header's CINFO), with the single final block opened.
+    pub fn new(window_size: u32) -> Self {
+        let mut writer = BitWriter::new();
+        writer.write_aligned_bytes(&zlib_header(window_size, 1));
+        fixed_block_header(&mut writer, true);
+        FixedZlibSink { writer, tokens: 0 }
+    }
+
+    /// Tokens packed so far.
+    pub fn tokens(&self) -> u64 {
+        self.tokens
+    }
+
+    /// Close the block and the stream. `original` must be the exact bytes
+    /// the tokens expand to; it feeds the Adler-32 trailer.
+    pub fn finish(mut self, original: &[u8]) -> Vec<u8> {
+        fixed_end_of_block(&mut self.writer);
+        self.writer.align_to_byte();
+        self.writer.write_aligned_bytes(&adler32(original).to_be_bytes());
+        self.writer.finish()
+    }
+}
+
+impl TokenSink for FixedZlibSink {
+    #[inline]
+    fn literal(&mut self, byte: u8) {
+        self.tokens += 1;
+        fixed_literal(&mut self.writer, byte);
+    }
+
+    #[inline]
+    fn matched(&mut self, dist: u32, len: u32) {
+        self.tokens += 1;
+        fixed_match(&mut self.writer, dist, len);
+    }
+
+    fn push_tokens(&mut self, tokens: &[Token]) {
+        self.tokens += tokens.len() as u64;
+        fixed_tokens(&mut self.writer, tokens);
+    }
+}
+
 /// Exact size in bits of `tokens` under the fixed tables (including the
 /// 3-bit block header and end-of-block symbol). Used by the hardware model's
 /// Huffman stage to produce byte-exact output counts without re-encoding.
 pub fn fixed_block_bit_size(tokens: &[Token]) -> u64 {
-    let lit_lengths = fixed_litlen_lengths();
-    let mut bits: u64 = 3 + u64::from(lit_lengths[END_OF_BLOCK]);
+    let mut bits: u64 = 3 + u64::from(FIXED_LITLEN[END_OF_BLOCK].1);
     for t in tokens {
-        bits += match *t {
-            Token::Literal(b) => u64::from(lit_lengths[b as usize]),
-            Token::Match { dist, len } => {
-                let ls = length_symbol(len);
-                let ds = distance_symbol(dist);
-                u64::from(lit_lengths[ls.symbol as usize])
-                    + u64::from(ls.extra_bits)
-                    + 5
-                    + u64::from(ds.extra_bits)
-            }
-        };
+        bits += u64::from(match *t {
+            Token::Literal(b) => u32::from(FIXED_LITLEN[usize::from(b)].1),
+            Token::Match { dist, len } => fixed_match_bits(dist, len).1,
+        });
     }
     bits
 }
@@ -440,6 +522,20 @@ mod tests {
         enc.write_block(&tokens, BlockKind::FixedHuffman, true);
         let actual_bits = enc.bit_len();
         assert_eq!(predicted, actual_bits);
+    }
+
+    #[test]
+    #[should_panic]
+    fn fixed_packer_rejects_out_of_range_lengths() {
+        // The length table is indexed by `len - 3`: a length of 2 fails
+        // the subtraction (debug) or the bounds check (release) instead of
+        // packing a wrong code.
+        let mut enc = DeflateEncoder::new();
+        enc.write_block(
+            &[T::Literal(b'a'), T::Match { dist: 1, len: 2 }],
+            BlockKind::FixedHuffman,
+            true,
+        );
     }
 
     #[test]

@@ -19,21 +19,22 @@ pub const MAX_MATCH: u32 = 258;
 pub const MAX_DISTANCE: u32 = 32_768;
 
 /// Fixed literal/length code lengths (RFC 1951 §3.2.6).
-pub fn fixed_litlen_lengths() -> [u8; NUM_LITLEN] {
-    let mut l = [0u8; NUM_LITLEN];
-    for (i, slot) in l.iter_mut().enumerate() {
-        *slot = match i {
-            0..=143 => 8,
-            144..=255 => 9,
-            256..=279 => 7,
-            _ => 8,
-        };
+pub const fn fixed_litlen_lengths() -> [u8; NUM_LITLEN] {
+    let mut l = [8u8; NUM_LITLEN];
+    let mut i = 144;
+    while i < 256 {
+        l[i] = 9;
+        i += 1;
+    }
+    while i < 280 {
+        l[i] = 7;
+        i += 1;
     }
     l
 }
 
 /// Fixed distance code lengths: 5 bits for all 32 symbols.
-pub fn fixed_dist_lengths() -> [u8; NUM_DIST] {
+pub const fn fixed_dist_lengths() -> [u8; NUM_DIST] {
     [5u8; NUM_DIST]
 }
 
@@ -126,25 +127,149 @@ pub struct DistSym {
     pub extra_val: u32,
 }
 
+// The fixed code as compile-time tables: the software form of the
+// hardware's code ROM. The encoder, the bit-size estimate and the hardware
+// model's map stage all read these; nothing searches or builds a codebook
+// per call.
+
+/// Reverse the low `n` bits of `code` (Huffman codes go out MSB-first into
+/// the LSB-first stream).
+const fn reverse(code: u16, n: u8) -> u16 {
+    let mut r = 0;
+    let mut i = 0;
+    while i < n {
+        r = (r << 1) | (code >> i & 1);
+        i += 1;
+    }
+    r
+}
+
+/// Every fixed literal/length symbol's `(bit-reversed code, length)`:
+/// the canonical codes of [`fixed_litlen_lengths`] (RFC 1951 §3.2.2).
+pub const FIXED_LITLEN: [(u16, u8); NUM_LITLEN] = {
+    let lengths = fixed_litlen_lengths();
+    let mut count = [0u16; 10];
+    let mut s = 0;
+    while s < NUM_LITLEN {
+        count[lengths[s] as usize] += 1;
+        s += 1;
+    }
+    let mut next = [0u16; 10];
+    let mut code = 0;
+    let mut bits = 1;
+    while bits < 10 {
+        code = (code + count[bits - 1]) << 1;
+        next[bits] = code;
+        bits += 1;
+    }
+    let mut table = [(0u16, 0u8); NUM_LITLEN];
+    let mut s = 0;
+    while s < NUM_LITLEN {
+        let len = lengths[s];
+        table[s] = (reverse(next[len as usize], len), len);
+        next[len as usize] += 1;
+        s += 1;
+    }
+    table
+};
+
+/// Match lengths 3..=258, indexed by `len - MIN_MATCH`, so a length out
+/// of range fails the bounds check instead of reading a wrong entry.
+const LENGTHS: usize = (MAX_MATCH - MIN_MATCH + 1) as usize;
+
+/// `LENGTH_SLOT[len - MIN_MATCH]` is the index into [`LENGTH_CODES`] of
+/// match length `len`. Length 258 has a dedicated zero-extra code and must
+/// not be encoded as 227 + 31 even though that also fits (zlib always uses
+/// code 285).
+const LENGTH_SLOT: [u8; LENGTHS] = {
+    let mut slots = [0u8; LENGTHS];
+    let mut slot = 0;
+    let mut i = 0;
+    while i + 1 < LENGTHS {
+        if slot + 1 < 28 && i as u32 + MIN_MATCH >= LENGTH_CODES[slot + 1].0 {
+            slot += 1;
+        }
+        slots[i] = slot as u8;
+        i += 1;
+    }
+    slots[LENGTHS - 1] = 28;
+    slots
+};
+
+/// Match length `len` under the fixed code, indexed by `len - MIN_MATCH`:
+/// the length symbol's code followed by its extra bits, merged into one
+/// `(bits, count)` field of at most 8 + 5 bits.
+const FIXED_LENGTH: [(u16, u8); LENGTHS] = {
+    let mut table = [(0u16, 0u8); LENGTHS];
+    let mut i = 0;
+    while i < LENGTHS {
+        let slot = LENGTH_SLOT[i] as usize;
+        let (base, extra) = LENGTH_CODES[slot];
+        let (code, n) = FIXED_LITLEN[257 + slot];
+        let extra_val = (i as u32 + MIN_MATCH - base) as u16;
+        table[i] = (code | extra_val << n, n + extra as u8);
+        i += 1;
+    }
+    table
+};
+
+/// The distance slot table (zlib's `_dist_code`): entry `d - 1` for
+/// distances `d <= 256`, entry `256 + ((d - 1) >> 7)` above, where every
+/// code spans whole 128-distance blocks.
+const DIST_SLOT: [u8; 512] = {
+    let mut slots = [0u8; 512];
+    let mut i = 0;
+    while i < 512 {
+        let dist = if i < 256 { i as u32 + 1 } else { ((i as u32 - 256) << 7) + 1 };
+        let mut slot = 0;
+        while slot + 1 < DIST_CODES.len() && dist >= DIST_CODES[slot + 1].0 {
+            slot += 1;
+        }
+        slots[i] = slot as u8;
+        i += 1;
+    }
+    slots
+};
+
+/// The distance symbol of `dist` (1..=32768) from [`DIST_SLOT`].
+#[inline]
+fn dist_slot(dist: u32) -> usize {
+    let d = (dist - 1) as usize;
+    usize::from(if d < 256 { DIST_SLOT[d] } else { DIST_SLOT[256 + (d >> 7)] })
+}
+
+/// Per distance symbol: `(bit-reversed 5-bit fixed code, extra bits, base)`.
+const FIXED_DIST: [(u16, u8, u16); 30] = {
+    let mut table = [(0u16, 0u8, 0u16); 30];
+    let mut s = 0;
+    while s < 30 {
+        let (base, extra) = DIST_CODES[s];
+        table[s] = (reverse(s as u16, 5), extra as u8, base as u16);
+        s += 1;
+    }
+    table
+};
+
+/// A whole match under the fixed code as one `(bits, count)` field for an
+/// LSB-first packer: length code, length extra, distance code, distance
+/// extra — at most 8 + 5 + 5 + 13 = 31 bits.
+#[inline]
+pub fn fixed_match_bits(dist: u32, len: u32) -> (u64, u32) {
+    let (len_bits, len_n) = FIXED_LENGTH[(len - MIN_MATCH) as usize];
+    let (code, extra, base) = FIXED_DIST[dist_slot(dist)];
+    let dist_bits = u32::from(code) | (dist - u32::from(base)) << 5;
+    (u64::from(len_bits) | u64::from(dist_bits) << len_n, u32::from(len_n) + 5 + u32::from(extra))
+}
+
 /// Map a match length (3..=258) to its code.
 ///
 /// # Panics
 /// Panics on lengths outside the representable range.
 pub fn length_symbol(len: u32) -> LengthSym {
     assert!((MIN_MATCH..=MAX_MATCH).contains(&len), "match length {len} out of range");
-    // Length 258 has a dedicated zero-extra code and must not be encoded as
-    // 227 + 31 even though that also fits (zlib always uses code 285).
-    if len == MAX_MATCH {
-        return LengthSym { symbol: 285, extra_bits: 0, extra_val: 0 };
-    }
-    // Binary search over bases (29 entries — a linear scan would do, but the
-    // encoder calls this per token).
-    let idx = match LENGTH_CODES.binary_search_by_key(&len, |&(base, _)| base) {
-        Ok(i) => i,
-        Err(i) => i - 1,
-    };
-    let (base, extra) = LENGTH_CODES[idx];
-    LengthSym { symbol: (257 + idx) as u16, extra_bits: extra, extra_val: len - base }
+    let slot = LENGTH_SLOT[(len - MIN_MATCH) as usize] as usize;
+    let (base, extra) = LENGTH_CODES[slot];
+    LengthSym { symbol: (257 + slot) as u16, extra_bits: extra, extra_val: len - base }
 }
 
 /// Map a match distance (1..=32768) to its code.
@@ -153,12 +278,9 @@ pub fn length_symbol(len: u32) -> LengthSym {
 /// Panics on distances outside the representable range.
 pub fn distance_symbol(dist: u32) -> DistSym {
     assert!((1..=MAX_DISTANCE).contains(&dist), "distance {dist} out of range");
-    let idx = match DIST_CODES.binary_search_by_key(&dist, |&(base, _)| base) {
-        Ok(i) => i,
-        Err(i) => i - 1,
-    };
-    let (base, extra) = DIST_CODES[idx];
-    DistSym { symbol: idx as u16, extra_bits: extra, extra_val: dist - base }
+    let slot = dist_slot(dist);
+    let (base, extra) = DIST_CODES[slot];
+    DistSym { symbol: slot as u16, extra_bits: extra, extra_val: dist - base }
 }
 
 /// Decode side: `(base, extra_bits)` for a length symbol (257..=285).

@@ -13,7 +13,8 @@
 //! * [`sink`] — the [`TokenSink`] consumer interface the match kernels feed,
 //!   the software shape of the matcher→Huffman FIFO.
 //! * [`encoder`] — token stream → Deflate blocks (stored, fixed-Huffman, and
-//!   dynamic-Huffman — the trade-off the paper declined in hardware).
+//!   dynamic-Huffman — the trade-off the paper declined in hardware), and
+//!   [`FixedZlibSink`], the fixed-table packer a matcher streams into.
 //! * [`mod@inflate`] — a full Deflate decoder (stored/fixed/dynamic) used as the
 //!   reference decompressor for round-trip verification.
 //! * [`zlib`] / [`gzip`] — stream containers with Adler-32 / CRC-32.
@@ -39,7 +40,7 @@ pub mod zlib;
 
 pub use adler32::adler32;
 pub use crc32::{crc32, Crc32};
-pub use encoder::{pick_block_kind, BlockKind, DeflateEncoder};
+pub use encoder::{pick_block_kind, BlockKind, DeflateEncoder, FixedZlibSink};
 pub use gzip::{gzip_decompress_limited, GzipError};
 pub use inflate::{inflate, inflate_limited, InflateError, InflateStream, Limits};
 pub use sink::{CountingSink, TokenSink};

@@ -22,6 +22,16 @@ pub trait TokenSink {
     /// Callers guarantee Deflate-representable ranges (`dist` in
     /// `1..=32768`, `len` in `3..=258`).
     fn matched(&mut self, dist: u32, len: u32);
+
+    /// Feed an already-buffered token stream, in order.
+    fn push_tokens(&mut self, tokens: &[Token]) {
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => self.literal(b),
+                Token::Match { dist, len } => self.matched(dist, len),
+            }
+        }
+    }
 }
 
 /// The trivial sink: buffer every token.
@@ -36,6 +46,10 @@ impl TokenSink for Vec<Token> {
         debug_assert!((1..=32_768).contains(&dist));
         debug_assert!((3..=258).contains(&len));
         self.push(Token::Match { dist, len });
+    }
+
+    fn push_tokens(&mut self, tokens: &[Token]) {
+        self.extend_from_slice(tokens);
     }
 }
 

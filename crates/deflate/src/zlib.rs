@@ -6,8 +6,9 @@
 
 use crate::adler32::adler32;
 use crate::bitio::BitReader;
-use crate::encoder::{BlockKind, DeflateEncoder};
+use crate::encoder::{BlockKind, DeflateEncoder, FixedZlibSink};
 use crate::inflate::{inflate_into, inflate_into_limited, InflateError, Limits};
+use crate::sink::TokenSink;
 use crate::token::Token;
 
 /// Errors produced while decoding a zlib stream.
@@ -147,6 +148,9 @@ pub fn zlib_decompress_with_dict(data: &[u8], dict: &[u8]) -> Result<Vec<u8>, Zl
 /// complete zlib stream. `original` must be the exact bytes the tokens expand
 /// to — it feeds the Adler-32 trailer, mirroring how the hardware computes
 /// the checksum on the uncompressed input as it streams through.
+///
+/// [`BlockKind::FixedHuffman`] feeds the tokens through [`FixedZlibSink`],
+/// the same packer the matcher streams into.
 pub fn zlib_compress_tokens(
     tokens: &[Token],
     original: &[u8],
@@ -155,7 +159,11 @@ pub fn zlib_compress_tokens(
 ) -> Vec<u8> {
     let flevel = match kind {
         BlockKind::Stored => 0,
-        BlockKind::FixedHuffman => 1, // the paper's "fastest" reference point
+        BlockKind::FixedHuffman => {
+            let mut sink = FixedZlibSink::new(window_size);
+            sink.push_tokens(tokens);
+            return sink.finish(original);
+        }
         BlockKind::DynamicHuffman => 2,
     };
     let mut out = zlib_header(window_size, flevel).to_vec();

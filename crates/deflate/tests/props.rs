@@ -6,16 +6,21 @@
 use lzfpga_deflate::adler32::{adler32, Adler32};
 use lzfpga_deflate::bitio::{BitReader, BitWriter};
 use lzfpga_deflate::crc32::{crc32, Crc32};
-use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder};
+use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder, FixedZlibSink};
 use lzfpga_deflate::fixed::{
-    distance_symbol, fixed_dist_lengths, fixed_litlen_lengths, length_symbol, MAX_MATCH, MIN_MATCH,
+    distance_symbol, fixed_dist_lengths, fixed_litlen_lengths, length_symbol, DIST_CODES,
+    END_OF_BLOCK, LENGTH_CODES, MAX_DISTANCE, MAX_MATCH, MIN_MATCH,
 };
 use lzfpga_deflate::huffman::{
     build_lengths, canonical_codes, Codebook, DecodeError, Decoder, MAX_BITS,
 };
 use lzfpga_deflate::inflate::inflate;
+use lzfpga_deflate::sink::TokenSink;
 use lzfpga_deflate::token::Token;
+use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_decompress, zlib_header};
+use lzfpga_lzss::{LzssParams, TurboEngine};
 use lzfpga_sim::rng::XorShift64;
+use lzfpga_workloads::{generate, Corpus};
 
 const CASES: usize = 64;
 
@@ -415,5 +420,238 @@ fn peek_consume_and_remaining_bits_stay_exact() {
                 break;
             }
         }
+    }
+}
+
+/// A bit-at-a-time LSB-first writer: the reference the word-storing
+/// [`BitWriter`] must reproduce.
+#[derive(Default)]
+struct SerialBits {
+    bytes: Vec<u8>,
+    len: u64,
+}
+
+impl SerialBits {
+    fn push(&mut self, value: u64, n: u32) {
+        for i in 0..n {
+            if self.len.is_multiple_of(8) {
+                self.bytes.push(0);
+            }
+            *self.bytes.last_mut().unwrap() |= ((value >> i & 1) as u8) << (self.len % 8);
+            self.len += 1;
+        }
+    }
+
+    fn complete_bytes(&self) -> &[u8] {
+        &self.bytes[..(self.len / 8) as usize]
+    }
+}
+
+/// The length code of `len` by a scan of the RFC table, independent of
+/// the encoder's slot tables: `(symbol, extra bits, extra value)`.
+fn oracle_length(len: u32) -> (usize, u32, u32) {
+    if len == MAX_MATCH {
+        return (285, 0, 0);
+    }
+    let i = LENGTH_CODES.iter().rposition(|&(base, _)| base <= len).unwrap();
+    (257 + i, LENGTH_CODES[i].1, len - LENGTH_CODES[i].0)
+}
+
+/// The distance code of `dist` by a scan of the RFC table.
+fn oracle_distance(dist: u32) -> (usize, u32, u32) {
+    let i = DIST_CODES.iter().rposition(|&(base, _)| base <= dist).unwrap();
+    (i, DIST_CODES[i].1, dist - DIST_CODES[i].0)
+}
+
+/// The `Codebook`-driven fixed block encoder the table packer replaced —
+/// header, one codebook lookup per field, end-of-block — kept as the
+/// oracle it must match byte for byte.
+fn oracle_fixed_block(w: &mut SerialBits, tokens: &[Token], last: bool) {
+    let litlen = Codebook::from_lengths(&fixed_litlen_lengths());
+    let dist = Codebook::from_lengths(&fixed_dist_lengths());
+    let code = |w: &mut SerialBits, book: &Codebook, symbol: usize| {
+        let (c, n) = book.code(symbol);
+        w.push(u64::from(c), u32::from(n));
+    };
+    w.push(u64::from(last), 1);
+    w.push(0b01, 2);
+    for t in tokens {
+        match *t {
+            Token::Literal(b) => code(w, &litlen, usize::from(b)),
+            Token::Match { dist: d, len } => {
+                let (symbol, bits, value) = oracle_length(len);
+                code(w, &litlen, symbol);
+                w.push(u64::from(value), bits);
+                let (symbol, bits, value) = oracle_distance(d);
+                code(w, &dist, symbol);
+                w.push(u64::from(value), bits);
+            }
+        }
+    }
+    code(w, &litlen, END_OF_BLOCK);
+}
+
+/// The oracle's complete fixed-Huffman zlib stream for `tokens`.
+fn oracle_zlib(tokens: &[Token], original: &[u8], window: u32) -> Vec<u8> {
+    let mut w = SerialBits::default();
+    zlib_header(window, 1).iter().for_each(|&b| w.push(u64::from(b), 8));
+    oracle_fixed_block(&mut w, tokens, true);
+    w.push(0, ((8 - w.len % 8) % 8) as u32);
+    adler32(original).to_be_bytes().iter().for_each(|&b| w.push(u64::from(b), 8));
+    w.bytes
+}
+
+/// A non-final block of 9-bit literals that leaves the stream at bit
+/// offset `k` (mod 8): 3 header + 9 per literal + 7 end-of-block bits.
+fn prefix_for_offset(k: u64) -> Vec<Token> {
+    vec![Token::Literal(0xFF); ((k + 6) % 8) as usize]
+}
+
+/// `tokens` as a fixed block after a prefix block ending at bit offset
+/// `k`, by the slice entry point and by the oracle; asserts they agree.
+fn assert_packer_matches_oracle(tokens: &[Token], k: u64, what: &str) {
+    let prefix = prefix_for_offset(k);
+    let mut enc = DeflateEncoder::new();
+    enc.write_block(&prefix, BlockKind::FixedHuffman, false);
+    assert_eq!(enc.bit_len() % 8, k);
+    enc.write_block(tokens, BlockKind::FixedHuffman, true);
+    let mut want = SerialBits::default();
+    oracle_fixed_block(&mut want, &prefix, false);
+    oracle_fixed_block(&mut want, tokens, true);
+    assert_eq!(enc.bit_len(), want.len, "{what} at offset {k}");
+    let got = enc.finish();
+    if let Some(i) = got.iter().zip(&want.bytes).position(|(a, b)| a != b) {
+        panic!("{what} at offset {k}: first difference at byte {i}");
+    }
+    assert_eq!(got, want.bytes, "{what} at offset {k}");
+}
+
+#[test]
+fn fixed_packer_matches_the_codebook_oracle_on_every_symbol() {
+    let literals: Vec<Token> = (0..=255).map(Token::Literal).collect();
+    let lengths: Vec<Token> =
+        (MIN_MATCH..=MAX_MATCH).map(|len| Token::Match { dist: 1, len }).collect();
+    let distances: Vec<Token> = (1..=MAX_DISTANCE)
+        .map(|dist| Token::Match { dist, len: if dist % 2 == 0 { MAX_MATCH } else { MIN_MATCH } })
+        .collect();
+    for k in 0..8 {
+        assert_packer_matches_oracle(&literals, k, "every literal");
+        assert_packer_matches_oracle(&lengths, k, "every length");
+        assert_packer_matches_oracle(&distances, k, "every distance");
+    }
+}
+
+#[test]
+fn fixed_packer_matches_the_codebook_oracle_on_random_streams() {
+    let mut rng = XorShift64::new(0xDEF1_000D);
+    for case in 0..CASES {
+        let mut tokens: Vec<Token> = (0..rng.below_usize(2_000))
+            .map(|_| match rng.below_usize(4) {
+                0 | 1 => Token::Literal(rng.next_u8()),
+                2 => Token::Match {
+                    dist: rng.range_u32(1, MAX_DISTANCE),
+                    len: rng.range_u32(MIN_MATCH, MAX_MATCH),
+                },
+                _ => Token::Match { dist: rng.range_u32(1, 300), len: rng.range_u32(3, 20) },
+            })
+            .collect();
+        let at = rng.below_usize(tokens.len() + 1);
+        tokens.insert(at, Token::Match { dist: MAX_DISTANCE, len: MAX_MATCH });
+        for k in 0..8 {
+            assert_packer_matches_oracle(&tokens, k, &format!("random stream {case}"));
+        }
+        // The streaming entry point, fed token by token.
+        let original = vec![0u8; 7];
+        let mut sink = FixedZlibSink::new(32_768);
+        for t in &tokens {
+            match *t {
+                Token::Literal(b) => sink.literal(b),
+                Token::Match { dist, len } => sink.matched(dist, len),
+            }
+        }
+        assert_eq!(sink.tokens(), tokens.len() as u64);
+        assert_eq!(sink.finish(&original), oracle_zlib(&tokens, &original, 32_768));
+    }
+}
+
+#[test]
+fn fused_sink_slice_entry_and_oracle_agree_on_every_corpus() {
+    let corpora = [
+        Corpus::Wiki,
+        Corpus::X2e,
+        Corpus::LogLines,
+        Corpus::Random,
+        Corpus::Periodic { period: 777 },
+        Corpus::Constant,
+        Corpus::CollisionStress,
+        Corpus::JsonTelemetry,
+        Corpus::SensorFrames,
+        Corpus::WikiXml,
+        Corpus::Mixed,
+    ];
+    let params = LzssParams::paper_fast();
+    let mut engine = TurboEngine::new();
+    let mut inputs: Vec<(String, Vec<u8>)> =
+        corpora.iter().map(|&c| (c.name(), generate(c, 37, 48 * 1024))).collect();
+    inputs.push(("empty".into(), Vec::new()));
+    inputs.push(("one byte".into(), vec![0x42]));
+    for (name, data) in &inputs {
+        let tokens = engine.compress(data, &params);
+        let mut sink = FixedZlibSink::new(params.window_size);
+        engine.compress_into(data, &params, &mut sink);
+        assert_eq!(sink.tokens(), tokens.len() as u64, "{name}");
+        let fused = sink.finish(data);
+        let slice =
+            zlib_compress_tokens(&tokens, data, BlockKind::FixedHuffman, params.window_size);
+        assert_eq!(fused, slice, "{name}: fused sink vs slice entry point");
+        assert_eq!(slice, oracle_zlib(&tokens, data, params.window_size), "{name}: vs oracle");
+        assert_eq!(&zlib_decompress(&fused).unwrap(), data, "{name}");
+        if name == "random" {
+            // Incompressible: the stream outgrows its input, which is
+            // what sends a frame to the raw codec.
+            assert!(fused.len() >= data.len(), "random input compressed to {}", fused.len());
+        }
+    }
+}
+
+#[test]
+fn bit_len_and_as_bytes_stay_exact_mid_stream() {
+    let mut rng = XorShift64::new(0xDEF1_000E);
+    for _ in 0..CASES {
+        let mut w = BitWriter::new();
+        let mut want = SerialBits::default();
+        for (v, n) in bit_fields(&mut rng) {
+            w.write_bits(v, n);
+            want.push(v, n);
+            assert_eq!(w.bit_len(), want.len);
+            assert_eq!(w.as_bytes(), want.complete_bytes());
+            if rng.chance(1, 8) {
+                w.align_to_byte();
+                want.push(0, ((8 - want.len % 8) % 8) as u32);
+                let bytes: Vec<u8> = (0..rng.below_usize(20)).map(|_| rng.next_u8()).collect();
+                w.write_aligned_bytes(&bytes);
+                bytes.iter().for_each(|&b| want.push(u64::from(b), 8));
+                assert_eq!(w.as_bytes(), want.complete_bytes());
+            }
+        }
+        assert_eq!(w.finish(), want.bytes);
+    }
+    // A sync flush makes every bit before it deliverable from as_bytes().
+    let mut rng = XorShift64::new(0xDEF1_000F);
+    for _ in 0..CASES {
+        let tokens = token_stream(&mut rng);
+        let mut enc = DeflateEncoder::new();
+        enc.write_block(&tokens, BlockKind::FixedHuffman, false);
+        let before = enc.bit_len();
+        enc.sync_flush();
+        assert_eq!(enc.bit_len() % 8, 0);
+        assert_eq!(enc.as_bytes().len() as u64 * 8, enc.bit_len());
+        assert!(enc.bit_len() >= before + 3 + 32);
+        let delivered = enc.as_bytes().to_vec();
+        let mut done = DeflateEncoder::new();
+        done.write_block(&tokens, BlockKind::FixedHuffman, false);
+        done.sync_flush();
+        done.write_block(&[], BlockKind::FixedHuffman, true);
+        assert!(done.finish().starts_with(&delivered));
     }
 }

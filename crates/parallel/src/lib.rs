@@ -45,14 +45,15 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use lzfpga_container::{
-    check_structure, decode_frame, encode_frame, finish_stream_checks, payload_from_tokens,
+    check_structure, decode_frame, encode_frame, finish_stream_checks, payload_from_sink,
     plan_range, ContainerError, FrameConfig, StreamLayout, HEADER_LEN,
 };
 use lzfpga_core::config::CLOCK_HZ;
 use lzfpga_core::{HwCompressor, HwConfig};
 use lzfpga_deflate::adler32::adler32;
 use lzfpga_deflate::crc32::Crc32;
-use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder};
+use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder, FixedZlibSink};
+use lzfpga_deflate::sink::TokenSink;
 use lzfpga_deflate::token::Token;
 use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_header};
 use lzfpga_faults::{Failpoints, FailureReport, NoFaults};
@@ -300,36 +301,41 @@ impl<E> Worker<E> {
 }
 
 impl Worker<TurboEngine> {
-    /// Tokenize chunk `i` through the ladder into `buf`; returns the
-    /// engine cycles (0 for turbo and for degraded chunks).
-    fn tokens<F: Failpoints>(
+    /// Tokenize chunk `i` through the ladder into a sink `fresh` makes for
+    /// each attempt; returns the filled sink and the engine cycles (0 for
+    /// turbo and for degraded chunks). The turbo engine streams into the
+    /// sink; the reference and modelled rungs feed it their token vectors.
+    fn tokenize<S: TokenSink, F: Failpoints>(
         &mut self,
         cfg: &ParallelConfig,
         i: usize,
         chunk: &[u8],
-        buf: &mut Vec<Token>,
         site: &'static str,
         faults: &F,
-    ) -> Result<u64, u64> {
+        mut fresh: impl FnMut() -> S,
+    ) -> Result<(S, u64), u64> {
         let params = cfg.hw.as_lzss_params();
         let Worker { engine, counters, timer, failures, .. } = self;
         ladder(faults, site, i..i + 1, failures, timer.as_mut(), |rung| {
-            buf.clear();
+            let mut sink = fresh();
+            let mut cycles = 0;
             match (rung, cfg.engine) {
-                (Rung::Reference, _) => *buf = lzfpga_lzss::compress(chunk, &params),
+                (Rung::Reference, _) => {
+                    sink.push_tokens(&lzfpga_lzss::compress(chunk, &params));
+                }
                 (_, EngineKind::Modelled) => {
                     let rep = HwCompressor::new(cfg.hw).compress(chunk);
-                    *buf = rep.tokens;
-                    return Ok(rep.cycles);
+                    sink.push_tokens(&rep.tokens);
+                    cycles = rep.cycles;
                 }
                 (_, EngineKind::Turbo) if cfg.telemetry => {
-                    engine.compress_into_probed(chunk, &params, buf, counters);
+                    engine.compress_into_probed(chunk, &params, &mut sink, counters);
                 }
                 (_, EngineKind::Turbo) => {
-                    engine.compress_into_faulty(chunk, &params, buf, faults)?
+                    engine.compress_into_faulty(chunk, &params, &mut sink, faults)?
                 }
             }
-            Ok(0)
+            Ok((sink, cycles))
         })
     }
 }
@@ -452,14 +458,16 @@ pub fn compress_parallel_with<F: Failpoints>(
         },
         |w, i, chunk| {
             let start_us = w.timer.as_ref().map_or(0.0, SpanTimer::now_us);
-            let mut tokens = Vec::new();
+            let mut spare = None;
             if turbo {
-                let popped = freelist.lock().expect("freelist lock").pop();
-                w.stats.freelist_hits += u64::from(popped.is_some());
-                w.stats.freelist_misses += u64::from(popped.is_none());
-                tokens = popped.unwrap_or_default();
+                spare = freelist.lock().expect("freelist lock").pop();
+                w.stats.freelist_hits += u64::from(spare.is_some());
+                w.stats.freelist_misses += u64::from(spare.is_none());
             }
-            let cycles = w.tokens(cfg, i, chunk, &mut tokens, "parallel.worker.chunk", faults)?;
+            // Recycled buffers come back cleared from the stitcher.
+            let fresh = || spare.take().unwrap_or_default();
+            let (tokens, cycles) =
+                w.tokenize(cfg, i, chunk, "parallel.worker.chunk", faults, fresh)?;
             let Some(t) = w.timer.as_mut() else {
                 return Ok(ChunkDone { tokens, cycles, done_us: 0.0 });
             };
@@ -555,17 +563,18 @@ struct FrameDone {
 }
 
 impl FrameDone {
-    /// Frame `i` from its tokens (encoding timed from `t0`): the shared
-    /// codec decision, then header + payload.
-    fn encode(i: usize, chunk: &[u8], tokens: &[Token], params: &LzssParams, t0: Instant) -> Self {
-        let (codec, payload) = payload_from_tokens(tokens, chunk, params);
+    /// Frame `i` from its packed stream (encoding timed from `t0`): the
+    /// shared codec decision, then header + payload.
+    fn encode(i: usize, chunk: &[u8], sink: FixedZlibSink, t0: Instant) -> Self {
+        let tokens = sink.tokens();
+        let (codec, payload) = payload_from_sink(sink, chunk);
         let frame = encode_frame(i, chunk, codec, &payload)
             .expect("frame_bytes validated <= MAX_FRAME_BYTES");
         FrameDone {
             frame,
             codec: codec.as_str(),
             cycles: 0,
-            tokens: tokens.len() as u64,
+            tokens,
             encode_us: t0.elapsed().as_secs_f64() * 1e6,
             start_us: 0.0,
         }
@@ -720,16 +729,16 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
         |w, i, chunk| {
             let t0 = Instant::now();
             let start_us = epoch.elapsed().as_secs_f64() * 1e6;
-            let mut tokens = Vec::new();
-            let cycles = w.tokens(&eff, i, chunk, &mut tokens, "parallel.frame.chunk", faults)?;
+            let fresh = || FixedZlibSink::new(params.window_size);
+            let (sink, cycles) =
+                w.tokenize(&eff, i, chunk, "parallel.frame.chunk", faults, fresh)?;
             let frame_id = frame_span(i as u64);
             let stage = |k| span_args(stage_span(frame_id, k), frame_id);
             let enc_start_us = w.timer.as_mut().map_or(0.0, |t| {
                 t.complete(format!("tokens frame {i}"), "compress", start_us, stage(0));
                 t.now_us()
             });
-            let done =
-                FrameDone { cycles, start_us, ..FrameDone::encode(i, chunk, &tokens, &params, t0) };
+            let done = FrameDone { cycles, start_us, ..FrameDone::encode(i, chunk, sink, t0) };
             if let Some(t) = w.timer.as_mut() {
                 t.complete(format!("encode frame {i}"), "encode", enc_start_us, stage(1));
                 let mut args = span_args(frame_id, ROOT_SPAN);
@@ -992,9 +1001,10 @@ pub fn compress_frames_batched(
                 .iter()
                 .zip(*group)
                 .enumerate()
-                .map(|(j, (t, lane))| FrameDone {
-                    start_us,
-                    ..FrameDone::encode(base + j, lane, t, &params, t0)
+                .map(|(j, (t, lane))| {
+                    let mut sink = FixedZlibSink::new(params.window_size);
+                    sink.push_tokens(t);
+                    FrameDone { start_us, ..FrameDone::encode(base + j, lane, sink, t0) }
                 })
                 .collect::<Vec<_>>())
         },

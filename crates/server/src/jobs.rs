@@ -17,11 +17,12 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use lzfpga_container::{
-    check_structure, decode_frame, open_indexed_faulty, payload_from_tokens, ContainerError,
-    StreamLayout, MAX_FRAME_BYTES,
+    check_structure, decode_frame, open_indexed_faulty, payload_from_sink, payload_from_tokens,
+    ContainerError, StreamLayout, MAX_FRAME_BYTES,
 };
 use lzfpga_core::HwConfig;
 use lzfpga_deflate::crc32::Crc32;
+use lzfpga_deflate::FixedZlibSink;
 use lzfpga_faults::{Failpoints, FailureReport, FaultAction, FaultEvent};
 use lzfpga_lzss::TurboEngine;
 use lzfpga_parallel::exec::{ladder, Rung};
@@ -167,14 +168,15 @@ pub fn compress_job(
     let mut framed = Vec::new();
     for (i, chunk) in data.chunks(frame_bytes).enumerate() {
         ctl.checkpoint()?;
-        let tokens =
+        let (codec, payload) =
             ladder(&faults, "server.chunk", i..i + 1, &mut ledger.failures, None, |rung| {
                 if rung == Rung::Reference {
-                    return Ok(lzfpga_lzss::compress(chunk, &params));
+                    let tokens = lzfpga_lzss::compress(chunk, &params);
+                    return Ok(payload_from_tokens(&tokens, chunk, &params));
                 }
-                let mut tokens = Vec::new();
-                turbo.compress_into_faulty(chunk, &params, &mut tokens, &faults)?;
-                Ok(tokens)
+                let mut sink = FixedZlibSink::new(params.window_size);
+                turbo.compress_into_faulty(chunk, &params, &mut sink, &faults)?;
+                Ok(payload_from_sink(sink, chunk))
             })
             .map_err(|attempts| {
                 JobFail::new(
@@ -182,7 +184,6 @@ pub fn compress_job(
                     format!("frame {i} failed all {attempts} ladder attempts"),
                 )
             })?;
-        let (codec, payload) = payload_from_tokens(&tokens, chunk, &params);
         let frame = layout.frame(chunk, codec, &payload).map_err(|_| {
             JobFail::new(RejectCode::TooLarge, "input exceeds the container frame count")
         })?;

@@ -99,12 +99,36 @@ mod tests {
         generate_mixed(&[], 1, 100, 10);
     }
 
+    /// `data`'s `block`-byte blocks dealt round-robin across its
+    /// `segment`-byte segments: the same bytes, switching segment every
+    /// block.
+    fn interleave(data: &[u8], segment: usize, block: usize) -> Vec<u8> {
+        let segments: Vec<Vec<&[u8]>> =
+            data.chunks(segment).map(|s| s.chunks(block).collect()).collect();
+        let mut out = Vec::with_capacity(data.len());
+        for round in 0..segment.div_ceil(block) {
+            for blocks in &segments {
+                if let Some(b) = blocks.get(round) {
+                    out.extend_from_slice(b);
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn segment_switches_cost_ratio() {
         // The adaptivity claim: a fine-grained mix compresses worse than
-        // the same ingredients in long segments.
+        // the same ingredient bytes in long segments. Two independent
+        // mixes of 400 KB hold only ~6 weighted draws at 64 KiB, so they
+        // differ in content, not just granularity; the fine side is
+        // therefore the coarse side's own 4 KiB blocks, interleaved.
         let coarse = generate_mixed(&logger_mix(), 5, 400_000, 65_536);
-        let fine = generate_mixed(&logger_mix(), 5, 400_000, 4_096);
+        let fine = interleave(&coarse, 65_536, 4_096);
+        let (mut a, mut b) = (coarse.clone(), fine.clone());
+        a.sort_unstable();
+        b.sort_unstable();
+        assert_eq!(a, b, "both sides must carry the same bytes");
         let params = lzfpga_lzss::LzssParams::paper_fast();
         let bits = |d: &[u8]| {
             lzfpga_deflate::encoder::fixed_block_bit_size(&lzfpga_lzss::compress(d, &params))

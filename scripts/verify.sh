@@ -11,11 +11,12 @@ echo "== tier-1: cargo test -q =="
 cargo test -q
 
 # The crates behind the parallel executor, the fault ladder, the LZFC
-# stream layout, the Deflate codec and the hardware model carry their own
-# unit and property tests.
-echo "== crate tests: parallel, server, container, estimator, deflate, core =="
+# stream layout, the Deflate codec, the hardware model, the matcher (and
+# its TokenSink contract) and the workload generators carry their own unit
+# and property tests.
+echo "== crate tests: parallel, server, container, estimator, deflate, core, lzss, workloads =="
 cargo test --release -q -p lzfpga-parallel -p lzfpga-server -p lzfpga-container -p lzfpga-estimator \
-    -p lzfpga-deflate -p lzfpga-core
+    -p lzfpga-deflate -p lzfpga-core -p lzfpga-lzss -p lzfpga-workloads
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
