@@ -111,9 +111,8 @@ fn grown(mut out: Vec<u8>, need: usize) -> Vec<u8> {
 /// at most `bitcount` bits is always exact.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
-    data: &'a [u8],
-    /// Next byte index.
-    pos: usize,
+    /// The bytes not yet loaded into the buffer.
+    rest: &'a [u8],
     bitbuf: u64,
     bitcount: u32,
 }
@@ -125,24 +124,45 @@ pub struct OutOfBits;
 impl<'a> BitReader<'a> {
     /// Reader over `data` starting at bit 0 of byte 0.
     pub fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0, bitbuf: 0, bitcount: 0 }
+        Self { rest: data, bitbuf: 0, bitcount: 0 }
     }
 
     /// Top the buffer up to at least 57 bits, or to the end of input. Only
     /// called with `bitcount <= 56`.
     #[inline]
     fn refill(&mut self) {
-        if let Some(word) = self.data.get(self.pos..self.pos + 8) {
-            let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
-            self.bitbuf |= word << self.bitcount;
+        if let Some(word) = self.rest.first_chunk::<8>() {
+            self.bitbuf |= u64::from_le_bytes(*word) << self.bitcount;
             let bytes = (64 - self.bitcount) / 8;
-            self.pos += bytes as usize;
+            self.rest = &self.rest[bytes as usize..];
             self.bitcount += bytes * 8;
             return;
         }
-        while self.bitcount <= 56 && self.pos < self.data.len() {
-            self.bitbuf |= u64::from(self.data[self.pos]) << self.bitcount;
-            self.pos += 1;
+        self.refill_tail();
+    }
+
+    /// Top the buffer up to at least 56 bits, or to the end of input, with
+    /// one 8-byte load and `bitcount |= 56` while 8 bytes remain — the
+    /// inflate loop's refill. Only called with `bitcount < 64`, which holds
+    /// after any consume.
+    #[inline]
+    pub(crate) fn refill_word(&mut self) {
+        debug_assert!(self.bitcount < 64);
+        if let Some(word) = self.rest.first_chunk::<8>() {
+            self.bitbuf |= u64::from_le_bytes(*word) << self.bitcount;
+            self.rest = &self.rest[7 - (self.bitcount / 8) as usize..];
+            self.bitcount |= 56;
+            return;
+        }
+        self.refill_tail();
+    }
+
+    /// Within 8 bytes of the end: load the rest byte by byte.
+    #[inline]
+    fn refill_tail(&mut self) {
+        while let (true, [byte, rest @ ..]) = (self.bitcount <= 56, self.rest) {
+            self.bitbuf |= u64::from(*byte) << self.bitcount;
+            self.rest = rest;
             self.bitcount += 8;
         }
     }
@@ -157,6 +177,20 @@ impl<'a> BitReader<'a> {
             self.refill();
         }
         (self.bitbuf & ((1u64 << n) - 1), self.bitcount.min(n))
+    }
+
+    /// The buffered bits, LSB-first; the low [`Self::buffered`] of them
+    /// are the stream's next bits.
+    #[inline]
+    pub(crate) fn bits(&self) -> u64 {
+        self.bitbuf
+    }
+
+    /// How many stream bits are buffered (after a [`Self::refill_word`]:
+    /// at least 56, or every bit left).
+    #[inline]
+    pub(crate) fn buffered(&self) -> u32 {
+        self.bitcount
     }
 
     /// Drop `n` bits that a [`Self::peek`] reported as present.
@@ -198,7 +232,7 @@ impl<'a> BitReader<'a> {
 
     /// Number of the *unread* whole bytes remaining, counting buffered bits.
     pub fn remaining_bits(&self) -> u64 {
-        (self.data.len() - self.pos) as u64 * 8 + u64::from(self.bitcount)
+        self.rest.len() as u64 * 8 + u64::from(self.bitcount)
     }
 }
 

@@ -231,10 +231,27 @@ impl Decoder {
         self.walk(bits, avail)
     }
 
+    /// The fast table with each present slot mapped to `resolve(symbol,
+    /// code length)`, and every other slot to `empty`: the lookup table of
+    /// a decode loop that acts on more than the symbol.
+    pub(crate) fn resolved(
+        &self,
+        resolve: impl Fn(u16, u32) -> u32,
+        empty: u32,
+    ) -> [u32; 1 << FAST_BITS] {
+        let mut table = [empty; 1 << FAST_BITS];
+        for (slot, &entry) in table.iter_mut().zip(&self.fast) {
+            if entry != 0 {
+                *slot = resolve(entry >> 4, u32::from(entry & 0xF));
+            }
+        }
+        table
+    }
+
     /// The canonical counts/symbols walk over peeked bits: codes longer
     /// than [`FAST_BITS`], gaps, and codes cut short by the end of input.
     #[cold]
-    fn walk(&self, bits: u64, avail: u32) -> Result<(u16, u32), DecodeError> {
+    pub(crate) fn walk(&self, bits: u64, avail: u32) -> Result<(u16, u32), DecodeError> {
         let mut code: u32 = 0;
         let mut first: u32 = 0;
         let mut index: u32 = 0;

@@ -11,13 +11,20 @@ use crate::bitio::{BitReader, OutOfBits};
 use crate::fixed::{
     distance_base, fixed_dist_lengths, fixed_litlen_lengths, length_base, END_OF_BLOCK,
 };
-use crate::huffman::{DecodeError, Decoder};
+use crate::huffman::{DecodeError, Decoder, FAST_BITS};
 
 /// Up-front output reservation per compressed input byte. The reservation
 /// is bounded by the input, never by a length a header claims, so a forged
 /// header cannot make the reader allocate; outputs that expand further
 /// grow the vector as usual.
 const RESERVE_PER_INPUT_BYTE: u64 = 4;
+
+/// Zero-filled room the decode loop keeps past a match's end: its last
+/// 16-byte copy chunk may run 15 bytes beyond it.
+const SLACK: usize = 16;
+
+/// The least a block's output window grows by at a time.
+const MIN_GROWTH: usize = 4096;
 
 /// Errors produced while decoding a Deflate stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +173,8 @@ pub fn inflate_into_limited(
 ) -> Result<(), InflateError> {
     let cap = limits.output_cap(compressed_len);
     let hint = cap.min(compressed_len as u64 * RESERVE_PER_INPUT_BYTE);
-    out.reserve(usize::try_from(hint).unwrap_or(0).saturating_sub(out.len()));
+    let hint = usize::try_from(hint).unwrap_or(0).saturating_add(SLACK);
+    out.reserve(hint.saturating_sub(out.len()));
     let mut blocks: u64 = 0;
     loop {
         blocks += 1;
@@ -185,11 +193,11 @@ pub fn inflate_one_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<boo
     inflate_one_block_capped(r, out, u64::MAX)
 }
 
-/// The fixed-Huffman litlen and distance decoders, built once per process.
-fn fixed_decoders() -> &'static (Decoder, Decoder) {
-    static FIXED: OnceLock<(Decoder, Decoder)> = OnceLock::new();
+/// The fixed-Huffman block codes, built once per process.
+fn fixed_codes() -> &'static BlockCodes {
+    static FIXED: OnceLock<BlockCodes> = OnceLock::new();
     FIXED.get_or_init(|| {
-        (
+        BlockCodes::new(
             Decoder::from_lengths(&fixed_litlen_lengths()).expect("fixed litlen table is valid"),
             Decoder::from_lengths(&fixed_dist_lengths()).expect("fixed dist table is valid"),
         )
@@ -205,13 +213,10 @@ fn inflate_one_block_capped(
     let btype = r.read_bits(2)?;
     match btype {
         0b00 => inflate_stored(r, out, cap)?,
-        0b01 => {
-            let (lit, dist) = fixed_decoders();
-            inflate_compressed(r, out, lit, dist, cap)?;
-        }
+        0b01 => inflate_compressed(r, out, fixed_codes(), cap)?,
         0b10 => {
             let (lit, dist) = read_dynamic_tables(r)?;
-            inflate_compressed(r, out, &lit, &dist, cap)?;
+            inflate_compressed(r, out, &BlockCodes::new(lit, dist), cap)?;
         }
         _ => return Err(InflateError::ReservedBlockType),
     }
@@ -249,13 +254,9 @@ impl InflateStream {
 
     fn pump(&mut self) -> Result<(), InflateError> {
         while !self.finished {
-            let mut r = BitReader::new(&self.input);
-            let mut skip = self.bit_pos;
-            while skip > 0 {
-                let n = skip.min(32) as u32;
-                r.read_bits(n).expect("resume point is inside fed data");
-                skip -= u64::from(n);
-            }
+            let byte = usize::try_from(self.bit_pos / 8).expect("resume point is inside fed data");
+            let mut r = BitReader::new(&self.input[byte..]);
+            r.read_bits((self.bit_pos % 8) as u32).expect("resume point is inside fed data");
             let checkpoint = self.out.len();
             match inflate_one_block(&mut r, &mut self.out) {
                 Ok(done) => {
@@ -377,80 +378,287 @@ fn read_dynamic_tables(r: &mut BitReader<'_>) -> Result<(Decoder, Decoder), Infl
     Ok((lit, dist))
 }
 
-fn inflate_compressed(
-    r: &mut BitReader<'_>,
-    out: &mut Vec<u8>,
-    lit: &Decoder,
-    dist: &Decoder,
-    cap: u64,
-) -> Result<(), InflateError> {
-    loop {
-        let (bits, avail) = r.peek(15);
-        let (sym, n) = lit.decode_bits(bits, avail)?;
-        match sym {
-            0..=255 => {
-                if out.len() as u64 >= cap {
-                    return Err(InflateError::OutputLimitExceeded);
-                }
-                r.consume(n);
-                out.push(sym as u8);
-            }
-            256 => {
-                r.consume(n);
-                return Ok(());
-            }
-            257..=285 => {
-                r.consume(n);
-                let (bits, avail) = r.peek(33);
-                let mut used = 0;
-                let (base, extra) = length_base(sym).ok_or(InflateError::BadSymbol)?;
-                let len = base + take_bits(bits, avail, &mut used, extra)? as u32;
-                let (dsym, dlen) = dist.decode_bits(bits >> used, avail - used)?;
-                used += dlen;
-                let (dbase, dextra) = distance_base(dsym).ok_or(InflateError::BadSymbol)?;
-                let d = (dbase + take_bits(bits, avail, &mut used, dextra)? as u32) as usize;
-                r.consume(used);
-                if d > out.len() {
-                    return Err(InflateError::DistanceTooFar);
-                }
-                if out.len() as u64 + u64::from(len) > cap {
-                    return Err(InflateError::OutputLimitExceeded);
-                }
-                copy_match(out, d, len as usize);
-            }
-            _ => return Err(InflateError::BadSymbol),
+/// Resolved-entry layout, one `u32` per [`FAST_BITS`]-bit lookup: bits
+/// 0..6 all the bits the entry takes, code plus extra bits (a ready shift
+/// count), 6..8 the kind, 8..12 the code length, 16..32 the value — a
+/// literal byte, or a length or distance base.
+const KIND: u32 = 3 << 6;
+/// A literal; the value is the byte.
+const LITERAL: u32 = 0;
+/// A length or distance code; the value is its base.
+const BASE: u32 = 1 << 6;
+/// The end-of-block code.
+const END: u32 = 2 << 6;
+/// No code of at most [`FAST_BITS`] bits, or a reserved symbol: the slot
+/// is finished by [`Decoder::walk`].
+const SLOW: u32 = 3 << 6;
+
+/// The entry of a `len`-bit code of `kind`, with `value` and `extra` bits.
+const fn entry(kind: u32, value: u32, len: u32, extra: u32) -> u32 {
+    value << 16 | len << 8 | kind | (len + extra)
+}
+
+/// The entry of litlen `symbol`, coded in `len` bits.
+fn litlen_entry(symbol: u16, len: u32) -> u32 {
+    match (symbol, length_base(symbol)) {
+        (0..=255, _) => entry(LITERAL, u32::from(symbol), len, 0),
+        (256, _) => entry(END, 0, len, 0),
+        (_, Some((base, extra))) => entry(BASE, base, len, extra),
+        (_, None) => entry(SLOW, 0, len, 0),
+    }
+}
+
+/// The entry of distance `symbol`, coded in `len` bits.
+fn distance_entry(symbol: u16, len: u32) -> u32 {
+    match distance_base(symbol) {
+        Some((base, extra)) => entry(BASE, base, len, extra),
+        None => entry(SLOW, 0, len, 0),
+    }
+}
+
+/// All the bits `entry` takes: its code and extra bits.
+#[inline(always)]
+fn bits_len(entry: u32) -> u32 {
+    entry & 0x3F
+}
+
+/// `entry` is a literal whose code is buffered: literals are kind 0 and
+/// take no extra bits, so one compare checks both.
+#[inline(always)]
+fn is_buffered_literal(entry: u32, buffered: u32) -> bool {
+    entry & (KIND | 0x3F) <= buffered
+}
+
+/// `entry` resolves its symbol and all its bits are buffered.
+#[inline(always)]
+fn is_buffered(entry: u32, buffered: u32) -> bool {
+    entry & KIND != SLOW && bits_len(entry) <= buffered
+}
+
+/// The entry's value plus its extra bits, which follow its code in `bits`.
+#[inline(always)]
+fn full_value(entry: u32, bits: u64) -> usize {
+    let taken = bits & ((1 << bits_len(entry)) - 1);
+    (entry >> 16) as usize + (taken >> (entry >> 8 & 0xF)) as usize
+}
+
+/// One block's litlen and distance codes: each canonical decoder with its
+/// table of resolved entries.
+struct BlockCodes {
+    lit: Decoder,
+    dist: Decoder,
+    lit_table: [u32; 1 << FAST_BITS],
+    dist_table: [u32; 1 << FAST_BITS],
+}
+
+impl BlockCodes {
+    fn new(lit: Decoder, dist: Decoder) -> Self {
+        let lit_table = lit.resolved(litlen_entry, SLOW);
+        let dist_table = dist.resolved(distance_entry, SLOW);
+        Self { lit, dist, lit_table, dist_table }
+    }
+
+    /// The litlen entry the next bits of `br` start with, finished by the
+    /// canonical walk when the table cannot resolve it.
+    #[inline(always)]
+    fn litlen(&self, br: &BitReader<'_>) -> Result<u32, InflateError> {
+        let entry = self.lit_table[(br.bits() & ((1 << FAST_BITS) - 1)) as usize];
+        if is_buffered(entry, br.buffered()) {
+            return Ok(entry);
+        }
+        let (symbol, len) = self.lit.walk(br.bits(), br.buffered())?;
+        match litlen_entry(symbol, len) {
+            entry if entry & KIND == SLOW => Err(InflateError::BadSymbol),
+            entry => Ok(entry),
+        }
+    }
+
+    /// The distance entry `bits` start with (`avail` of them present).
+    #[inline(always)]
+    fn distance(&self, bits: u64, avail: u32) -> Result<u32, InflateError> {
+        let entry = self.dist_table[(bits & ((1 << FAST_BITS) - 1)) as usize];
+        if is_buffered(entry, avail) {
+            return Ok(entry);
+        }
+        let (symbol, len) = self.dist.walk(bits, avail)?;
+        match distance_entry(symbol, len) {
+            entry if entry & KIND == SLOW => Err(InflateError::BadSymbol),
+            entry => Ok(entry),
         }
     }
 }
 
-/// The `n` extra bits after the first `*used` of `bits` (`avail` present).
-#[inline]
-fn take_bits(bits: u64, avail: u32, used: &mut u32, n: u32) -> Result<u64, InflateError> {
-    if *used + n > avail {
-        return Err(InflateError::UnexpectedEof);
-    }
-    let v = (bits >> *used) & ((1 << n) - 1);
-    *used += n;
-    Ok(v)
+/// Decode one compressed block's symbols into `out`.
+///
+/// The bit state lives in a local reader written back on exit, so the
+/// caller's reader ends exactly past the last code read. Output goes into
+/// a zero-filled [`Window`] over `out`, cut back to the decoded bytes on
+/// exit, error or not.
+fn inflate_compressed(
+    r: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    codes: &BlockCodes,
+    cap: u64,
+) -> Result<(), InflateError> {
+    let mut br = r.clone();
+    let mut win = Window::new(std::mem::take(out), cap);
+    let result = decode_symbols(&mut br, &mut win, codes);
+    win.buf.truncate(win.at);
+    *out = win.buf;
+    *r = br;
+    result
 }
 
-/// Append `len` bytes copied from `dist` bytes back (`1 <= dist <=
-/// out.len()`). An overlapping copy (`dist < len`) repeats the last `dist`
-/// bytes; it is done in chunks that are whole multiples of the pattern, so
-/// each chunk reads only bytes already written.
-#[inline]
-fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
-    let start = out.len() - dist;
-    if dist >= len {
-        out.extend_from_within(start..start + len);
-        return;
+/// The resolved-entry loop. Each pass refills to at least 56 bits (or
+/// every bit left), which covers two literals of at most [`FAST_BITS`]
+/// bits, or one whole match: 15 code + 5 extra + 15 code + 13 extra = 48
+/// bits. Every symbol checks its bits against what is buffered, so the
+/// loop runs to the very end of the input and each error comes from the
+/// same symbol, in the same order, as a bit-at-a-time decoder's.
+#[inline(always)]
+fn decode_symbols(
+    br: &mut BitReader<'_>,
+    win: &mut Window,
+    codes: &BlockCodes,
+) -> Result<(), InflateError> {
+    loop {
+        // Look up before the refill, which only adds bits above the
+        // buffered ones: an entry whose code fits in them is exact, and
+        // the lookup does not wait for the refill's load.
+        let (bits, buffered) = (br.bits(), br.buffered());
+        br.refill_word();
+        let entry = codes.lit_table[(bits & ((1 << FAST_BITS) - 1)) as usize];
+        if is_buffered_literal(entry, buffered) {
+            win.literal((entry >> 16) as u8)?;
+            br.consume(bits_len(entry));
+            let (bits, buffered) = (bits >> bits_len(entry), buffered - bits_len(entry));
+            let entry = codes.lit_table[(bits & ((1 << FAST_BITS) - 1)) as usize];
+            if is_buffered_literal(entry, buffered) {
+                win.literal((entry >> 16) as u8)?;
+                br.consume(bits_len(entry));
+            }
+            continue;
+        }
+        let entry = if is_buffered(entry, buffered) { entry } else { codes.litlen(br)? };
+        match entry & KIND {
+            LITERAL => {
+                win.literal((entry >> 16) as u8)?;
+                br.consume(bits_len(entry));
+            }
+            END => {
+                br.consume(bits_len(entry));
+                return Ok(());
+            }
+            _ => {
+                let (bits, avail) = (br.bits(), br.buffered());
+                let used = bits_len(entry);
+                if used > avail {
+                    return Err(InflateError::UnexpectedEof);
+                }
+                let len = full_value(entry, bits);
+                let dentry = codes.distance(bits >> used, avail - used)?;
+                let dist = full_value(dentry, bits >> used);
+                let used = used + bits_len(dentry);
+                if used > avail {
+                    return Err(InflateError::UnexpectedEof);
+                }
+                br.consume(used);
+                win.copy_match(dist, len)?;
+            }
+        }
     }
-    let mut left = len;
-    while left > 0 {
-        let chunk = (out.len() - start).min(left);
-        out.extend_from_within(start..start + chunk);
-        left -= chunk;
+}
+
+/// The decode loop's output: `buf[..at]` is decoded, `buf[at..]` is room
+/// for the next writes, zero-filled as it grows. Held by value, so byte
+/// stores cannot alias its fields and they stay in registers.
+///
+/// The room never grows past `cap + SLACK`, so a write that ends at most
+/// [`SLACK`] bytes before the room's end is also within the cap: one
+/// compare checks both.
+struct Window {
+    buf: Vec<u8>,
+    /// `buf.len()` when the block started.
+    start: usize,
+    at: usize,
+    cap: usize,
+}
+
+impl Window {
+    fn new(buf: Vec<u8>, cap: u64) -> Self {
+        let at = buf.len();
+        Self { buf, start: at, at, cap: usize::try_from(cap).unwrap_or(usize::MAX) }
     }
+
+    #[inline(always)]
+    fn literal(&mut self, byte: u8) -> Result<(), InflateError> {
+        if self.at + SLACK >= self.buf.len() {
+            self.make_room(1)?;
+        }
+        self.buf[self.at] = byte;
+        self.at += 1;
+        Ok(())
+    }
+
+    /// Append `len` bytes copied from `dist` back. A copy in 16- or 8-byte
+    /// chunks reads a chunk only once it is fully written (`dist` at least
+    /// the chunk size); shorter distances go byte by byte.
+    #[inline(always)]
+    fn copy_match(&mut self, dist: usize, len: usize) -> Result<(), InflateError> {
+        if dist > self.at {
+            return Err(InflateError::DistanceTooFar);
+        }
+        if self.at + len + SLACK > self.buf.len() {
+            self.make_room(len)?;
+        }
+        let end = self.at + len;
+        let buf = &mut self.buf[..];
+        let mut at = self.at;
+        if dist >= 16 {
+            while at < end {
+                let (done, rest) = buf.split_at_mut(at);
+                rest[..16].copy_from_slice(&done[at - dist..at - dist + 16]);
+                at += 16;
+            }
+        } else if dist >= 8 {
+            while at < end {
+                let (done, rest) = buf.split_at_mut(at);
+                rest[..8].copy_from_slice(&done[at - dist..at - dist + 8]);
+                at += 8;
+            }
+        } else {
+            for i in at..end {
+                buf[i] = buf[i - dist];
+            }
+        }
+        self.at = end;
+        Ok(())
+    }
+
+    /// Make room for `n` more bytes past `at` and [`SLACK`] after them, or
+    /// fail if they would pass the cap.
+    #[inline(always)]
+    fn make_room(&mut self, n: usize) -> Result<(), InflateError> {
+        if self.at.saturating_add(n) > self.cap {
+            return Err(InflateError::OutputLimitExceeded);
+        }
+        self.buf = grown(std::mem::take(&mut self.buf), self.start, self.cap, self.at + n + SLACK);
+        Ok(())
+    }
+}
+
+/// `buf` zero-filled to at least `need` bytes: to double what the block
+/// has decoded since `start` (at least [`MIN_GROWTH`]), but never past
+/// `cap + SLACK`, nor past the capacity unless `need` is. `need` is at
+/// most `cap + SLACK`: the cap is checked first.
+#[cold]
+#[inline(never)]
+fn grown(mut buf: Vec<u8>, start: usize, cap: usize, need: usize) -> Vec<u8> {
+    let len = buf.len();
+    let doubled = len + (len - start).max(MIN_GROWTH);
+    let target = doubled.min(cap.saturating_add(SLACK)).min(buf.capacity().max(need)).max(need);
+    buf.resize(target, 0);
+    buf
 }
 
 #[cfg(test)]

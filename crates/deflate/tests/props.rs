@@ -14,10 +14,12 @@ use lzfpga_deflate::fixed::{
 use lzfpga_deflate::huffman::{
     build_lengths, canonical_codes, Codebook, DecodeError, Decoder, MAX_BITS,
 };
-use lzfpga_deflate::inflate::inflate;
+use lzfpga_deflate::inflate::{inflate, inflate_limited, InflateError, InflateStream, Limits};
 use lzfpga_deflate::sink::TokenSink;
 use lzfpga_deflate::token::Token;
-use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_decompress, zlib_header};
+use lzfpga_deflate::zlib::{
+    zlib_compress_tokens, zlib_decompress, zlib_decompress_prefix, zlib_header, ZlibError,
+};
 use lzfpga_lzss::{LzssParams, TurboEngine};
 use lzfpga_sim::rng::XorShift64;
 use lzfpga_workloads::{generate, Corpus};
@@ -240,25 +242,44 @@ fn length_and_distance_symbols_cover_their_ranges() {
     }
 }
 
-/// The bit-serial canonical walk (one `read_bit` per code bit) that the
-/// table-driven [`Decoder`] replaced, kept as the oracle it must agree with.
-fn oracle_decode(lengths: &[u8], r: &mut BitReader<'_>) -> Result<u16, DecodeError> {
-    let mut count = [0u32; MAX_BITS + 1];
-    lengths.iter().for_each(|&l| count[usize::from(l)] += 1);
-    let mut symbols: Vec<u16> =
-        (0..lengths.len() as u16).filter(|&s| lengths[s as usize] > 0).collect();
-    symbols.sort_by_key(|&s| lengths[s as usize]);
-    let (mut code, mut first, mut index) = (0u32, 0u32, 0u32);
-    for &cnt in &count[1..] {
-        code |= r.read_bit()?;
-        if code < first + cnt {
-            return Ok(symbols[(index + code - first) as usize]);
-        }
-        index += cnt;
-        first = (first + cnt) << 1;
-        code <<= 1;
+/// The bit-serial canonical walk that the table-driven [`Decoder`]
+/// replaced, kept as the oracle it must agree with.
+struct SerialCode {
+    count: [u32; MAX_BITS + 1],
+    /// Symbols sorted by (length, symbol).
+    symbols: Vec<u16>,
+}
+
+impl SerialCode {
+    fn new(lengths: &[u8]) -> Self {
+        let mut count = [0u32; MAX_BITS + 1];
+        lengths.iter().for_each(|&l| count[usize::from(l)] += 1);
+        let mut symbols: Vec<u16> =
+            (0..lengths.len() as u16).filter(|&s| lengths[s as usize] > 0).collect();
+        symbols.sort_by_key(|&s| lengths[s as usize]);
+        Self { count, symbols }
     }
-    Err(DecodeError::InvalidCode)
+
+    /// Decode one symbol, taking one bit from `bit` per code bit (`None`
+    /// once the input has ended).
+    fn decode(&self, mut bit: impl FnMut() -> Option<u32>) -> Result<u16, DecodeError> {
+        let (mut code, mut first, mut index) = (0u32, 0u32, 0u32);
+        for &cnt in &self.count[1..] {
+            code |= bit().ok_or(DecodeError::OutOfInput)?;
+            if code < first + cnt {
+                return Ok(self.symbols[(index + code - first) as usize]);
+            }
+            index += cnt;
+            first = (first + cnt) << 1;
+            code <<= 1;
+        }
+        Err(DecodeError::InvalidCode)
+    }
+}
+
+/// [`SerialCode`] over a [`BitReader`], one `read_bit` per code bit.
+fn oracle_decode(lengths: &[u8], r: &mut BitReader<'_>) -> Result<u16, DecodeError> {
+    SerialCode::new(lengths).decode(|| r.read_bit().ok())
 }
 
 /// Decode `bits` (stream order) with both decoders, symbol after symbol
@@ -654,4 +675,461 @@ fn bit_len_and_as_bytes_stay_exact_mid_stream() {
         done.write_block(&[], BlockKind::FixedHuffman, true);
         assert!(done.finish().starts_with(&delivered));
     }
+}
+
+// ---------------------------------------------------------------------
+// Inflate parity: the resolved-entry decode loop against a bit-at-a-time
+// reference inflater.
+// ---------------------------------------------------------------------
+
+/// An LSB-first cursor that takes one bit per call: the reference's only
+/// view of the input.
+struct SerialReader<'a> {
+    data: &'a [u8],
+    /// Bits taken so far.
+    pos: u64,
+}
+
+impl SerialReader<'_> {
+    fn bit(&mut self) -> Option<u32> {
+        let byte = *self.data.get((self.pos / 8) as usize)?;
+        self.pos += 1;
+        Some(u32::from(byte >> ((self.pos - 1) % 8) & 1))
+    }
+
+    fn bits(&mut self, n: u32) -> Result<u32, InflateError> {
+        (0..n).try_fold(0, |v, i| Ok(v | self.bit().ok_or(InflateError::UnexpectedEof)? << i))
+    }
+
+    fn symbol(&mut self, code: &SerialCode) -> Result<u16, InflateError> {
+        code.decode(|| self.bit()).map_err(|e| match e {
+            DecodeError::OutOfInput => InflateError::UnexpectedEof,
+            DecodeError::InvalidCode => InflateError::BadSymbol,
+        })
+    }
+}
+
+/// `lengths` oversubscribe no code length.
+fn kraft_ok(lengths: &[u8]) -> bool {
+    lengths.iter().filter(|&&l| l > 0).map(|&l| 1u32 << (MAX_BITS as u8 - l)).sum::<u32>()
+        <= 1 << MAX_BITS
+}
+
+/// A dynamic block's two codes, read bit by bit (RFC 1951 §3.2.7).
+fn ref_dynamic_codes(r: &mut SerialReader<'_>) -> Result<(SerialCode, SerialCode), InflateError> {
+    const ORDER: [usize; 19] = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
+    let hlit = r.bits(5)? as usize + 257;
+    let hdist = r.bits(5)? as usize + 1;
+    let hclen = r.bits(4)? as usize + 4;
+    if hlit > 286 || hdist > 30 {
+        return Err(InflateError::BadCodeTable);
+    }
+    let mut clc_lengths = [0u8; 19];
+    for &i in &ORDER[..hclen] {
+        clc_lengths[i] = r.bits(3)? as u8;
+    }
+    if !kraft_ok(&clc_lengths) {
+        return Err(InflateError::BadCodeTable);
+    }
+    let clc = SerialCode::new(&clc_lengths);
+    let mut lengths = vec![0u8; hlit + hdist];
+    let mut i = 0;
+    while i < lengths.len() {
+        let (fill, n) = match r.symbol(&clc)? {
+            sym @ 0..=15 => (sym as u8, 1),
+            16 if i == 0 => return Err(InflateError::RepeatWithoutPrevious),
+            16 => (lengths[i - 1], r.bits(2)? as usize + 3),
+            17 => (0, r.bits(3)? as usize + 3),
+            18 => (0, r.bits(7)? as usize + 11),
+            _ => return Err(InflateError::BadSymbol),
+        };
+        if i + n > lengths.len() {
+            return Err(InflateError::BadCodeTable);
+        }
+        lengths[i..i + n].fill(fill);
+        i += n;
+    }
+    let (lit, dist) = lengths.split_at(hlit);
+    if lit[END_OF_BLOCK] == 0 || !kraft_ok(lit) || !kraft_ok(dist) {
+        return Err(InflateError::BadCodeTable);
+    }
+    Ok((SerialCode::new(lit), SerialCode::new(dist)))
+}
+
+/// One Huffman-coded block's symbols, appended to `out`.
+fn ref_symbols(
+    r: &mut SerialReader<'_>,
+    out: &mut Vec<u8>,
+    lit: &SerialCode,
+    dist: &SerialCode,
+    cap: u64,
+) -> Result<(), InflateError> {
+    loop {
+        match r.symbol(lit)? {
+            byte @ 0..=255 => {
+                if out.len() as u64 >= cap {
+                    return Err(InflateError::OutputLimitExceeded);
+                }
+                out.push(byte as u8);
+            }
+            256 => return Ok(()),
+            sym @ 257..=285 => {
+                let (base, extra) = LENGTH_CODES[usize::from(sym) - 257];
+                let len = (base + r.bits(extra)?) as usize;
+                let dsym = r.symbol(dist)?;
+                let &(dbase, dextra) =
+                    DIST_CODES.get(usize::from(dsym)).ok_or(InflateError::BadSymbol)?;
+                let d = (dbase + r.bits(dextra)?) as usize;
+                if d > out.len() {
+                    return Err(InflateError::DistanceTooFar);
+                }
+                if (out.len() + len) as u64 > cap {
+                    return Err(InflateError::OutputLimitExceeded);
+                }
+                for _ in 0..len {
+                    out.push(out[out.len() - d]);
+                }
+            }
+            _ => return Err(InflateError::BadSymbol),
+        }
+    }
+}
+
+/// The reference inflater: every bit through [`SerialReader`], every code
+/// through [`SerialCode`], every match copied byte by byte. Returns the
+/// result under `limits` (ratio cap taken against `data.len()`) and the
+/// bits read, which after success is where the stream's final block ends.
+fn ref_inflate(data: &[u8], limits: &Limits) -> (Result<Vec<u8>, InflateError>, u64) {
+    let cap = limits.output_cap(data.len());
+    let mut r = SerialReader { data, pos: 0 };
+    let mut out = Vec::new();
+    let mut blocks = 0u64;
+    let result = loop {
+        blocks += 1;
+        if limits.max_blocks.is_some_and(|max| blocks > max) {
+            break Err(InflateError::BlockLimitExceeded);
+        }
+        let block = (|| {
+            let last = r.bits(1)? == 1;
+            match r.bits(2)? {
+                0b00 => {
+                    r.pos = r.pos.div_ceil(8) * 8;
+                    let len = r.bits(16)?;
+                    if len != !r.bits(16)? & 0xFFFF {
+                        return Err(InflateError::StoredLengthMismatch);
+                    }
+                    if out.len() as u64 + u64::from(len) > cap {
+                        return Err(InflateError::OutputLimitExceeded);
+                    }
+                    for _ in 0..len {
+                        out.push(r.bits(8)? as u8);
+                    }
+                }
+                0b01 => {
+                    let lit = SerialCode::new(&fixed_litlen_lengths());
+                    let dist = SerialCode::new(&fixed_dist_lengths());
+                    ref_symbols(&mut r, &mut out, &lit, &dist, cap)?;
+                }
+                0b10 => {
+                    let (lit, dist) = ref_dynamic_codes(&mut r)?;
+                    ref_symbols(&mut r, &mut out, &lit, &dist, cap)?;
+                }
+                _ => return Err(InflateError::ReservedBlockType),
+            }
+            Ok(last)
+        })();
+        match block {
+            Ok(true) => break Ok(out),
+            Ok(false) => {}
+            Err(e) => break Err(e),
+        }
+    };
+    (result, r.pos)
+}
+
+/// `body` must inflate under an output cap of `cap` exactly as the
+/// reference does — same bytes or same error — and, wrapped as a zlib
+/// stream with junk after it, `zlib_decompress_prefix` must report the
+/// same payload and consume exactly up to the end of the trailer.
+fn assert_inflate_parity(body: &[u8], cap: u64, what: &str) {
+    let limits = Limits::none().with_max_output_bytes(cap);
+    let (want, bits) = ref_inflate(body, &limits);
+    assert_eq!(inflate_limited(body, &limits), want, "{what}, cap {cap}");
+    let mut z = zlib_header(32_768, 1).to_vec();
+    z.extend_from_slice(body);
+    let trailer_at = 2 + bits.div_ceil(8) as usize;
+    match want {
+        Ok(payload) => {
+            z.truncate(trailer_at);
+            z.extend_from_slice(&adler32(&payload).to_be_bytes());
+            z.extend_from_slice(b"junk after the stream");
+            assert_eq!(
+                zlib_decompress_prefix(&z, &limits),
+                Ok((payload, trailer_at + 4)),
+                "{what}, cap {cap}: zlib prefix"
+            );
+        }
+        Err(e) if z.len() >= 6 => {
+            assert_eq!(
+                zlib_decompress_prefix(&z, &limits),
+                Err(ZlibError::Inflate(e)),
+                "{what}, cap {cap}: zlib prefix"
+            );
+        }
+        Err(_) => {}
+    }
+}
+
+/// A dynamic block written with the given code lengths (every length sent
+/// as a plain code-length symbol, each 4 bits long), so tests can force
+/// codes of any length up to 15.
+fn write_dynamic_block(
+    w: &mut BitWriter,
+    tokens: &[Token],
+    lit_lengths: &[u8],
+    dist_lengths: &[u8],
+    last: bool,
+) {
+    const ORDER: [usize; 19] = [16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15];
+    w.write_bits(u64::from(last), 1);
+    w.write_bits(0b10, 2);
+    w.write_bits(lit_lengths.len() as u64 - 257, 5);
+    w.write_bits(dist_lengths.len() as u64 - 1, 5);
+    w.write_bits(19 - 4, 4);
+    let clc_lengths: Vec<u8> = (0..19).map(|s| if s < 16 { 4 } else { 0 }).collect();
+    ORDER.iter().for_each(|&s| w.write_bits(u64::from(clc_lengths[s]), 3));
+    let clc = Codebook::from_lengths(&clc_lengths);
+    lit_lengths.iter().chain(dist_lengths).for_each(|&l| clc.encode(w, usize::from(l)));
+    let lit = Codebook::from_lengths(lit_lengths);
+    let dist = Codebook::from_lengths(dist_lengths);
+    for t in tokens {
+        match *t {
+            Token::Literal(b) => lit.encode(w, usize::from(b)),
+            Token::Match { dist: d, len } => {
+                let l = length_symbol(len);
+                lit.encode(w, usize::from(l.symbol));
+                w.write_bits(u64::from(l.extra_val), l.extra_bits);
+                let d = distance_symbol(d);
+                dist.encode(w, usize::from(d.symbol));
+                w.write_bits(u64::from(d.extra_val), d.extra_bits);
+            }
+        }
+    }
+    lit.encode(w, END_OF_BLOCK);
+}
+
+/// Skewed code lengths over `n` symbols, every symbol coded and the
+/// longest codes 11 to 15 bits.
+fn long_code_lengths(rng: &mut XorShift64, n: usize) -> Vec<u8> {
+    let freqs: Vec<u64> = (0..n).map(|_| 1 + (1 << rng.range_u32(0, 24))).collect();
+    let lengths = build_lengths(&freqs, 15);
+    assert!(lengths.iter().all(|&l| l > 0) && lengths.iter().any(|&l| l > 10), "{lengths:?}");
+    lengths
+}
+
+/// Tokens as one block of `kind` (a final one), by the library encoder.
+fn one_block(tokens: &[Token], kind: BlockKind) -> Vec<u8> {
+    let mut enc = DeflateEncoder::new();
+    enc.write_block(tokens, kind, true);
+    enc.finish()
+}
+
+/// A legal token stream drawn uniformly over the alphabet: random bytes,
+/// lengths 3..=258 and any distance into the output so far.
+fn uniform_tokens(rng: &mut XorShift64, n: usize) -> Vec<Token> {
+    let mut produced = 0u32;
+    (0..n)
+        .map(|_| {
+            if produced == 0 || rng.chance(1, 2) {
+                produced += 1;
+                Token::Literal(rng.next_u8())
+            } else {
+                let len = rng.range_u32(MIN_MATCH, MAX_MATCH);
+                let dist = rng.range_u32(1, produced.min(MAX_DISTANCE));
+                produced += len;
+                Token::Match { dist, len }
+            }
+        })
+        .collect()
+}
+
+/// The streams every parity sweep runs over: fixed, dynamic from the
+/// library encoder, dynamic with 11- to 15-bit codes, stored, and a
+/// multi-block mix.
+fn parity_streams(rng: &mut XorShift64) -> Vec<(String, Vec<u8>)> {
+    let mut streams = Vec::new();
+    for case in 0..4 {
+        let tokens = uniform_tokens(rng, 40 + 60 * case);
+        streams.push((format!("fixed {case}"), one_block(&tokens, BlockKind::FixedHuffman)));
+        streams.push((format!("dynamic {case}"), one_block(&tokens, BlockKind::DynamicHuffman)));
+        let (lit, dist) = (long_code_lengths(rng, 286), long_code_lengths(rng, 30));
+        let mut w = BitWriter::new();
+        write_dynamic_block(&mut w, &tokens, &lit, &dist, true);
+        streams.push((format!("long codes {case}"), w.finish()));
+    }
+    let raw: Vec<Token> = (0..300).map(|_| Token::Literal(rng.next_u8())).collect();
+    streams.push(("stored".into(), one_block(&raw, BlockKind::Stored)));
+    let tokens = uniform_tokens(rng, 200);
+    let mut enc = DeflateEncoder::new();
+    enc.write_block(&tokens[..50], BlockKind::FixedHuffman, false);
+    enc.write_block(&raw[..100], BlockKind::Stored, false);
+    enc.write_block(&tokens[50..120], BlockKind::DynamicHuffman, false);
+    enc.sync_flush();
+    enc.write_block(&tokens[120..], BlockKind::FixedHuffman, true);
+    streams.push(("multi-block".into(), enc.finish()));
+    streams
+}
+
+#[test]
+fn inflate_matches_the_reference_on_fixed_dynamic_and_long_codes() {
+    let mut rng = XorShift64::new(0xDEF1_0010);
+    for (what, stream) in parity_streams(&mut rng) {
+        assert_inflate_parity(&stream, u64::MAX, &what);
+    }
+    for case in 0..CASES {
+        let n = rng.below_usize(400);
+        let tokens = uniform_tokens(&mut rng, n);
+        let (lit, dist) = (long_code_lengths(&mut rng, 286), long_code_lengths(&mut rng, 30));
+        let mut w = BitWriter::new();
+        write_dynamic_block(&mut w, &tokens, &lit, &dist, true);
+        let stream = w.finish();
+        assert_eq!(inflate(&stream).unwrap(), expand(&tokens), "long codes {case}");
+        assert_inflate_parity(&stream, u64::MAX, &format!("long codes {case}"));
+    }
+}
+
+#[test]
+fn inflate_matches_the_reference_on_every_short_distance_and_length() {
+    let mut rng = XorShift64::new(0xDEF1_0011);
+    for dist in 1..=17 {
+        let mut tokens: Vec<Token> = (0..dist).map(|_| Token::Literal(rng.next_u8())).collect();
+        for len in MIN_MATCH..=MAX_MATCH {
+            tokens.push(Token::Match { dist, len });
+            if len % 3 == 0 {
+                tokens.push(Token::Literal(rng.next_u8()));
+            }
+        }
+        for kind in [BlockKind::FixedHuffman, BlockKind::DynamicHuffman] {
+            let stream = one_block(&tokens, kind);
+            assert_eq!(inflate(&stream).unwrap(), expand(&tokens), "dist {dist}, {kind:?}");
+            assert_inflate_parity(&stream, u64::MAX, &format!("dist {dist}, {kind:?}"));
+        }
+    }
+}
+
+#[test]
+fn distance_to_the_first_byte_decodes_and_one_more_is_too_far() {
+    let mut rng = XorShift64::new(0xDEF1_0012);
+    for n in [1u32, 2, 3, 7, 8, 15, 16, 17, 31, 100, 4_000] {
+        let literals: Vec<Token> = (0..n).map(|_| Token::Literal(rng.next_u8())).collect();
+        // Output after a match counts too: n literals, then a match.
+        let mut after_match = literals.clone();
+        after_match.push(Token::Match { dist: 1, len: 5 });
+        for (mut tokens, produced) in [(literals, n), (after_match, n + 5)] {
+            tokens.push(Token::Match { dist: produced, len: 20 });
+            let ok = one_block(&tokens, BlockKind::FixedHuffman);
+            assert_eq!(inflate(&ok).unwrap(), expand(&tokens), "dist = output length {produced}");
+            assert_inflate_parity(&ok, u64::MAX, &format!("dist {produced} of {produced}"));
+            *tokens.last_mut().unwrap() = Token::Match { dist: produced + 1, len: 20 };
+            for kind in [BlockKind::FixedHuffman, BlockKind::DynamicHuffman] {
+                let far = one_block(&tokens, kind);
+                assert_eq!(inflate(&far), Err(InflateError::DistanceTooFar), "{produced}+1");
+                // The distance is checked before the cap.
+                for cap in [u64::from(produced), u64::from(produced) + 19, u64::MAX] {
+                    assert_inflate_parity(
+                        &far,
+                        cap,
+                        &format!("dist {} of {produced}", produced + 1),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn reserved_symbols_after_sixteen_bytes_are_bad_symbols() {
+    let mut rng = XorShift64::new(0xDEF1_0013);
+    let lit = Codebook::from_lengths(&fixed_litlen_lengths());
+    let dist = Codebook::from_lengths(&fixed_dist_lengths());
+    for lead in 16..24 {
+        for planted in [286, 287, 1_030, 1_031] {
+            let mut w = BitWriter::new();
+            w.write_bits(1, 1);
+            w.write_bits(0b01, 2);
+            (0..lead).for_each(|_| lit.encode(&mut w, usize::from(rng.next_u8())));
+            assert!(w.bit_len() >= 16 * 8, "planted past the first 16 bytes");
+            if planted < 1_000 {
+                lit.encode(&mut w, planted);
+            } else {
+                // A length code, then reserved distance 30 or 31.
+                lit.encode(&mut w, 257);
+                dist.encode(&mut w, planted - 1_000);
+            }
+            lit.encode(&mut w, END_OF_BLOCK);
+            let stream = w.finish();
+            let what = format!("symbol {planted} after {lead} literals");
+            assert_eq!(inflate(&stream), Err(InflateError::BadSymbol), "{what}");
+            for cut in 0..=stream.len() {
+                assert_inflate_parity(&stream[..cut], u64::MAX, &format!("{what}, cut {cut}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn inflate_matches_the_reference_at_every_truncation() {
+    let mut rng = XorShift64::new(0xDEF1_0014);
+    for (what, stream) in parity_streams(&mut rng) {
+        for cut in 0..stream.len() {
+            assert_inflate_parity(&stream[..cut], u64::MAX, &format!("{what}, cut {cut}"));
+        }
+    }
+}
+
+#[test]
+fn inflate_matches_the_reference_at_every_cap_near_the_output_size() {
+    let mut rng = XorShift64::new(0xDEF1_0015);
+    for (what, stream) in parity_streams(&mut rng) {
+        let n = inflate(&stream).unwrap().len() as u64;
+        for cap in n.saturating_sub(600)..=n + 1 {
+            assert_inflate_parity(&stream, cap, &what);
+        }
+    }
+}
+
+#[test]
+fn inflate_stream_fed_in_small_pieces_matches_the_reference() {
+    let mut rng = XorShift64::new(0xDEF1_0016);
+    for (what, stream) in parity_streams(&mut rng) {
+        let want = ref_inflate(&stream, &Limits::none()).0.unwrap();
+        for round in 0..8 {
+            let mut s = InflateStream::new();
+            let mut got = Vec::new();
+            let mut rest = &stream[..];
+            while !rest.is_empty() {
+                let take = rng.range_u32(1, 7).min(rest.len() as u32) as usize;
+                s.feed(&rest[..take]).unwrap();
+                got.extend(s.take_output());
+                assert!(want.starts_with(&got), "{what}, round {round}");
+                rest = &rest[take..];
+            }
+            assert!(s.is_finished(), "{what}, round {round}");
+            assert_eq!(got, want, "{what}, round {round}");
+        }
+    }
+    // A bad symbol fails the stream once it is fed, with the same error.
+    let mut enc = DeflateEncoder::new();
+    enc.write_block(&uniform_tokens(&mut rng, 50), BlockKind::FixedHuffman, false);
+    enc.sync_flush();
+    let mut w = BitWriter::new();
+    w.write_bits(1, 1);
+    w.write_bits(0b01, 2);
+    Codebook::from_lengths(&fixed_litlen_lengths()).encode(&mut w, 287);
+    let mut stream = enc.finish();
+    stream.extend(w.finish());
+    assert_eq!(ref_inflate(&stream, &Limits::none()).0, Err(InflateError::BadSymbol));
+    let mut s = InflateStream::new();
+    let errors: Vec<_> = stream.chunks(3).filter_map(|c| s.feed(c).err()).collect();
+    assert_eq!(errors.first(), Some(&InflateError::BadSymbol));
 }

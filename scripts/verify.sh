@@ -10,13 +10,13 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
-# The crates behind the parallel executor, the fault ladder, the LZFC
-# stream layout, the Deflate codec, the hardware model, the matcher (and
-# its TokenSink contract) and the workload generators carry their own unit
-# and property tests.
-echo "== crate tests: parallel, server, container, estimator, deflate, core, lzss, workloads =="
+# Every member crate carries its own unit and property tests, which the
+# root `cargo test` above does not run.
+echo "== crate tests: every member crate =="
 cargo test --release -q -p lzfpga-parallel -p lzfpga-server -p lzfpga-container -p lzfpga-estimator \
-    -p lzfpga-deflate -p lzfpga-core -p lzfpga-lzss -p lzfpga-workloads
+    -p lzfpga-deflate -p lzfpga-core -p lzfpga-lzss -p lzfpga-workloads \
+    -p lzfpga-obs -p lzfpga-faults -p lzfpga-telemetry -p lzfpga-cam -p lzfpga-sim \
+    -p lzfpga-rtlgen -p lzfpga-cli -p lzfpga-bench
 
 echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
