@@ -27,14 +27,8 @@
 //! telemetry describes the run that set the headline number, not whichever
 //! run happened to come last.
 //!
-//! Since schema v3 the harness also measures, per workload:
-//!
-//! 5. the turbo engine pinned to the **scalar** match kernel — the pre-SIMD
-//!    baseline, so the committed report carries both sides of the SIMD
-//!    trajectory (`simd_speedup` = scalar wall / dispatched wall) together
-//!    with the host's ISA path and CPU feature flags;
-//! 6. the multi-lane **batched** frame driver at several lane widths,
-//!    byte-identical to the serial frame writer at each.
+//! It also times the turbo engine at `CompressionLevel::Max` (the `deep`
+//! section), the regime where long matches leave the first word.
 //!
 //! Results land in `BENCH_throughput.json` (schema documented in
 //! `DESIGN.md`). With `--metrics PATH` the harness additionally collects
@@ -92,17 +86,13 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lzfpga_container::FrameConfig;
 use lzfpga_core::compressor::HwCompressor;
 use lzfpga_core::config::CLOCK_HZ;
 use lzfpga_core::HwConfig;
 use lzfpga_deflate::encoder::BlockKind;
 use lzfpga_deflate::zlib::zlib_compress_tokens;
-use lzfpga_lzss::{CompressionLevel, MatchKernel, TurboEngine};
-use lzfpga_parallel::{
-    compress_frames_batched, compress_frames_parallel, compress_parallel, EngineKind,
-    ParallelConfig,
-};
+use lzfpga_lzss::{simd, CompressionLevel, TurboEngine};
+use lzfpga_parallel::{compress_parallel, EngineKind, ParallelConfig};
 use lzfpga_telemetry::json::obj;
 use lzfpga_telemetry::{JsonValue, JsonlWriter, TurboCounters};
 use lzfpga_workloads::{generate, Corpus};
@@ -120,8 +110,6 @@ const TURBO_REPS: usize = 9;
 /// but host scheduling noise easily exceeds 2x, so one sample is not a
 /// measurement.
 const MODEL_REPS: usize = 5;
-/// Lane widths exercised in the batched-frames section.
-const LANE_COUNTS: [usize; 3] = [1, 4, 8];
 /// Relative `speedup_engine` drop (vs the committed baseline) that fails
 /// the `--gate` check.
 const GATE_TOLERANCE: f64 = 0.10;
@@ -175,33 +163,15 @@ fn json_f(x: f64) -> String {
     }
 }
 
-/// Host ISA description for the report: which kernel the dispatcher picked
-/// and which relevant CPU features the host advertises. Committed baselines
-/// carry this so a number can always be traced to the ISA that produced it.
+/// Host description for the report: the architecture and the match
+/// kernel this build compiled, so a committed number can always be traced
+/// to the compare that produced it.
 fn host_json() -> String {
-    let isa = MatchKernel::detect().name();
-    let supported: Vec<String> =
-        MatchKernel::supported().iter().map(|k| format!("\"{}\"", k.name())).collect();
-    #[cfg(target_arch = "x86_64")]
-    let features = format!(
-        "{{\"sse2\":{},\"avx2\":{},\"avx512f\":{}}}",
-        std::arch::is_x86_feature_detected!("sse2"),
-        std::arch::is_x86_feature_detected!("avx2"),
-        std::arch::is_x86_feature_detected!("avx512f"),
-    );
-    #[cfg(target_arch = "aarch64")]
-    let features = format!("{{\"neon\":{}}}", std::arch::is_aarch64_feature_detected!("neon"));
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let features = "{}".to_string();
-    format!(
-        "{{\"arch\":\"{}\",\"isa\":\"{isa}\",\"kernels\":[{}],\"cpu_features\":{features}}}",
-        std::env::consts::ARCH,
-        supported.join(",")
-    )
+    format!("{{\"arch\":\"{}\",\"isa\":\"{}\"}}", std::env::consts::ARCH, simd::KERNEL)
 }
 
 /// Read `workloads[name == workload]`'s engine speedup out of a single
-/// report or trajectory entry. Full reports (v2/v3) nest the metric under
+/// report or trajectory entry. Full reports (v2–v4) nest the metric under
 /// `turbo`; compact trajectory entries record it flat.
 fn workload_speedup(node: &JsonValue, workload: &str) -> Option<f64> {
     for w in node.get("workloads")?.as_array()? {
@@ -216,7 +186,7 @@ fn workload_speedup(node: &JsonValue, workload: &str) -> Option<f64> {
 }
 
 /// Read the gate metric out of a committed baseline. Accepts both shapes:
-/// a single throughput report (v2/v3), or a trajectory file
+/// a single throughput report (v2–v4), or a trajectory file
 /// (`lzfpga-bench/trajectory/v1`) whose *first* entry is the frozen
 /// baseline — later entries are the per-PR history and never move the bar.
 fn baseline_speedup(root: &JsonValue, workload: &str) -> Result<f64, String> {
@@ -240,11 +210,8 @@ fn legacy_baseline_entry(report: &JsonValue) -> Option<String> {
         let mut row = String::new();
         let _ = write!(
             row,
-            "{{\"name\":\"{name}\",\"speedup_engine\":{},\"simd_speedup\":{},\
-             \"simd_speedup_deep\":{},\"mb_per_s\":{}}}",
+            "{{\"name\":\"{name}\",\"speedup_engine\":{},\"mb_per_s\":{}}}",
             json_f(f(turbo, "speedup_engine")?),
-            json_f(f(turbo, "simd_speedup").unwrap_or(1.0)),
-            json_f(turbo.get("deep").and_then(|d| f(d, "simd_speedup")).unwrap_or(1.0)),
             json_f(f(turbo, "mb_per_s").unwrap_or(0.0)),
         );
         rows.push(row);
@@ -478,10 +445,8 @@ fn run() -> Result<(), String> {
     }
 
     // The first four span the paper's match regimes; the last two are
-    // repetition-heavy (long matches at short distance), the regime the
-    // wide-compare kernels exist for — mixed text barely leaves the first
-    // word, so without them the SIMD column would only ever measure
-    // dispatch overhead.
+    // repetition-heavy (long matches at short distance), where compares
+    // run past the first word.
     let workloads = [
         Corpus::Mixed,
         Corpus::Wiki,
@@ -492,7 +457,6 @@ fn run() -> Result<(), String> {
     ];
     let hw = HwConfig::paper_fast();
     let mut engine = TurboEngine::new();
-    let mut scalar_engine = TurboEngine::with_kernel(MatchKernel::scalar());
     let mut entries = Vec::new();
     let mut metric_events: Vec<(String, JsonValue)> = Vec::new();
     let mut gate_current: Option<f64> = None;
@@ -503,7 +467,7 @@ fn run() -> Result<(), String> {
         workloads.len(),
         size,
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        MatchKernel::detect().name()
+        simd::KERNEL
     );
 
     for corpus in workloads {
@@ -536,27 +500,12 @@ fn run() -> Result<(), String> {
             gate_current = Some(engine_speedup);
         }
 
-        // 3b. The same engine pinned to the scalar kernel: the pre-SIMD
-        //     baseline, measured in the same run so both sides of the SIMD
-        //     trajectory share one host and one input.
-        let (scalar_tokens_wall, scalar_tokens) =
-            measure(TURBO_REPS, || scalar_engine.compress(&data, &hw.as_lzss_params()));
-        assert_eq!(scalar_tokens, run.tokens, "{name}: scalar-kernel tokens diverge");
-        let simd_speedup = scalar_tokens_wall / turbo_tokens_wall.max(1e-12);
-
-        // 3c. Deep profile: the same two engines at `CompressionLevel::Max`
-        //     (nice_length 258 instead of the fast profile's 8). The fast
-        //     profile truncates every search at roughly word width, so
-        //     scalar parity is its structural ceiling; the deep profile is
-        //     the regime the vector kernels exist for, and its pair of
-        //     numbers is what the SIMD trajectory is judged on.
+        // 3b. Deep profile: the same engine at `CompressionLevel::Max`
+        //     (nice_length 258 instead of the fast profile's 8), where
+        //     compares run past the first word.
         let mut deep_params = hw.as_lzss_params();
         deep_params.level = CompressionLevel::Max;
-        let (deep_wall, deep_tokens) = measure(TURBO_REPS, || engine.compress(&data, &deep_params));
-        let (deep_scalar_wall, deep_scalar_tokens) =
-            measure(TURBO_REPS, || scalar_engine.compress(&data, &deep_params));
-        assert_eq!(deep_scalar_tokens, deep_tokens, "{name}: deep scalar tokens diverge");
-        let simd_speedup_deep = deep_scalar_wall / deep_wall.max(1e-12);
+        let (deep_wall, _) = measure(TURBO_REPS, || engine.compress(&data, &deep_params));
 
         // Probed turbo pass, outside the timed loop: the counters describe
         // the same token stream (the probed run is token-identical), and the
@@ -642,12 +591,9 @@ fn run() -> Result<(), String> {
         let mut traj_row = String::new();
         let _ = write!(
             traj_row,
-            "{{\"name\":\"{name}\",\"speedup_engine\":{},\"simd_speedup\":{},\
-             \"simd_speedup_deep\":{},\"mb_per_s\":{},\
+            "{{\"name\":\"{name}\",\"speedup_engine\":{},\"mb_per_s\":{},\
              \"phases\":{{\"model_s\":{},\"tokens_s\":{},\"encode_s\":{},\"parallel_s\":{}}}}}",
             json_f(engine_speedup),
-            json_f(simd_speedup),
-            json_f(simd_speedup_deep),
             json_f(mb_per_s(data.len(), turbo_wall)),
             json_f(model_engine_wall),
             json_f(turbo_tokens_wall),
@@ -656,48 +602,13 @@ fn run() -> Result<(), String> {
         );
         traj_rows.push(traj_row);
 
-        // 6. Multi-lane batched frames: one worker so the measurement is
-        //    the lane interleaving itself, not thread parallelism. The
-        //    serial framed stream is the byte-identity oracle.
-        let frame_cfg = FrameConfig {
-            frame_bytes: CHUNK_BYTES,
-            collect_events: false,
-            ..FrameConfig::default()
-        };
-        let batch_cfg = ParallelConfig {
-            chunk_bytes: CHUNK_BYTES,
-            workers: 1,
-            instances: 1,
-            hw,
-            engine: EngineKind::Turbo,
-            telemetry: false,
-        };
-        let serial_framed = compress_frames_parallel(&data, &batch_cfg, &frame_cfg)
-            .map_err(|e| format!("framed config: {e}"))?
-            .framed;
-        let mut batch_entries = Vec::new();
-        for lanes in LANE_COUNTS {
-            let (wall, rep) = measure(TURBO_REPS, || {
-                compress_frames_batched(&data, &batch_cfg, &frame_cfg, lanes)
-                    .expect("valid batch config")
-            });
-            assert_eq!(
-                rep.framed, serial_framed,
-                "{name}: batched frames changed at {lanes} lanes"
-            );
-            batch_entries.push(format!(
-                "{{\"lanes\":{lanes},\"wall_s\":{},\"mb_per_s\":{},\"identical\":true}}",
-                json_f(wall),
-                json_f(mb_per_s(data.len(), wall))
-            ));
-        }
-
         println!(
             "  {name:<16} ratio {ratio:>5.2}  model {:>7.2} MB/s ({model_mb_modelled:>6.1} modelled)  \
              turbo {:>7.2} MB/s  engine {engine_speedup:>5.2}x  e2e {turbo_speedup:>5.2}x  \
-             simd {simd_speedup:>4.2}x (deep {simd_speedup_deep:>4.2}x)",
+             deep {:>7.2} MB/s",
             mb_per_s(data.len(), model_engine_wall),
             mb_per_s(data.len(), turbo_tokens_wall),
+            mb_per_s(data.len(), deep_wall),
         );
 
         // One object holding all three execution paths' telemetry; embedded
@@ -729,10 +640,8 @@ fn run() -> Result<(), String> {
              \"model\":{{\"engine_wall_s\":{},\"wall_s\":{},\"mb_per_s_wall\":{},\"mb_per_s_modelled\":{},\"cycles\":{}}},\
              \"turbo\":{{\"tokens_wall_s\":{},\"wall_s\":{},\"mb_per_s\":{},\"speedup_engine\":{},\
              \"speedup_end_to_end\":{},\"identical_to_model\":true,\
-             \"scalar_tokens_wall_s\":{},\"mb_per_s_scalar\":{},\"simd_speedup\":{},\
-             \"deep\":{{\"level\":\"max\",\"tokens_wall_s\":{},\"scalar_tokens_wall_s\":{},\"simd_speedup\":{}}}}},\
-             \"parallel\":{{\"chunk_bytes\":{CHUNK_BYTES},\"runs\":[{}]}},\
-             \"batch\":{{\"frame_bytes\":{CHUNK_BYTES},\"runs\":[{}]}}{telemetry_field}}}",
+             \"deep\":{{\"level\":\"max\",\"tokens_wall_s\":{},\"mb_per_s\":{}}}}},\
+             \"parallel\":{{\"chunk_bytes\":{CHUNK_BYTES},\"runs\":[{}]}}{telemetry_field}}}",
             data.len(),
             json_f(ratio),
             json_f(encode_wall),
@@ -746,20 +655,15 @@ fn run() -> Result<(), String> {
             json_f(mb_per_s(data.len(), turbo_wall)),
             json_f(engine_speedup),
             json_f(turbo_speedup),
-            json_f(scalar_tokens_wall),
-            json_f(mb_per_s(data.len(), scalar_tokens_wall)),
-            json_f(simd_speedup),
             json_f(deep_wall),
-            json_f(deep_scalar_wall),
-            json_f(simd_speedup_deep),
-            parallel_entries.join(","),
-            batch_entries.join(",")
+            json_f(mb_per_s(data.len(), deep_wall)),
+            parallel_entries.join(",")
         );
         entries.push(e);
     }
 
     let json = format!(
-        "{{\"schema\":\"lzfpga-bench/throughput/v3\",\"seed\":{seed},\"clock_hz\":{CLOCK_HZ},\
+        "{{\"schema\":\"lzfpga-bench/throughput/v4\",\"seed\":{seed},\"clock_hz\":{CLOCK_HZ},\
          \"host\":{},\"workloads\":[{}]}}\n",
         host_json(),
         entries.join(",")

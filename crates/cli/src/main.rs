@@ -43,8 +43,8 @@ use lzfpga_obs::{
     frame_span_tree, prometheus_text, snapshot_to_json, MetricsRegistry, StatsAggregate,
 };
 use lzfpga_parallel::{
-    compress_frames_batched, compress_frames_parallel, compress_parallel, decode_range_parallel,
-    decompress_frames_parallel, EngineKind, ParallelConfig,
+    compress_frames_parallel, compress_parallel, decode_range_parallel, decompress_frames_parallel,
+    EngineKind, ParallelConfig,
 };
 use lzfpga_server::{connect_with_retry, Client, ClientError, RetryPolicy, Server, ServerConfig};
 use lzfpga_telemetry::json::obj;
@@ -61,7 +61,7 @@ lzfpga <compress|decompress|frame|unframe|salvage|resume|stats|serve|client|gen|
              [--prometheus OUT.prom] [-o OUT] [FILE]
   decompress [--engine hw|sw] [--dict FILE] [--max-output-bytes N] [-o OUT] [FILE]
   frame      [--engine hw|sw|turbo] [--window N] [--hash N] [--level L]
-             [--frame-size N] [--parallel] [--workers N] [--lanes N] [--stats]
+             [--frame-size N] [--parallel] [--workers N] [--stats]
              [--metrics OUT.jsonl] [--trace-events OUT.json]
              [--prometheus OUT.prom] [-o OUT] [FILE]  (LZFC framed container)
   unframe    [--parallel] [--workers N] [--metrics OUT.jsonl]
@@ -78,7 +78,7 @@ lzfpga <compress|decompress|frame|unframe|salvage|resume|stats|serve|client|gen|
   stats      [--window N] [--hash N] [--level L] [--metrics OUT.jsonl] [FILE]
   stats      [--follow] METRICS.jsonl
                            (aggregate a --metrics stream: p50/p99 frame
-                            latency, MB/s, cache hit rate, kernel mix;
+                            latency, MB/s, cache hit rate;
                             --follow keeps tailing the file)
   serve      [--addr HOST:PORT] [--workers N] [--frame-size N] [--chunk N]
              [--deadline-ms N] [--drain-ms N] [--allow-shutdown]
@@ -111,8 +111,6 @@ aggregates one or many such files). --prometheus also exports the snapshot in
 Prometheus text exposition format. --trace-events writes a chrome://tracing /
 Perfetto trace: compress needs --parallel; frame/resume rebuild the causal
 file->frame->stage tree on every path.
-`frame --lanes N` interleaves N frames per batch through one SIMD kernel
-loop (the multi-lane driver); output bytes are identical either way.
 `cat --range A..B` slices the *uncompressed* byte space (END omitted = EOF);
 streams without an index are served through a scan, damaged streams through
 salvage (exact prefix only). --cache-bytes bounds the decoded-frame cache.
@@ -156,7 +154,6 @@ struct CommonOpts {
     chunk_bytes: usize,
     frame_bytes: usize,
     workers: usize,
-    lanes: usize,
     metrics: Option<String>,
     trace_events: Option<String>,
     prometheus: Option<String>,
@@ -196,7 +193,6 @@ impl Default for CommonOpts {
             chunk_bytes: 256 * 1024,
             frame_bytes: 256 * 1024,
             workers: 0,
-            lanes: 0,
             metrics: None,
             trace_events: None,
             prometheus: None,
@@ -274,9 +270,6 @@ fn parse_opts(args: &[String]) -> Result<CommonOpts, String> {
             "--workers" => {
                 o.workers =
                     value("--workers")?.parse().map_err(|_| "bad --workers value".to_string())?;
-            }
-            "--lanes" => {
-                o.lanes = value("--lanes")?.parse().map_err(|_| "bad --lanes value".to_string())?;
             }
             "--dict" => o.dict = Some(value("--dict")?),
             "--max-output-bytes" => {
@@ -496,11 +489,6 @@ fn run_event(o: &CommonOpts, command: &str, input_bytes: usize, output_bytes: us
             .into(),
         ),
         ("parallel", o.parallel.into()),
-        ("lanes", (o.lanes as u64).into()),
-        // The ISA path the auto-dispatched match kernel resolves to on this
-        // host (scalar runs force it via LZFPGA_MATCH_KERNEL=scalar, which
-        // this reports faithfully).
-        ("kernel", lzfpga_lzss::MatchKernel::detect().name().into()),
         ("input_bytes", (input_bytes as u64).into()),
         ("output_bytes", (output_bytes as u64).into()),
         ("ratio", (input_bytes as f64 / output_bytes.max(1) as f64).into()),
@@ -771,54 +759,6 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
         ..FrameConfig::default()
     };
     let params = hw_config(o).as_lzss_params();
-    if o.lanes > 0 {
-        // Multi-lane batched driver: groups of --lanes frames interleave
-        // through one kernel loop; byte-identical to the serial writer.
-        let data = read_input(o.input.as_deref())?;
-        let cfg = ParallelConfig {
-            chunk_bytes: o.frame_bytes,
-            workers: o.workers,
-            instances: 1,
-            hw: hw_config(o),
-            engine: EngineKind::Turbo,
-            telemetry: wants_obs(o),
-        };
-        let rep =
-            compress_frames_batched(&data, &cfg, &frame_cfg, o.lanes).map_err(|e| e.to_string())?;
-        if o.stats {
-            eprintln!(
-                "framed: {} bytes -> {} bytes, {} frames of <= {} bytes in lanes of {}, \
-                 container ratio {:.3}",
-                rep.input_bytes,
-                rep.framed.len(),
-                rep.frames,
-                o.frame_bytes,
-                o.lanes,
-                rep.input_bytes as f64 / rep.framed.len().max(1) as f64
-            );
-        }
-        if let Some(path) = &o.trace_events {
-            // The batched driver records no live spans; rebuild the tree
-            // from the frame events' epoch timestamps.
-            let tree = frame_span_tree("frame (batched)", &rep.events);
-            atomic_write(path, trace_events_json(&tree).as_bytes())?;
-        }
-        if wants_obs(o) {
-            let reg = MetricsRegistry::new();
-            record_frames(&reg, &rep.events);
-            let mut events =
-                vec![("run", run_event(o, "frame", rep.input_bytes as usize, rep.framed.len()))];
-            if let Some(counters) = &rep.counters {
-                record_turbo(&reg, counters);
-                events.push(("turbo", counters.to_json()));
-            }
-            for e in &rep.events {
-                events.push(("frame", e.to_json()));
-            }
-            finish_metrics(o, &reg, events)?;
-        }
-        return write_output(o.output.as_deref(), &rep.framed);
-    }
     if o.parallel {
         let data = read_input(o.input.as_deref())?;
         let cfg = ParallelConfig {
@@ -844,15 +784,9 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
             );
         }
         if let Some(path) = &o.trace_events {
-            // Live per-worker spans when the pipeline recorded them (one
-            // causal file→frame→stage tree), else rebuild from the frame
-            // events.
-            let doc = if rep.trace_events.is_empty() {
-                trace_events_json(&frame_span_tree("frame (parallel)", &rep.events))
-            } else {
-                trace_events_json(&rep.trace_events)
-            };
-            atomic_write(path, doc.as_bytes())?;
+            // The pipeline's live per-worker spans: one causal
+            // file→frame→stage tree.
+            atomic_write(path, trace_events_json(&rep.trace_events).as_bytes())?;
         }
         if wants_obs(o) {
             let reg = MetricsRegistry::new();

@@ -143,9 +143,9 @@ pub struct LoadedIndex {
 
 /// Encode the complete index section (record header + payload) for a
 /// stream whose index record will start at container offset
-/// `self_offset`. The writer, the chunk-parallel framer and the batched
-/// framer all route through this one encoder, which is what keeps their
-/// streams byte-identical.
+/// `self_offset`. The writer and the chunk-parallel framer both route
+/// through this one encoder, which is what keeps their streams
+/// byte-identical.
 ///
 /// # Panics
 /// Panics if `entries.len()` exceeds `u32` — unreachable behind the

@@ -143,8 +143,8 @@ pub fn encode_frame(
 /// The running layout of one LZFC stream: frame numbering, the seek-index
 /// entries, the whole-stream CRC, and the closing index + trailer.
 ///
-/// Every producer of LZFC bytes — [`FrameWriter`], the chunk-parallel and
-/// batched framers, the server's compress job — lays its frames out
+/// Every producer of LZFC bytes — [`FrameWriter`], the chunk-parallel
+/// framer, the server's compress job — lays its frames out
 /// through this one type, which is what keeps their streams
 /// byte-identical. Frames must be pushed in sequence order.
 #[derive(Debug, Clone, Default)]

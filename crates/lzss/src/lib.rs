@@ -23,24 +23,22 @@
 //!   PowerPC-440-class embedded CPU (the paper's 400 MHz SW baseline),
 //!   documented in `DESIGN.md` as a substitution for the physical board.
 //! * [`turbo`] — the same algorithm as [`mod@reference`], token-for-token,
-//!   but with a vector match kernel and reusable arenas: the software fast
-//!   path the throughput harness measures.
-//! * [`simd`] — the match-length kernels behind [`turbo`]: runtime-dispatched
-//!   SSE2/AVX2/NEON compares with the word-at-a-time scalar path as the
-//!   guaranteed fallback, all returning identical lengths.
-//! * [`batch`] — the multi-lane driver: N independent streams interleaved
-//!   through one kernel invocation loop, token-identical per lane to
-//!   [`turbo::TurboEngine`].
+//!   but with a wide match kernel and reusable arenas: the software fast
+//!   path every compress command runs.
+//! * [`simd`] — the one match-length kernel behind [`turbo`], chosen at
+//!   compile time: two 16-byte SSE2 compares per step on x86_64, a 16-byte
+//!   NEON compare on AArch64, and the 8-byte `u64` scalar kernel anywhere
+//!   else. All return identical lengths.
 //!
-//! Unsafe code is denied crate-wide and allowed in exactly one place: the
-//! `std::arch` intrinsics inside [`simd`], each load justified by the
-//! in-bounds argument documented there.
+//! Unsafe code is denied crate-wide and allowed in exactly two functions,
+//! one per architecture: the SSE2 and NEON kernels in [`simd`], each with
+//! a single block around its vector loads, justified by the in-bounds
+//! argument documented there.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod batch;
 pub mod classic;
 pub mod cost;
 pub mod decoder;
@@ -51,10 +49,8 @@ pub mod simd;
 pub mod turbo;
 
 pub use analysis::{analyze_tokens, TokenStats};
-pub use batch::BatchEngine;
 pub use decoder::{decode_tokens, DecodeError};
 pub use hash::HashFn;
 pub use params::{CompressionLevel, LzssParams};
 pub use reference::{compress, compress_with_probe, Probe};
-pub use simd::MatchKernel;
 pub use turbo::TurboEngine;

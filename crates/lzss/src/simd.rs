@@ -1,286 +1,89 @@
-//! Vector match-length kernels and their runtime dispatcher.
+//! The match-length kernel: one compare width, fixed when the crate is
+//! compiled.
 //!
-//! The paper widens the comparison datapath to the dictionary bus width so
-//! the hardware compares several bytes per cycle (§IV); [`mod@crate::turbo`]
-//! took that idea to word width (8 bytes per branch). This module takes it
-//! to the host's vector width: 16-byte SSE2 and 32-byte AVX2 compares on
-//! x86_64, 16-byte NEON compares on aarch64, all funnelled through one
-//! [`MatchKernel`] value chosen once per engine.
+//! The paper fixes the comparison datapath at synthesis: a 32-bit
+//! dictionary bus compares up to 4 bytes per cycle (§IV). This module does
+//! the same at compile time. [`match_length`] is the one kernel the
+//! matcher calls, and `cfg` picks its body:
 //!
-//! Every kernel computes exactly the same function — the length of the
-//! common prefix of `data[a..]` and `data[b..]` capped at `limit` — so the
-//! compressor's *decisions* (and therefore its token stream) are identical
-//! no matter which ISA path runs. The differential suite in
-//! `tests/simd_kernels.rs` and the in-module property tests enforce this on
-//! random, adversarial and boundary-straddling inputs.
+//! * x86_64 with SSE2 (the x86_64 baseline): two 16-byte `pcmpeqb` +
+//!   `pmovmskb` compares per step;
+//! * AArch64 with NEON (the AArch64 baseline): 16 bytes per step with
+//!   `cmeq` + the `shrn`-by-4 mask narrowing;
+//! * anywhere else: [`match_length_scalar`], 8 bytes per step as a
+//!   little-endian `u64`. The vector kernels use it for their tails too.
 //!
-//! # Dispatch strategy
+//! Both functions compute exactly the same value — the length of the
+//! common prefix of `data[a..]` and `data[b..]`, capped at `limit` — so the
+//! token stream never depends on the target. `tests/simd_kernels.rs` and
+//! the tests below check both against a naive byte loop.
 //!
-//! [`MatchKernel`] is an opaque copy type whose only constructors are
-//! [`MatchKernel::detect`] (host feature probe, cached, overridable with
-//! `LZFPGA_MATCH_KERNEL`), [`MatchKernel::scalar`] (the guaranteed
-//! fallback), and [`MatchKernel::try_named`] (checked by the same probe).
-//! Because an unsupported ISA value cannot be constructed, the `unsafe`
-//! call into a `#[target_feature]` kernel below is sound by construction:
-//! holding a `MatchKernel` for an ISA *is* the proof the host supports it.
+//! # Safety of the vector loads
 //!
-//! # Safety argument for the intrinsics blocks
-//!
-//! All kernels share one caller contract, inherited from
-//! [`crate::turbo::match_length_fast`] and stated on [`MatchKernel::match_length`]:
-//! `a < b` and `b + limit <= data.len()`. Every vector load below reads
-//! `W` bytes at `p + n` where `p + n + W <= p + max <= data.len()` is
-//! re-established by the loop condition (`n + W <= max`), so no load —
-//! aligned or not, `a`-side or `b`-side — can touch memory outside `data`.
-//! Overlapping windows (`b - a <` vector width) are fine: the kernels only
-//! *read* and compare; nothing is copied shingle-style.
+//! The vector kernels hold the only `unsafe` in the workspace: one block
+//! per architecture, around the unaligned 16-byte loads of one step.
+//! [`match_length`] first slices the two windows `&data[a..a + limit]`
+//! and `&data[b..b + limit]` (checked, so a bad caller panics instead of
+//! reading out of bounds) and hands the kernels those slices; a kernel's
+//! loop condition (`n + 32 <= len` for SSE2, `n + 16 <= len` for NEON,
+//! `len` the shorter window) keeps every load inside them. Overlapping
+//! windows (`b - a < 16`) are fine: the kernels only read and compare.
 
-#![allow(unsafe_code)]
+/// Name of the kernel [`match_length`] compiles to on this target
+/// (`"sse2"`, `"neon"` or `"scalar"`), for reports.
+pub const KERNEL: &str = if cfg!(all(target_arch = "x86_64", target_feature = "sse2")) {
+    "sse2"
+} else if cfg!(all(target_arch = "aarch64", target_feature = "neon")) {
+    "neon"
+} else {
+    "scalar"
+};
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Crate-private ISA selector. Variants exist only on architectures where
-/// the matching kernel compiles; the public wrapper cannot be built around
-/// an unsupported one. `crate::turbo` matches on this to pick the
-/// monomorphized matcher loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Isa {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Sse2,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "aarch64")]
-    Neon,
-}
-
-/// A validated match-kernel selection: the software analogue of the paper's
-/// synthesis-time bus width choice, resolved at run time instead.
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `limit`, on the widest compare this build targets (see the module docs).
 ///
-/// Values of this type are proof-carrying: the private constructors only
-/// produce an ISA the running host supports, which is what makes
-/// [`MatchKernel::match_length`] safe to call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatchKernel(Isa);
-
-/// Cached [`MatchKernel::detect`] result: 0 = not probed yet, else
-/// `encode(isa) + 1`.
-static DETECTED: AtomicU8 = AtomicU8::new(0);
-
-impl MatchKernel {
-    /// The guaranteed fallback: the word-at-a-time scalar kernel, available
-    /// on every architecture.
-    pub const fn scalar() -> Self {
-        MatchKernel(Isa::Scalar)
-    }
-
-    /// The widest kernel the running host supports, probed once and cached.
-    ///
-    /// The environment variable `LZFPGA_MATCH_KERNEL` (values `scalar`,
-    /// `sse2`, `avx2`, `neon`, `auto`) overrides the probe — the CI scalar
-    /// job uses this to keep the fallback covered on vector-capable
-    /// runners. An override the host cannot honor falls back to the probe
-    /// result, never to an unsound selection.
-    pub fn detect() -> Self {
-        let cached = DETECTED.load(Ordering::Relaxed);
-        if cached != 0 {
-            return MatchKernel(Self::decode(cached - 1));
+/// The matcher upholds `a < b` and `b + limit <= data.len()` (its
+/// `limit = MAX_MATCH.min(len - pos)` invariant); a call that breaks the
+/// bound panics.
+#[inline(always)]
+pub fn match_length(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
+    let max = limit as usize;
+    let (pa, pb) = (&data[a..a + max], &data[b..b + max]);
+    #[cfg(any(
+        all(target_arch = "x86_64", target_feature = "sse2"),
+        all(target_arch = "aarch64", target_feature = "neon")
+    ))]
+    if max >= 8 {
+        // Most compares mismatch within the first 8 bytes (the match-length
+        // histograms are log2-heavy at the short end), so one word compare
+        // resolves the common case before any vector load is paid for.
+        let wa = u64::from_le_bytes(pa[..8].try_into().expect("8 bytes"));
+        let wb = u64::from_le_bytes(pb[..8].try_into().expect("8 bytes"));
+        let diff = wa ^ wb;
+        if diff != 0 {
+            return diff.trailing_zeros() / 8;
         }
-        let probed = Self::probe();
-        let chosen = match std::env::var("LZFPGA_MATCH_KERNEL") {
-            Ok(name) => Self::try_named(name.trim()).unwrap_or(probed),
-            Err(_) => probed,
-        };
-        DETECTED.store(Self::encode(chosen.0) + 1, Ordering::Relaxed);
-        chosen
+        return wide_from_8(pa, pb);
     }
-
-    /// Feature-probe the host, ignoring the cache and the environment.
-    fn probe() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return MatchKernel(Isa::Avx2);
-            }
-            // SSE2 is part of the x86_64 baseline, but probe anyway so the
-            // selection logic reads uniformly.
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return MatchKernel(Isa::Sse2);
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            // NEON (ASIMD) is mandatory in AArch64.
-            return MatchKernel(Isa::Neon);
-        }
-        #[allow(unreachable_code)]
-        MatchKernel(Isa::Scalar)
-    }
-
-    /// A kernel by name (`scalar`/`sse2`/`avx2`/`neon`/`auto`), or `None`
-    /// when the host cannot run it (or the name is unknown). `auto` returns
-    /// the feature probe's pick.
-    pub fn try_named(name: &str) -> Option<Self> {
-        match name {
-            "scalar" => Some(Self::scalar()),
-            "auto" => Some(Self::probe()),
-            #[cfg(target_arch = "x86_64")]
-            "sse2" if std::arch::is_x86_feature_detected!("sse2") => Some(MatchKernel(Isa::Sse2)),
-            #[cfg(target_arch = "x86_64")]
-            "avx2" if std::arch::is_x86_feature_detected!("avx2") => Some(MatchKernel(Isa::Avx2)),
-            #[cfg(target_arch = "aarch64")]
-            "neon" => Some(MatchKernel(Isa::Neon)),
-            _ => None,
-        }
-    }
-
-    /// Every kernel the running host can execute, scalar first. The
-    /// differential tests run the full compressor under each of these.
-    pub fn supported() -> Vec<Self> {
-        let mut all = vec![Self::scalar()];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("sse2") {
-                all.push(MatchKernel(Isa::Sse2));
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                all.push(MatchKernel(Isa::Avx2));
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        all.push(MatchKernel(Isa::Neon));
-        all
-    }
-
-    /// Stable name for reports and telemetry (`scalar`, `sse2`, `avx2`,
-    /// `neon`).
-    pub fn name(self) -> &'static str {
-        match self.0 {
-            Isa::Scalar => "scalar",
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => "sse2",
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => "avx2",
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => "neon",
-        }
-    }
-
-    /// Bytes compared per vector step — the software "bus width".
-    pub fn lane_bytes(self) -> u32 {
-        match self.0 {
-            Isa::Scalar => 8,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => 16,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => 32,
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => 16,
-        }
-    }
-
-    fn encode(isa: Isa) -> u8 {
-        match isa {
-            Isa::Scalar => 0,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => 1,
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => 2,
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => 3,
-        }
-    }
-
-    fn decode(code: u8) -> Isa {
-        match code {
-            #[cfg(target_arch = "x86_64")]
-            1 => Isa::Sse2,
-            #[cfg(target_arch = "x86_64")]
-            2 => Isa::Avx2,
-            #[cfg(target_arch = "aarch64")]
-            3 => Isa::Neon,
-            _ => Isa::Scalar,
-        }
-    }
-
-    /// Length of the common prefix of `data[a..]` and `data[b..]`, capped
-    /// at `limit`, compared a vector register at a time.
-    ///
-    /// Caller guarantees `a < b` and `b + limit <= data.len()` (the same
-    /// invariant as [`crate::turbo::match_length_fast`], which the
-    /// compressor upholds via `limit = MAX_MATCH.min(len - pos)`).
-    #[inline]
-    pub fn match_length(self, data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-        debug_assert!(a < b);
-        debug_assert!(b + limit as usize <= data.len());
-        if matches!(self.0, Isa::Scalar) {
-            return match_length_scalar(data, a, b, limit);
-        }
-        // Hybrid filter on the safe, inlinable side of the dispatch: most
-        // compares mismatch within the first 8 bytes (the match-length
-        // histograms are log2-heavy at the short end), and a
-        // `#[target_feature]` function cannot inline into this caller — so
-        // resolving the common case here skips both the call and the vector
-        // load it would have wasted.
-        if let Some(n) = first_word_mismatch(data, a, b, limit) {
-            return n;
-        }
-        self.wide_from_8(data, a, b, limit)
-    }
-
-    /// The validated ISA, for the monomorphized matcher dispatch in
-    /// [`crate::turbo::longest_match`].
-    #[inline]
-    pub(crate) fn isa(self) -> Isa {
-        self.0
-    }
-
-    /// Vector continuation once [`first_word_mismatch`] has established that
-    /// `limit >= 8` and `data[a..a + 8] == data[b..b + 8]`.
-    #[inline]
-    fn wide_from_8(self, data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-        match self.0 {
-            // Unreachable from `match_length` (scalar returns early), but a
-            // correct total function either way.
-            Isa::Scalar => match_length_scalar(data, a, b, limit),
-            // SAFETY: a MatchKernel for a vector ISA is only constructible
-            // after `is_x86_feature_detected!` (resp. the AArch64 baseline)
-            // confirmed the host supports it — see the module docs.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => unsafe { match_length_sse2(data, a, b, limit) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { match_length_avx2(data, a, b, limit) },
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => unsafe { match_length_neon(data, a, b, limit) },
-        }
-    }
+    common_prefix(pa, pb)
 }
 
-impl Default for MatchKernel {
-    fn default() -> Self {
-        Self::detect()
-    }
-}
-
-impl std::fmt::Display for MatchKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Scalar kernel: 8 bytes per branch, with the tail folded into a single
-/// zero-padded partial-word compare (no per-byte loop — short matches are
-/// the common case in the log2 histograms, so the tail *is* the hot path).
+/// Scalar kernel: 8 bytes per branch as a little-endian `u64`.
 ///
-/// Caller guarantees `a < b` and `b + limit <= data.len()`.
+/// Same contract as [`match_length`].
 #[inline]
 pub fn match_length_scalar(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
     let max = limit as usize;
-    // `a + max <= b + max <= data.len()`, so both windows are in bounds; the
-    // exact-length subslices let the compiler drop per-iteration checks and
+    common_prefix(&data[a..a + max], &data[b..b + max])
+}
+
+/// Common prefix of two windows, 8 bytes per branch, with the tail folded
+/// into a single zero-padded partial-word compare (no per-byte loop —
+/// short matches are the common case in the log2 histograms, so the tail
+/// *is* the hot path).
+#[inline]
+fn common_prefix(pa: &[u8], pb: &[u8]) -> u32 {
     // `chunks_exact(8)` makes each `try_into` a free reinterpretation.
-    let pa = &data[a..a + max];
-    let pb = &data[b..b + max];
     let mut ca = pa.chunks_exact(8);
     let mut cb = pb.chunks_exact(8);
     let mut n = 0usize;
@@ -301,12 +104,12 @@ pub fn match_length_scalar(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
     // word each. Equal padding can never create a difference, so the XOR
     // form is exact, and a clean tail falls straight through.
     let (ra, rb) = (ca.remainder(), cb.remainder());
-    let tail = ra.len();
+    let tail = ra.len().min(rb.len());
     if tail > 0 {
         let mut wa = [0u8; 8];
         let mut wb = [0u8; 8];
-        wa[..tail].copy_from_slice(ra);
-        wb[..tail].copy_from_slice(rb);
+        wa[..tail].copy_from_slice(&ra[..tail]);
+        wb[..tail].copy_from_slice(&rb[..tail]);
         let diff = u64::from_le_bytes(wa) ^ u64::from_le_bytes(wb);
         if diff != 0 {
             return (n + (diff.trailing_zeros() / 8) as usize) as u32;
@@ -316,224 +119,67 @@ pub fn match_length_scalar(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
     n as u32
 }
 
-/// First-word filter shared by the vector kernels: most compares mismatch
-/// within the first 8 bytes (the match-length histograms are log2-heavy at
-/// the short end), so one scalar word compare resolves the common case
-/// before any vector load is paid for. Returns the mismatch offset, or
-/// `None` when the first `8.min(limit)` bytes all agree (callers continue
-/// wide from offset 8).
-///
-/// Caller guarantees `b + limit <= data.len()` (same as every kernel).
-#[inline(always)]
-fn first_word_mismatch(data: &[u8], a: usize, b: usize, limit: u32) -> Option<u32> {
-    if limit < 8 {
-        return Some(match_length_scalar(data, a, b, limit));
-    }
-    let wa = u64::from_le_bytes(data[a..a + 8].try_into().expect("8 bytes"));
-    let wb = u64::from_le_bytes(data[b..b + 8].try_into().expect("8 bytes"));
-    let diff = wa ^ wb;
-    if diff != 0 {
-        return Some(diff.trailing_zeros() / 8);
-    }
-    None
-}
-
-/// Compile-time kernel selection for the monomorphized matcher loops.
-///
-/// [`MatchKernel::match_length`] pays an un-inlinable `#[target_feature]`
-/// call per probe — noise for a one-off compare, but the chain walk in
-/// `crate::turbo::longest_match` makes millions of probes, most of which
-/// resolve in a handful of bytes, so per-call overhead rivals the compare
-/// itself. The matcher therefore dispatches *once per call* to a loop
-/// monomorphized over one of these ZSTs; inside a matching
-/// `#[target_feature]` context every `len` fuses into the walk.
-pub(crate) trait Compare {
-    /// Same function and caller contract as [`MatchKernel::match_length`].
-    ///
-    /// # Safety
-    /// The host must support the implementor's ISA. Callers obtain that
-    /// proof the same way `match_length` does: from a constructed
-    /// [`MatchKernel`] carrying the corresponding [`Isa`] value.
-    unsafe fn len(data: &[u8], a: usize, b: usize, limit: u32) -> u32;
-}
-
-/// [`Compare`] via [`match_length_scalar`]: safe everywhere.
-pub(crate) struct ScalarCmp;
-
-impl Compare for ScalarCmp {
-    #[inline(always)]
-    unsafe fn len(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-        match_length_scalar(data, a, b, limit)
-    }
-}
-
-/// [`Compare`] via the SSE2 kernel.
-#[cfg(target_arch = "x86_64")]
-pub(crate) struct Sse2Cmp;
-
-#[cfg(target_arch = "x86_64")]
-impl Compare for Sse2Cmp {
-    #[inline(always)]
-    unsafe fn len(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-        if let Some(n) = first_word_mismatch(data, a, b, limit) {
-            return n;
-        }
-        // SAFETY: forwarded from the trait contract (host supports SSE2);
-        // the first-word check above establishes the `limit >= 8` /
-        // equal-first-word contract.
-        unsafe { match_length_sse2(data, a, b, limit) }
-    }
-}
-
-/// [`Compare`] via the AVX2 kernel.
-#[cfg(target_arch = "x86_64")]
-pub(crate) struct Avx2Cmp;
-
-#[cfg(target_arch = "x86_64")]
-impl Compare for Avx2Cmp {
-    #[inline(always)]
-    unsafe fn len(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-        if let Some(n) = first_word_mismatch(data, a, b, limit) {
-            return n;
-        }
-        // SAFETY: forwarded from the trait contract (host supports AVX2);
-        // first-word contract established above.
-        unsafe { match_length_avx2(data, a, b, limit) }
-    }
-}
-
-/// [`Compare`] via the NEON kernel.
-#[cfg(target_arch = "aarch64")]
-pub(crate) struct NeonCmp;
-
-#[cfg(target_arch = "aarch64")]
-impl Compare for NeonCmp {
-    #[inline(always)]
-    unsafe fn len(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-        if let Some(n) = first_word_mismatch(data, a, b, limit) {
-            return n;
-        }
-        // SAFETY: NEON is the AArch64 baseline; first-word contract
-        // established above.
-        unsafe { match_length_neon(data, a, b, limit) }
-    }
-}
-
-/// SSE2 kernel: 16 bytes per branch via `pcmpeqb` + `pmovmskb`; the first
-/// zero bit of the equality mask is the mismatch offset. Continues from
-/// offset 8 — the caller (`MatchKernel::wide_from_8`) has already compared
-/// the first word.
-///
-/// # Safety
-/// Caller guarantees `a < b`, `b + limit <= data.len()`, `limit >= 8` with
-/// `data[a..a + 8] == data[b..b + 8]`, and that the host supports SSE2
-/// (x86_64 baseline; [`MatchKernel`] re-checks anyway).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
+/// SSE2 continuation of [`match_length`] once the first 8 bytes of the
+/// two windows agree: two 16-byte compares per branch, so a long match
+/// takes half the branches of a 16-byte loop; the first zero bit of the
+/// joined `pmovmskb` equality masks is the mismatch offset. The last
+/// `< 32` bytes go to the scalar loop.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 #[inline]
-unsafe fn match_length_sse2(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
+#[allow(unsafe_code)]
+fn wide_from_8(pa: &[u8], pb: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8};
-    let max = limit as usize;
-    let ptr = data.as_ptr();
-    let mut n = 8usize;
-    while n + 16 <= max {
-        // SAFETY: `n + 16 <= max` and `b + max <= data.len()` give
-        // `a + n + 16 <= b + n + 16 <= data.len()` — both unaligned loads
-        // stay inside `data`.
-        let (va, vb) = unsafe {
-            (_mm_loadu_si128(ptr.add(a + n).cast()), _mm_loadu_si128(ptr.add(b + n).cast()))
-        };
-        let eq = _mm_movemask_epi8(_mm_cmpeq_epi8(va, vb)) as u32;
-        if eq != 0xFFFF {
-            // The equality mask has one bit per byte lane, lane 0 in bit 0:
-            // the first zero bit is the first mismatching byte.
-            return (n + (!eq & 0xFFFF).trailing_zeros() as usize) as u32;
-        }
-        n += 16;
-    }
-    n as u32 + match_length_scalar(data, a + n, b + n, (max - n) as u32)
-}
-
-/// AVX2 kernel: 32 bytes per branch via `vpcmpeqb` + `vpmovmskb` — the
-/// paper's 32-bit bus comparator, eight times over. Continues from offset
-/// 8 (the first word is the caller's).
-///
-/// # Safety
-/// Caller guarantees `a < b`, `b + limit <= data.len()`, `limit >= 8` with
-/// `data[a..a + 8] == data[b..b + 8]`, and that the host supports AVX2
-/// (enforced by [`MatchKernel`]'s constructors).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn match_length_avx2(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-    use std::arch::x86_64::{
-        _mm256_cmpeq_epi8, _mm256_loadu_si256, _mm256_movemask_epi8, _mm_cmpeq_epi8,
-        _mm_loadu_si128, _mm_movemask_epi8,
-    };
-    let max = limit as usize;
-    let ptr = data.as_ptr();
+    let max = pa.len().min(pb.len());
     let mut n = 8usize;
     while n + 32 <= max {
-        // SAFETY: `n + 32 <= max` and `b + max <= data.len()` keep both
-        // 32-byte unaligned loads inside `data` (same argument as SSE2).
-        let (va, vb) = unsafe {
-            (_mm256_loadu_si256(ptr.add(a + n).cast()), _mm256_loadu_si256(ptr.add(b + n).cast()))
+        // SAFETY: SSE2 is enabled at compile time (this item's `cfg`), and
+        // `n + 32 <= max <= pa.len(), pb.len()` keeps all four unaligned
+        // 16-byte loads inside their slices.
+        let eq = unsafe {
+            let (ca, cb) = (pa.as_ptr().add(n), pb.as_ptr().add(n));
+            let lo = _mm_cmpeq_epi8(_mm_loadu_si128(ca.cast()), _mm_loadu_si128(cb.cast()));
+            let hi = _mm_cmpeq_epi8(
+                _mm_loadu_si128(ca.add(16).cast()),
+                _mm_loadu_si128(cb.add(16).cast()),
+            );
+            _mm_movemask_epi8(lo) as u32 | (_mm_movemask_epi8(hi) as u32) << 16
         };
-        let eq = _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)) as u32;
         if eq != u32::MAX {
+            // One mask bit per byte lane, lane 0 in bit 0.
             return (n + (!eq).trailing_zeros() as usize) as u32;
         }
         n += 32;
     }
-    // One 16-byte step before the scalar tail (AVX2 implies SSE2, and the
-    // leftover after the 32-byte loop can still hold a full SSE2 lane).
-    if n + 16 <= max {
-        // SAFETY: `n + 16 <= max` keeps both 16-byte loads inside `data`.
-        let (va, vb) = unsafe {
-            (_mm_loadu_si128(ptr.add(a + n).cast()), _mm_loadu_si128(ptr.add(b + n).cast()))
-        };
-        let eq = _mm_movemask_epi8(_mm_cmpeq_epi8(va, vb)) as u32;
-        if eq != 0xFFFF {
-            return (n + (!eq & 0xFFFF).trailing_zeros() as usize) as u32;
-        }
-        n += 16;
-    }
-    n as u32 + match_length_scalar(data, a + n, b + n, (max - n) as u32)
+    n as u32 + common_prefix(&pa[n..max], &pb[n..max])
 }
 
-/// NEON kernel: 16 bytes per branch via `cmeq` + the `shrn`-by-4 mask
-/// narrowing trick (4 mask bits per byte lane in a 64-bit scalar).
-/// Continues from offset 8 (the first word is the caller's).
-///
-/// # Safety
-/// Caller guarantees `a < b`, `b + limit <= data.len()`, and `limit >= 8`
-/// with `data[a..a + 8] == data[b..b + 8]`. NEON is mandatory on AArch64,
-/// so the feature precondition is the baseline.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
+/// NEON continuation of [`match_length`] once the first 8 bytes of the
+/// two windows agree: 16 bytes per branch; narrowing the `cmeq` result with
+/// `shrn #4` packs 4 mask bits per byte lane into one `u64`, lane 0 in the
+/// low nibble.
+#[cfg(all(target_arch = "aarch64", target_feature = "neon"))]
 #[inline]
-unsafe fn match_length_neon(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
+#[allow(unsafe_code)]
+fn wide_from_8(pa: &[u8], pb: &[u8]) -> u32 {
     use std::arch::aarch64::{
         vceqq_u8, vget_lane_u64, vld1q_u8, vreinterpret_u64_u8, vreinterpretq_u16_u8, vshrn_n_u16,
     };
-    let max = limit as usize;
-    let ptr = data.as_ptr();
+    let max = pa.len().min(pb.len());
     let mut n = 8usize;
     while n + 16 <= max {
-        // SAFETY: `n + 16 <= max` and `b + max <= data.len()` keep both
-        // 16-byte loads inside `data`.
-        let (va, vb) = unsafe { (vld1q_u8(ptr.add(a + n)), vld1q_u8(ptr.add(b + n))) };
-        let eq = vceqq_u8(va, vb);
-        // Narrow each 16-bit pair of lane masks to its middle 8 bits: the
-        // result packs 4 bits per byte lane, lane 0 in the low nibble.
-        let mask =
-            vget_lane_u64::<0>(vreinterpret_u64_u8(vshrn_n_u16::<4>(vreinterpretq_u16_u8(eq))));
+        // SAFETY: NEON is enabled at compile time (this item's `cfg`), and
+        // `n + 16 <= max <= pa.len(), pb.len()` keeps both 16-byte loads
+        // inside their slices.
+        let mask = unsafe {
+            let eq = vceqq_u8(vld1q_u8(pa.as_ptr().add(n)), vld1q_u8(pb.as_ptr().add(n)));
+            vget_lane_u64::<0>(vreinterpret_u64_u8(vshrn_n_u16::<4>(vreinterpretq_u16_u8(eq))))
+        };
         if mask != u64::MAX {
             return (n + ((!mask).trailing_zeros() / 4) as usize) as u32;
         }
         n += 16;
     }
-    n as u32 + match_length_scalar(data, a + n, b + n, (max - n) as u32)
+    n as u32 + common_prefix(&pa[n..max], &pb[n..max])
 }
 
 #[cfg(test)]
@@ -541,7 +187,14 @@ mod tests {
     use super::*;
     use lzfpga_sim::rng::XorShift64;
 
-    /// Naive byte loop every kernel must agree with everywhere.
+    type Kernel = fn(&[u8], usize, usize, u32) -> u32;
+
+    /// The scalar kernel and the one this target compiles (the same
+    /// function on targets without a vector kernel).
+    const KERNELS: [(&str, Kernel); 2] =
+        [("scalar", match_length_scalar), ("compiled", match_length)];
+
+    /// Naive byte loop both kernels must agree with everywhere.
     fn match_length_slow(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
         let max = limit as usize;
         let mut n = 0usize;
@@ -552,38 +205,21 @@ mod tests {
     }
 
     #[test]
-    fn detect_is_cached_and_supported() {
-        let k = MatchKernel::detect();
-        assert_eq!(k, MatchKernel::detect());
-        assert!(MatchKernel::supported().contains(&k));
-        assert!(k.lane_bytes() >= 8);
-    }
-
-    #[test]
-    fn names_round_trip_through_try_named() {
-        for k in MatchKernel::supported() {
-            assert_eq!(MatchKernel::try_named(k.name()), Some(k), "{k}");
-        }
-        assert_eq!(MatchKernel::try_named("vliw"), None);
-        assert!(MatchKernel::try_named("auto").is_some());
-    }
-
-    #[test]
     fn every_kernel_matches_the_byte_loop_on_random_offsets() {
         let mut rng = XorShift64::new(0xA11CE);
         let mut data: Vec<u8> = (0..8_192).map(|_| b'a' + rng.next_u8() % 3).collect();
         for plant in 0..64 {
             data[2_000 + plant * 13] = b'!';
         }
-        for kernel in MatchKernel::supported() {
+        for (name, kernel) in KERNELS {
             for _ in 0..5_000 {
                 let b = 1 + rng.below_usize(data.len() - 1);
                 let a = rng.below_usize(b);
                 let limit = 258.min((data.len() - b) as u32);
                 assert_eq!(
-                    kernel.match_length(&data, a, b, limit),
+                    kernel(&data, a, b, limit),
                     match_length_slow(&data, a, b, limit),
-                    "{kernel} a={a} b={b} limit={limit}"
+                    "{name} a={a} b={b} limit={limit}"
                 );
             }
         }
@@ -591,14 +227,14 @@ mod tests {
 
     #[test]
     fn every_kernel_handles_every_boundary_length() {
-        // All prefix lengths 0..=70: crosses the 8-, 16- and 32-byte lane
-        // boundaries of every implemented kernel, plus the masked tails.
-        for kernel in MatchKernel::supported() {
-            for agree in 0..=70usize {
+        // All prefix lengths 0..=100: crosses the first word, the 16- and
+        // 32-byte vector steps and the scalar kernel's 8-byte words.
+        for (name, kernel) in KERNELS {
+            for agree in 0..=100usize {
                 let mut data = vec![b'x'; 160 + agree];
                 data[80 + agree] = b'?';
                 let limit = 258.min((data.len() - 80) as u32);
-                assert_eq!(kernel.match_length(&data, 0, 80, limit), agree as u32, "{kernel}");
+                assert_eq!(kernel(&data, 0, 80, limit), agree as u32, "{name}");
             }
         }
     }
@@ -606,27 +242,29 @@ mod tests {
     #[test]
     fn kernels_respect_the_limit_exactly() {
         let data = vec![7u8; 1_024];
-        for kernel in MatchKernel::supported() {
-            for limit in [0u32, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 258] {
-                assert_eq!(kernel.match_length(&data, 0, 500, limit), limit, "{kernel}");
+        for (name, kernel) in KERNELS {
+            for limit in
+                [0u32, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 39, 40, 41, 71, 72, 73, 258]
+            {
+                assert_eq!(kernel(&data, 0, 500, limit), limit, "{name}");
             }
         }
     }
 
     #[test]
     fn kernels_handle_overlapping_windows() {
-        // dist < lane width: the a- and b-side loads overlap. Comparison
-        // semantics (unlike copy semantics) are unaffected; verify anyway.
+        // dist < 16: the a- and b-side loads overlap. Comparison semantics
+        // (unlike copy semantics) are unaffected; verify anyway.
         let data = vec![b'r'; 600];
-        for kernel in MatchKernel::supported() {
+        for (name, kernel) in KERNELS {
             for dist in 1..40usize {
                 let b = 300;
                 let a = b - dist;
                 let limit = 258.min((data.len() - b) as u32);
                 assert_eq!(
-                    kernel.match_length(&data, a, b, limit),
+                    kernel(&data, a, b, limit),
                     match_length_slow(&data, a, b, limit),
-                    "{kernel} dist={dist}"
+                    "{name} dist={dist}"
                 );
             }
         }
@@ -641,14 +279,21 @@ mod tests {
         let pattern: Vec<u8> = data[100..150].to_vec();
         data.extend_from_slice(&pattern);
         let b = data.len() - pattern.len();
-        for kernel in MatchKernel::supported() {
+        for (name, kernel) in KERNELS {
             for limit in 0..=pattern.len() as u32 {
                 assert_eq!(
-                    kernel.match_length(&data, 100, b, limit),
+                    kernel(&data, 100, b, limit),
                     match_length_slow(&data, 100, b, limit),
-                    "{kernel} limit={limit}"
+                    "{name} limit={limit}"
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_limit_past_the_buffer_panics_instead_of_reading_it() {
+        let data = vec![5u8; 64];
+        match_length(&data, 0, 32, 40);
     }
 }

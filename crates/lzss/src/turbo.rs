@@ -1,16 +1,16 @@
-//! Turbo software fast path: the reference algorithm with a word-at-a-time
-//! match kernel and zero-allocation engine reuse.
+//! Turbo software fast path: the reference algorithm with a wide match
+//! kernel and zero-allocation engine reuse.
 //!
 //! [`mod@crate::reference`] optimises for being *obviously* the zlib
 //! algorithm — byte loops, fresh tables per call, a probe on every
 //! operation. This module is the same decision procedure made fast:
 //!
-//! * **Word-at-a-time matching.** Where the hardware compares a full
-//!   dictionary bus word per cycle (§IV of the paper; see `compare_cycles`
-//!   in `lzfpga-core`), the software kernel loads 8 bytes per step as a
-//!   little-endian `u64`, XORs candidate against cursor, and finds the first
-//!   mismatching byte with `trailing_zeros() / 8` — one branch per 8 bytes
-//!   instead of one per byte.
+//! * **Wide matching.** Where the hardware compares a full dictionary bus
+//!   word per cycle (§IV of the paper; see `compare_cycles` in
+//!   `lzfpga-core`), the software kernel ([`crate::simd::match_length`])
+//!   compares 8 bytes as one `u64`, then 16-byte vector compares on
+//!   targets with SSE2 or NEON — one branch per word instead of one per
+//!   byte.
 //! * **Arena reuse.** A [`TurboEngine`] owns its head/next tables and hands
 //!   them to every call: compressing a stream of chunks allocates nothing
 //!   after the first chunk (reset is a `fill(0)`, preserving the hardware's
@@ -35,15 +35,10 @@
 //! the `--metrics` report uses. Probes observe; they never influence a
 //! decision.
 
-// The only `unsafe` here is the `#[target_feature]` matcher wrappers below
-// `longest_match`; their CPU-support precondition is carried by the
-// proof-carrying `MatchKernel` value (see `crate::simd`).
-#![allow(unsafe_code)]
-
 use crate::hash::HASH_BYTES;
 use crate::params::{LevelTuning, LzssParams};
 use crate::reference::max_distance;
-use crate::simd::{Compare, Isa, MatchKernel, ScalarCmp};
+use crate::simd::match_length;
 use lzfpga_deflate::fixed::{MAX_MATCH, MIN_MATCH};
 use lzfpga_deflate::sink::TokenSink;
 use lzfpga_deflate::token::Token;
@@ -52,19 +47,6 @@ use lzfpga_telemetry::{MatchProbe, NoProbe};
 
 /// Same threshold as the reference lazy path (zlib's `TOO_FAR`).
 pub(crate) const TOO_FAR: u32 = 4_096;
-
-/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
-/// `limit`, compared a register at a time on the widest kernel the host
-/// supports (see [`crate::simd`]); the scalar 8-byte path is the guaranteed
-/// fallback and every path returns identical lengths.
-///
-/// Caller guarantees `a < b` and `b + limit <= data.len()` (the reference
-/// compressor's `limit = MAX_MATCH.min(len - pos)` invariant), so every
-/// vector load is in bounds for both cursors.
-#[inline]
-pub fn match_length_fast(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-    MatchKernel::detect().match_length(data, a, b, limit)
-}
 
 /// Per-run search geometry, hoisted out of the hot loop.
 #[derive(Clone, Copy)]
@@ -93,20 +75,13 @@ pub(crate) fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u3
 
 /// Walk the chain from `cand` for the longest match against `data[pos..]`;
 /// identical decisions to the reference `longest_match`. `prev` is the live
-/// `window_size`-entry ring (its length is the index mask + 1). `C` selects
-/// the compare ISA at compile time; every kernel returns identical lengths,
-/// so the decisions here do not depend on it.
+/// `window_size`-entry ring (its length is the index mask + 1).
 ///
-/// `#[inline(always)]`, monomorphized per [`Compare`] impl: the engines
-/// dispatch on the ISA **once per compress call** (see
-/// [`TurboEngine::compress_into_probed`]) and run a whole match loop
-/// compiled inside the matching `#[target_feature]` context, so the vector
-/// compare fuses into this walk. Any finer-grained boundary measurably
-/// loses: an un-inlinable call per probe (dynamic
-/// [`MatchKernel::match_length`]) or even per position rivals the cost of
-/// the short compares that dominate real corpora.
+/// `#[inline(always)]`, like the kernel it calls: the chain walk makes
+/// millions of probes, most of which resolve in a handful of bytes, so a
+/// call boundary per probe would rival the cost of the compare itself.
 #[inline(always)]
-pub(crate) fn longest_match<P: MatchProbe, C: Compare>(
+pub(crate) fn longest_match<P: MatchProbe>(
     data: &[u8],
     pos: usize,
     mut cand: u32,
@@ -140,11 +115,9 @@ pub(crate) fn longest_match<P: MatchProbe, C: Compare>(
         // `best_len < limit` holds here — a best of `limit >= nice` would
         // have exited at its update below — so both probes are in bounds.
         if data[cand as usize + best_len as usize] == scan_end {
-            // SAFETY: `C`'s ISA support is the enclosing wrapper's
-            // precondition, discharged by `longest_match`'s dispatch; the
-            // compare contract (`cand < pos`, `pos + limit <= data.len()`)
-            // is the reference compressor's invariant restated above.
-            let len = unsafe { C::len(data, cand as usize, pos, limit) };
+            // `cand < pos` and `pos + limit <= data.len()`: the kernel's
+            // contract is the reference compressor's invariant above.
+            let len = match_length(data, cand as usize, pos, limit);
             probe.kernel_run(len);
             if len > best_len {
                 best_len = len;
@@ -209,7 +182,7 @@ pub(crate) fn insert_run<P: MatchProbe>(
 }
 
 /// A reusable LZSS compression engine: the reference algorithm with
-/// persistent head/next arenas and the word-at-a-time kernel.
+/// persistent head/next arenas and the wide match kernel.
 ///
 /// Construction is cheap; tables are grown lazily to the largest geometry
 /// seen and zero-filled (not reallocated) between inputs.
@@ -219,30 +192,12 @@ pub struct TurboEngine {
     head: Vec<u32>,
     /// Next (chained previous-position) arena; live region is `window_size`.
     prev: Vec<u32>,
-    /// Match-compare ISA path; defaults to the widest the host supports.
-    kernel: MatchKernel,
 }
 
 impl TurboEngine {
-    /// A fresh engine with empty arenas and the auto-detected match kernel.
+    /// A fresh engine with empty arenas.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh engine pinned to `kernel` (the differential tests and the
-    /// benchmark's pre-SIMD baseline use this to force the scalar path).
-    pub fn with_kernel(kernel: MatchKernel) -> Self {
-        Self { kernel, ..Self::default() }
-    }
-
-    /// Re-pin the match kernel; takes effect on the next compress call.
-    pub fn set_kernel(&mut self, kernel: MatchKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The ISA path this engine's matches run on.
-    pub fn kernel(&self) -> MatchKernel {
-        self.kernel
     }
 
     /// Zero the live table regions for `params`, growing the arenas if this
@@ -280,30 +235,16 @@ impl TurboEngine {
         params.validate();
         assert!(data.len() <= u32::MAX as usize, "turbo inputs are limited to 4 GiB - 1");
         self.reset(params);
-        probe.kernel_select(self.kernel.name());
         let tuning = params.effective_tuning();
         let search =
             Search { max_dist: max_distance(params.window_size), nice: tuning.nice_length };
         let hash = params.hash_fn;
-        let kernel = self.kernel;
         let head = &mut self.head[..1usize << params.hash_bits];
         let prev = &mut self.prev[..params.window_size as usize];
-        // One ISA dispatch per compress call: everything below it is
-        // monomorphized over the compare kernel, so the per-probe compare
-        // inlines into the match loop (see `crate::simd::Compare`).
-        match kernel.isa() {
-            Isa::Scalar => {
-                run::<S, P, ScalarCmp>(data, head, prev, hash, search, tuning, sink, probe)
-            }
-            // SAFETY (all three arms): a `MatchKernel` carrying a vector ISA
-            // is only constructible after the host feature probe confirmed
-            // support — see `crate::simd`.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => unsafe { run_sse2(data, head, prev, hash, search, tuning, sink, probe) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { run_avx2(data, head, prev, hash, search, tuning, sink, probe) },
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => unsafe { run_neon(data, head, prev, hash, search, tuning, sink, probe) },
+        if tuning.lazy {
+            run_lazy(data, head, prev, hash, search, tuning, sink, probe)
+        } else {
+            run_greedy(data, head, prev, hash, search, tuning, sink, probe)
         }
     }
 
@@ -340,92 +281,9 @@ impl TurboEngine {
     }
 }
 
-/// Greedy-or-lazy switch, monomorphized over the compare kernel. The
-/// `#[target_feature]` wrappers below give each vector ISA a compilation
-/// context this whole loop nest inlines into; the engines and the batch
-/// driver dispatch to one of them exactly once per compress call.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run<S: TokenSink, P: MatchProbe, C: Compare>(
-    data: &[u8],
-    head: &mut [u32],
-    prev: &mut [u32],
-    hash: crate::hash::HashFn,
-    search: Search,
-    tuning: LevelTuning,
-    sink: &mut S,
-    probe: &mut P,
-) {
-    if tuning.lazy {
-        run_lazy::<S, P, C>(data, head, prev, hash, search, tuning, sink, probe)
-    } else {
-        run_greedy::<S, P, C>(data, head, prev, hash, search, tuning, sink, probe)
-    }
-}
-
-/// [`run`] under an SSE2-enabled compilation context.
-///
-/// # Safety
-/// The host must support SSE2.
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn run_sse2<S: TokenSink, P: MatchProbe>(
-    data: &[u8],
-    head: &mut [u32],
-    prev: &mut [u32],
-    hash: crate::hash::HashFn,
-    search: Search,
-    tuning: LevelTuning,
-    sink: &mut S,
-    probe: &mut P,
-) {
-    run::<S, P, crate::simd::Sse2Cmp>(data, head, prev, hash, search, tuning, sink, probe)
-}
-
-/// [`run`] under an AVX2-enabled compilation context.
-///
-/// # Safety
-/// The host must support AVX2.
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn run_avx2<S: TokenSink, P: MatchProbe>(
-    data: &[u8],
-    head: &mut [u32],
-    prev: &mut [u32],
-    hash: crate::hash::HashFn,
-    search: Search,
-    tuning: LevelTuning,
-    sink: &mut S,
-    probe: &mut P,
-) {
-    run::<S, P, crate::simd::Avx2Cmp>(data, head, prev, hash, search, tuning, sink, probe)
-}
-
-/// [`run`] under a NEON-enabled compilation context.
-///
-/// # Safety
-/// The host must support NEON (the AArch64 baseline).
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn run_neon<S: TokenSink, P: MatchProbe>(
-    data: &[u8],
-    head: &mut [u32],
-    prev: &mut [u32],
-    hash: crate::hash::HashFn,
-    search: Search,
-    tuning: LevelTuning,
-    sink: &mut S,
-    probe: &mut P,
-) {
-    run::<S, P, crate::simd::NeonCmp>(data, head, prev, hash, search, tuning, sink, probe)
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn run_greedy<S: TokenSink, P: MatchProbe, C: Compare>(
+fn run_greedy<S: TokenSink, P: MatchProbe>(
     data: &[u8],
     head: &mut [u32],
     prev: &mut [u32],
@@ -455,7 +313,7 @@ fn run_greedy<S: TokenSink, P: MatchProbe, C: Compare>(
         pend_inserts += 1;
 
         let (best_len, best_dist) =
-            longest_match::<P, C>(data, pos, cand, prev, search, tuning.max_chain, probe);
+            longest_match(data, pos, cand, prev, search, tuning.max_chain, probe);
 
         if best_len >= MIN_MATCH {
             sink.matched(best_dist, best_len);
@@ -480,7 +338,7 @@ fn run_greedy<S: TokenSink, P: MatchProbe, C: Compare>(
 
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn run_lazy<S: TokenSink, P: MatchProbe, C: Compare>(
+fn run_lazy<S: TokenSink, P: MatchProbe>(
     data: &[u8],
     head: &mut [u32],
     prev: &mut [u32],
@@ -534,7 +392,7 @@ fn run_lazy<S: TokenSink, P: MatchProbe, C: Compare>(
         let budget =
             if prev_len >= tuning.good_length { tuning.max_chain >> 2 } else { tuning.max_chain };
         let (mut cur_len, cur_dist) = if prev_len < tuning.max_lazy {
-            longest_match::<P, C>(data, pos, cand, prev, search, budget.max(1), probe)
+            longest_match(data, pos, cand, prev, search, budget.max(1), probe)
         } else {
             (0, 0)
         };
@@ -578,48 +436,6 @@ mod tests {
     use crate::params::CompressionLevel;
     use crate::reference::compress as reference_compress;
     use lzfpga_sim::rng::XorShift64;
-
-    /// Naive byte loop the fast kernel must agree with everywhere.
-    fn match_length_slow(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
-        let max = limit as usize;
-        let mut n = 0usize;
-        while n < max && data[a + n] == data[b + n] {
-            n += 1;
-        }
-        n as u32
-    }
-
-    #[test]
-    fn fast_kernel_agrees_with_byte_loop() {
-        let mut rng = XorShift64::new(41);
-        // Low-entropy data so long common prefixes actually occur, plus
-        // mismatches planted at every offset within a word.
-        let mut data: Vec<u8> = (0..4_096).map(|_| b'a' + rng.next_u8() % 3).collect();
-        for plant in 0..32 {
-            data[1_000 + plant * 7] = b'z';
-        }
-        for _ in 0..5_000 {
-            let b = 1 + rng.below_usize(data.len() - 1);
-            let a = rng.below_usize(b);
-            let limit = MAX_MATCH.min((data.len() - b) as u32);
-            assert_eq!(
-                match_length_fast(&data, a, b, limit),
-                match_length_slow(&data, a, b, limit),
-                "a={a} b={b} limit={limit}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_kernel_handles_every_boundary_length() {
-        // All prefix lengths 0..=40 across the 8-byte word boundaries.
-        for agree in 0..=40usize {
-            let mut data = vec![b'x'; 100 + agree];
-            data[50 + agree] = b'!';
-            let limit = MAX_MATCH.min((data.len() - 50) as u32);
-            assert_eq!(match_length_fast(&data, 0, 50, limit), agree as u32);
-        }
-    }
 
     #[test]
     fn snowy_snow_finds_the_papers_match() {

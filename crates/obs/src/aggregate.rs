@@ -1,6 +1,6 @@
 //! The stats aggregator behind `lzfpga stats`: folds a JSONL metrics
 //! stream (one or many runs) into operator-facing tables — per-frame
-//! latency quantiles, throughput, cache hit rates, kernel mix.
+//! latency quantiles, throughput, cache hit rates.
 
 use std::collections::BTreeMap;
 
@@ -51,10 +51,6 @@ pub struct StatsAggregate {
     pub input_bytes: u64,
     /// Output bytes summed over runs.
     pub output_bytes: u64,
-    /// Runs per resolved match-kernel ISA (from `run` events).
-    pub kernel_runs: BTreeMap<String, u64>,
-    /// Engine dispatches per ISA (from `turbo`/`parallel` counters).
-    pub kernel_dispatch: BTreeMap<String, u64>,
     /// Frames seen (all outcomes).
     pub frames: u64,
     /// Frames per outcome name.
@@ -122,9 +118,6 @@ impl StatsAggregate {
                 if let Some(cmd) = v.get("command").and_then(JsonValue::as_str) {
                     *self.commands.entry(cmd.to_string()).or_insert(0) += 1;
                 }
-                if let Some(k) = v.get("kernel").and_then(JsonValue::as_str) {
-                    *self.kernel_runs.entry(k.to_string()).or_insert(0) += 1;
-                }
                 if let Some(b) = v.get("input_bytes").and_then(JsonValue::as_i64) {
                     self.input_bytes += b.max(0) as u64;
                 }
@@ -147,13 +140,9 @@ impl StatsAggregate {
                 let enc = v.get("encode_us").and_then(JsonValue::as_f64).unwrap_or(0.0);
                 self.frame_latency.record_us(crc + enc);
             }
-            "turbo" => self.absorb_dispatch(v),
             "parallel" => {
                 if let Some(w) = v.get("wall_s").and_then(JsonValue::as_f64) {
                     self.wall_s += w.max(0.0);
-                }
-                if let Some(turbo) = v.get("turbo") {
-                    self.absorb_dispatch(turbo);
                 }
             }
             "range" => {
@@ -168,17 +157,6 @@ impl StatsAggregate {
                 }
             }
             _ => {}
-        }
-    }
-
-    fn absorb_dispatch(&mut self, turbo: &JsonValue) {
-        if let Some(d) = turbo.get("dispatch") {
-            for isa in ["scalar", "sse2", "avx2", "neon"] {
-                let n = get_u64(d, isa);
-                if n > 0 {
-                    *self.kernel_dispatch.entry(isa.to_string()).or_insert(0) += n;
-                }
-            }
         }
     }
 
@@ -223,16 +201,6 @@ impl StatsAggregate {
                 self.index_hits,
                 self.index_fallbacks
             ));
-        }
-        if !self.kernel_runs.is_empty() || !self.kernel_dispatch.is_empty() {
-            out.push_str("kernel mix:");
-            for (isa, n) in &self.kernel_runs {
-                out.push_str(&format!("  {isa} x{n} (runs)"));
-            }
-            for (isa, n) in &self.kernel_dispatch {
-                out.push_str(&format!("  {isa} x{n} (dispatch)"));
-            }
-            out.push('\n');
         }
         if !self.commands.is_empty() {
             out.push_str("commands:");
@@ -279,7 +247,6 @@ mod tests {
             "run",
             obj([
                 ("command", "frame".into()),
-                ("kernel", "avx2".into()),
                 ("input_bytes", 1000u64.into()),
                 ("output_bytes", 400u64.into()),
             ]),
@@ -309,7 +276,7 @@ mod tests {
         let text = agg.render();
         assert!(text.contains("p50"), "render: {text}");
         assert!(text.contains("90.0% hit"), "render: {text}");
-        assert!(text.contains("avx2"), "render: {text}");
+        assert!(text.contains("frame x1"), "render: {text}");
     }
 
     #[test]

@@ -12,10 +12,8 @@ use lzfpga_telemetry::{FrameEvent, PipelineTelemetry, RangeCounters, TurboCounte
 
 use crate::registry::MetricsRegistry;
 
-/// Fold turbo/SIMD engine counters in: scalar totals and per-ISA kernel
-/// dispatch become counters, derived ratios become gauges, and the match
-/// length distribution is re-recorded as a registry histogram
-/// approximation via its exact count/sum/max.
+/// Fold turbo engine counters in: totals become counters and derived
+/// ratios become gauges.
 pub fn record_turbo(reg: &MetricsRegistry, c: &TurboCounters) {
     reg.counter("turbo_inserts").add(c.inserts);
     reg.counter("turbo_probes").add(c.probes);
@@ -24,14 +22,8 @@ pub fn record_turbo(reg: &MetricsRegistry, c: &TurboCounters) {
     reg.counter("turbo_literals").add(c.literals);
     reg.counter("turbo_matches").add(c.matches);
     reg.counter("turbo_match_bytes").add(c.match_bytes);
-    reg.counter("turbo_dispatch_scalar").add(c.dispatch_scalar);
-    reg.counter("turbo_dispatch_sse2").add(c.dispatch_sse2);
-    reg.counter("turbo_dispatch_avx2").add(c.dispatch_avx2);
-    reg.counter("turbo_dispatch_neon").add(c.dispatch_neon);
     reg.gauge("turbo_bytes_per_probe").set(c.bytes_per_probe());
     reg.gauge("turbo_match_ratio").set(c.match_ratio());
-    reg.counter("turbo_lane_rounds").add(c.lane_occupancy.count());
-    reg.counter("turbo_lane_rounds_lanes").add(c.lane_occupancy.sum());
 }
 
 /// Fold container frame events in: outcome counters, byte totals, and the
@@ -85,7 +77,7 @@ mod tests {
             literals: 10,
             match_bytes: 90,
             matches: 9,
-            dispatch_avx2: 1,
+            kernel_runs: 1,
             ..Default::default()
         };
         record_turbo(&reg, &c);
@@ -93,7 +85,7 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("turbo_literals"), 20);
         assert_eq!(snap.counter("turbo_match_bytes"), 180);
-        assert_eq!(snap.counter("turbo_dispatch_avx2"), 2);
+        assert_eq!(snap.counter("turbo_kernel_runs"), 2);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * **[`registry`]** — the lock-free sharded [`MetricsRegistry`]:
 //!   static-site counters, gauges, and log-linear HDR-style histograms
 //!   with mergeable [`MetricsSnapshot`]s and saturating delta computation.
-//!   Every existing counter family (turbo/SIMD dispatch, batch lane
-//!   occupancy, parallel worker and stitcher stats, container frame and
-//!   salvage events, hw-model stats) re-homes here via [`bridge`] adapters
+//!   Every existing counter family (turbo match-loop counts, parallel
+//!   worker and stitcher stats, container frame and salvage events,
+//!   hw-model stats) re-homes here via [`bridge`] adapters
 //!   or [`MetricsRegistry::absorb`] on a report's JSON form.
 //! * **[`export`]** — dependency-free exporters: Prometheus text
 //!   exposition (plus a validating parser for tests) and JSONL snapshot
@@ -19,7 +19,7 @@
 //!   events and validate that a chrome://tracing export forms one tree.
 //! * **[`aggregate`]** — the [`StatsAggregate`] behind `lzfpga stats`:
 //!   folds a JSONL metrics stream into operator tables (p50/p99 frame
-//!   latency, MB/s, cache hit rate, kernel mix).
+//!   latency, MB/s, cache hit rate).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,6 @@
 //! frame layout, output assembly) overlaps the parallel one. [`ladder`] is
 //! the one fault ladder the compress and decode work closures run in.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -163,18 +162,17 @@ pub enum Rung {
 ///
 /// The failpoint `site` is checked before the engine and retry attempts
 /// only; the reference rung is the last resort, so drills can storm a site
-/// as hard as they like and the output stays exact. `chunks` names the
-/// chunk (or lane group) indices the item covers in the ledger, which
-/// records every attempt, retry, degradation, caught panic and injected
-/// error. With a `timer`, each failed attempt leaves a `fault` span on the
-/// first chunk's branch of the span tree.
+/// as hard as they like and the output stays exact. `chunk` is the item's
+/// index in the ledger, which records every attempt, retry, degradation,
+/// caught panic and injected error. With a `timer`, each failed attempt
+/// leaves a `fault` span on the chunk's branch of the span tree.
 ///
 /// # Errors
 /// The attempts consumed (always 3) when even the reference rung failed.
 pub fn ladder<R, F: Failpoints>(
     faults: &F,
     site: &'static str,
-    chunks: Range<usize>,
+    chunk: usize,
     ledger: &mut FailureReport,
     mut timer: Option<&mut SpanTimer>,
     mut attempt: impl FnMut(Rung) -> Result<R, InjectedFault>,
@@ -186,7 +184,7 @@ pub fn ladder<R, F: Failpoints>(
             Rung::Engine => {}
             Rung::Retry => ledger.retries += 1,
             Rung::Reference => {
-                ledger.degraded_chunks.extend(chunks.clone());
+                ledger.degraded_chunks.push(chunk);
                 ledger.degraded_chunks.sort_unstable();
             }
         }
@@ -213,17 +211,12 @@ pub fn ladder<R, F: Failpoints>(
             }
         };
         if let Some(t) = timer.as_deref_mut() {
-            let frame_id = frame_span(chunks.start as u64);
+            let frame_id = frame_span(chunk as u64);
             let args = span_args(stage_span(frame_id, 8 + n as u32), frame_id);
-            t.complete(
-                format!("{what} frame {} attempt {n}", chunks.start),
-                "fault",
-                start_us,
-                args,
-            );
+            t.complete(format!("{what} frame {chunk} attempt {n}"), "fault", start_us, args);
         }
     }
-    ledger.failed_chunks.extend(chunks);
+    ledger.failed_chunks.push(chunk);
     ledger.failed_chunks.sort_unstable();
     Err(rungs.len() as u64)
 }
@@ -325,7 +318,7 @@ mod tests {
             2,
             |_| (TurboEngine::new(), FailureReport::default()),
             |(turbo, ledger), i, chunk| {
-                ladder(&plan, "exec.test", i..i + 1, ledger, None, |rung| match rung {
+                ladder(&plan, "exec.test", i, ledger, None, |rung| match rung {
                     Rung::Reference => Ok(lzfpga_lzss::compress(chunk, &params)),
                     _ => Ok(turbo.compress(chunk, &params)),
                 })
@@ -350,7 +343,7 @@ mod tests {
     fn a_panicking_reference_rung_fails_the_chunk_after_three_attempts() {
         let mut ledger = FailureReport::default();
         let result: Result<(), u64> =
-            ladder(&NoFaults, "exec.test", 0..1, &mut ledger, None, |rung| {
+            ladder(&NoFaults, "exec.test", 0, &mut ledger, None, |rung| {
                 panic!("rung {rung:?} always panics")
             });
         assert_eq!(result, Err(3));
@@ -362,7 +355,7 @@ mod tests {
             1,
             |_| FailureReport::default(),
             |ledger, i, _| {
-                ladder(&NoFaults, "exec.test", i..i + 1, ledger, None, |_| -> Result<(), _> {
+                ladder(&NoFaults, "exec.test", i, ledger, None, |_| -> Result<(), _> {
                     panic!("the reference rung panics too")
                 })
             },

@@ -16,7 +16,7 @@
 //!   kind** — parallelism is an implementation detail, never a format
 //!   change.
 //!
-//! Every driver here — zlib, framed, batched, strict decode, range decode
+//! Every driver here — zlib, framed, strict decode, range decode
 //! — is a thin adaptor over [`exec::ordered_map`]: workers claim chunks
 //! while the calling thread consumes their results *in order as they
 //! land*, so the Deflate bit-packing or frame layout of chunk `i` overlaps
@@ -55,9 +55,9 @@ use lzfpga_deflate::crc32::Crc32;
 use lzfpga_deflate::encoder::{BlockKind, DeflateEncoder, FixedZlibSink};
 use lzfpga_deflate::sink::TokenSink;
 use lzfpga_deflate::token::Token;
-use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_header};
+use lzfpga_deflate::zlib::zlib_header;
 use lzfpga_faults::{Failpoints, FailureReport, NoFaults};
-use lzfpga_lzss::{BatchEngine, LzssParams, TurboEngine};
+use lzfpga_lzss::TurboEngine;
 use lzfpga_telemetry::{
     frame_span, span_args, stage_span, FrameEvent, FrameOutcome, PipelineTelemetry, SpanTimer,
     StitcherStats, TraceEvent, TurboCounters, WorkerStats, ROOT_SPAN,
@@ -127,8 +127,6 @@ pub enum ParallelConfigError {
         /// The offending frame size.
         frame_bytes: usize,
     },
-    /// The batched driver needs at least one lane.
-    NoLanes,
 }
 
 impl std::fmt::Display for ParallelConfigError {
@@ -141,7 +139,6 @@ impl std::fmt::Display for ParallelConfigError {
             ParallelConfigError::FrameTooLarge { frame_bytes } => {
                 write!(f, "frames above MAX_FRAME_BYTES do not fit LZFC headers (got {frame_bytes} bytes)")
             }
-            ParallelConfigError::NoLanes => write!(f, "at least one batch lane"),
         }
     }
 }
@@ -277,8 +274,8 @@ impl ParallelReport {
 
 /// One worker's engine, counters, span row and fault ledger, reused
 /// across every item it claims.
-struct Worker<E> {
-    engine: E,
+struct Worker {
+    engine: TurboEngine,
     counters: TurboCounters,
     stats: WorkerStats,
     timer: Option<SpanTimer>,
@@ -287,10 +284,10 @@ struct Worker<E> {
     failures: FailureReport,
 }
 
-impl<E> Worker<E> {
-    fn new(engine: E, worker: usize, timer: Option<SpanTimer>) -> Self {
+impl Worker {
+    fn new(worker: usize, timer: Option<SpanTimer>) -> Self {
         Worker {
-            engine,
+            engine: TurboEngine::new(),
             counters: TurboCounters::default(),
             stats: WorkerStats { worker, ..WorkerStats::default() },
             idle_since_us: timer.as_ref().map_or(0.0, SpanTimer::now_us),
@@ -298,9 +295,7 @@ impl<E> Worker<E> {
             failures: FailureReport::default(),
         }
     }
-}
 
-impl Worker<TurboEngine> {
     /// Tokenize chunk `i` through the ladder into a sink `fresh` makes for
     /// each attempt; returns the filled sink and the engine cycles (0 for
     /// turbo and for degraded chunks). The turbo engine streams into the
@@ -316,7 +311,7 @@ impl Worker<TurboEngine> {
     ) -> Result<(S, u64), u64> {
         let params = cfg.hw.as_lzss_params();
         let Worker { engine, counters, timer, failures, .. } = self;
-        ladder(faults, site, i..i + 1, failures, timer.as_mut(), |rung| {
+        ladder(faults, site, i, failures, timer.as_mut(), |rung| {
             let mut sink = fresh();
             let mut cycles = 0;
             match (rung, cfg.engine) {
@@ -340,29 +335,6 @@ impl Worker<TurboEngine> {
     }
 }
 
-impl Worker<BatchEngine> {
-    /// Tokenize one lane group (inputs `base..`) through the ladder: the
-    /// batch engine, a batch retry, then the reference compressor lane by
-    /// lane.
-    fn batch_tokens(
-        &mut self,
-        group: &[&[u8]],
-        params: &LzssParams,
-        base: usize,
-        probed: bool,
-    ) -> Result<Vec<Vec<Token>>, u64> {
-        let Worker { engine, counters, failures, .. } = self;
-        let lanes = base..base + group.len();
-        ladder(&NoFaults, "parallel.batch.group", lanes, failures, None, |rung| {
-            Ok(match rung {
-                Rung::Reference => group.iter().map(|l| lzfpga_lzss::compress(l, params)).collect(),
-                _ if probed => engine.compress_batch_probed(group, params, counters),
-                _ => engine.compress_batch(group, params),
-            })
-        })
-    }
-}
-
 /// Every worker's ledgers of one run, merged in worker order.
 #[derive(Default)]
 struct Merged {
@@ -372,7 +344,7 @@ struct Merged {
     stats: Vec<WorkerStats>,
 }
 
-fn merge<E>(workers: Vec<Worker<E>>) -> Merged {
+fn merge(workers: Vec<Worker>) -> Merged {
     let mut merged = Merged::default();
     for mut w in workers {
         merged.failures.merge(&w.failures);
@@ -454,7 +426,7 @@ pub fn compress_parallel_with<F: Failpoints>(
         cfg.workers,
         |w| {
             let timer = cfg.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
-            Worker::new(TurboEngine::new(), w, timer)
+            Worker::new(w, timer)
         },
         |w, i, chunk| {
             let start_us = w.timer.as_ref().map_or(0.0, SpanTimer::now_us);
@@ -581,7 +553,7 @@ impl FrameDone {
     }
 }
 
-/// The ordered half of both framed drivers: lays finished frames out in
+/// The ordered half of the framed driver: lays finished frames out in
 /// sequence through the container's [`StreamLayout`] and collects their
 /// events and chunk reports.
 struct Framer<'a> {
@@ -669,15 +641,12 @@ pub struct FramedParallelReport {
     pub failures: FailureReport,
     /// Per-frame telemetry, when [`FrameConfig::collect_events`] was set.
     pub events: Vec<FrameEvent>,
-    /// Aggregated turbo-engine match counters (kernel dispatch, lane
-    /// occupancy, match-loop counts). Present when the run compressed with
-    /// instrumentation — the batched driver or [`compress_frames_parallel`]
-    /// with [`ParallelConfig::telemetry`] set.
+    /// Aggregated turbo-engine match-loop counters, present when
+    /// [`ParallelConfig::telemetry`] was set.
     pub counters: Option<TurboCounters>,
     /// Causal chrome://tracing spans (one root file span, one span per
-    /// frame, stage children), when [`ParallelConfig::telemetry`] was set
-    /// on the per-frame driver. Empty on the batched driver and on plain
-    /// runs.
+    /// frame, stage children), when [`ParallelConfig::telemetry`] was set.
+    /// Empty on plain runs.
     pub trace_events: Vec<TraceEvent>,
 }
 
@@ -724,7 +693,7 @@ pub fn compress_frames_parallel_with<F: Failpoints>(
         eff.workers,
         |w| {
             let timer = eff.telemetry.then(|| SpanTimer::new(epoch, w as u32 + 1));
-            Worker::new(TurboEngine::new(), w, timer)
+            Worker::new(w, timer)
         },
         |w, i, chunk| {
             let t0 = Instant::now();
@@ -867,7 +836,7 @@ pub fn decode_range_parallel_with<F: Failpoints>(
         workers,
         |_| FailureReport::default(),
         |ledger, i, (span, fstart)| {
-            ladder(faults, "parallel.range.frame", i..i + 1, ledger, None, |_| {
+            ladder(faults, "parallel.range.frame", i, ledger, None, |_| {
                 Ok(decode_frame(bytes, span))
             })
             .unwrap_or(Err(ContainerError::RangeUnavailable { offset: *fstart }))
@@ -890,134 +859,6 @@ pub fn decode_range_parallel_with<F: Failpoints>(
     Ok(out)
 }
 
-/// Result of a multi-lane batched compression run over independent inputs.
-#[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// One standalone zlib stream per input, in input order. `streams[i]`
-    /// is byte-identical to single-stream compression of `inputs[i]` with
-    /// the same engine parameters.
-    pub streams: Vec<Vec<u8>>,
-    /// Total input size across all lanes.
-    pub input_bytes: u64,
-    /// Lane width the driver interleaved (the configured value, not the
-    /// tail group's width).
-    pub lanes: usize,
-    /// Aggregated match-loop counters (kernel dispatch, lane occupancy),
-    /// present when [`ParallelConfig::telemetry`] was set.
-    pub counters: Option<TurboCounters>,
-    /// Fault-tolerance ledger (batch → batch retry → reference fallback).
-    pub failures: FailureReport,
-}
-
-/// Compress independent inputs through the multi-lane batched driver: each
-/// group of `lanes` consecutive inputs interleaves through one kernel
-/// invocation loop ([`lzfpga_lzss::BatchEngine`]), groups fan out across
-/// worker threads, and every input becomes its own standalone zlib stream.
-///
-/// `streams[i]` is byte-identical to single-stream turbo compression of
-/// `inputs[i]` — lane width, group shape, and worker count are pure
-/// performance knobs. `cfg.chunk_bytes` is ignored: lanes are whole inputs.
-///
-/// # Errors
-/// [`ParallelError::Config`] when `cfg` fails validation or `lanes` is
-/// zero; [`ParallelError::ChunkFailed`] (index = input index) when a group
-/// exhausts the ladder (batch, batch retry, reference fallback).
-pub fn compress_batch(
-    inputs: &[&[u8]],
-    cfg: &ParallelConfig,
-    lanes: usize,
-) -> Result<BatchReport, ParallelError> {
-    cfg.validate()?;
-    if lanes == 0 {
-        return Err(ParallelConfigError::NoLanes.into());
-    }
-    let params = cfg.hw.as_lzss_params();
-    let window = cfg.hw.window_size.max(256);
-    let groups: Vec<&[&[u8]]> = inputs.chunks(lanes).collect();
-    let mut streams = Vec::with_capacity(inputs.len());
-    let (workers, outcome) = ordered_map(
-        &groups,
-        cfg.workers,
-        |w| Worker::new(BatchEngine::new(), w, None),
-        |w, g, group| {
-            let tokens = w.batch_tokens(group, &params, g * lanes, cfg.telemetry)?;
-            Ok(tokens
-                .iter()
-                .zip(*group)
-                .map(|(t, lane)| zlib_compress_tokens(t, lane, BlockKind::FixedHuffman, window))
-                .collect::<Vec<_>>())
-        },
-        |_, group_streams| streams.extend(group_streams),
-    );
-    let merged = merge(workers);
-    outcome.map_err(|(g, attempts)| chunk_failed((g * lanes, attempts)))?;
-    Ok(BatchReport {
-        streams,
-        input_bytes: inputs.iter().map(|d| d.len() as u64).sum(),
-        lanes,
-        counters: cfg.telemetry.then_some(merged.counters),
-        failures: merged.failures,
-    })
-}
-
-/// Compress `data` into one LZFC framed stream through the multi-lane
-/// batched driver: frames are cut exactly as [`compress_frames_parallel`]
-/// cuts them, but each group of `lanes` consecutive frames interleaves
-/// through one [`lzfpga_lzss::BatchEngine`] invocation loop instead of
-/// compressing one frame at a time.
-///
-/// The output is byte-identical to the single-threaded
-/// [`lzfpga_container::FrameWriter`] (and therefore to
-/// [`compress_frames_parallel`]) for every lane width and worker count.
-///
-/// # Errors
-/// [`ParallelError::Config`] for rejected configurations or `lanes` = 0;
-/// [`ParallelError::ChunkFailed`] when a lane group exhausts the ladder.
-pub fn compress_frames_batched(
-    data: &[u8],
-    cfg: &ParallelConfig,
-    frame_cfg: &FrameConfig,
-    lanes: usize,
-) -> Result<FramedParallelReport, ParallelError> {
-    let eff = framed_config(cfg, frame_cfg)?;
-    if lanes == 0 {
-        return Err(ParallelConfigError::NoLanes.into());
-    }
-    let params = eff.hw.as_lzss_params();
-    let chunks: Vec<&[u8]> = data.chunks(eff.chunk_bytes).collect();
-    let groups: Vec<&[&[u8]]> = chunks.chunks(lanes).collect();
-    let epoch = Instant::now();
-    let mut framer = Framer::new(frame_cfg);
-    let (workers, outcome) = ordered_map(
-        &groups,
-        eff.workers,
-        |w| Worker::new(BatchEngine::new(), w, None),
-        |w, g, group| {
-            let t0 = Instant::now();
-            let start_us = epoch.elapsed().as_secs_f64() * 1e6;
-            let base = g * lanes;
-            let tokens = w.batch_tokens(group, &params, base, eff.telemetry)?;
-            Ok(tokens
-                .iter()
-                .zip(*group)
-                .enumerate()
-                .map(|(j, (t, lane))| {
-                    let mut sink = FixedZlibSink::new(params.window_size);
-                    sink.push_tokens(t);
-                    FrameDone { start_us, ..FrameDone::encode(base + j, lane, sink, t0) }
-                })
-                .collect::<Vec<_>>())
-        },
-        |g, dones| {
-            for (j, done) in dones.into_iter().enumerate() {
-                framer.push(g * lanes + j, chunks[g * lanes + j], done);
-            }
-        },
-    );
-    let merged = merge(workers);
-    outcome.map_err(|(g, attempts)| chunk_failed((g * lanes, attempts)))?;
-    Ok(framer.finish(merged.failures, eff.telemetry.then_some(merged.counters), Vec::new()))
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1425,104 +1266,6 @@ mod tests {
             matches!(err, ContainerError::PayloadCrc { seq: 2, .. }),
             "expected frame 2 first, got {err}"
         );
-    }
-
-    #[test]
-    fn batched_streams_match_single_stream_turbo_for_any_lane_width() {
-        use lzfpga_core::pipeline::turbo_compress_to_zlib;
-        let inputs: Vec<Vec<u8>> = vec![
-            generate(Corpus::Wiki, 1, 90_000),
-            generate(Corpus::X2e, 2, 40_000),
-            Vec::new(),
-            generate(Corpus::Mixed, 3, 130_000),
-            generate(Corpus::LogLines, 4, 20_000),
-        ];
-        let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let expect: Vec<Vec<u8>> =
-            refs.iter().map(|d| turbo_compress_to_zlib(d, &HwConfig::paper_fast())).collect();
-        for lanes in [1usize, 2, 4, 8] {
-            for workers in [1usize, 3] {
-                let rep = compress_batch(&refs, &turbo_cfg(64 * 1024, workers), lanes).unwrap();
-                assert_eq!(rep.streams, expect, "lanes={lanes} workers={workers}");
-                assert_eq!(rep.lanes, lanes);
-                assert!(rep.failures.is_clean());
-            }
-        }
-        for (stream, input) in expect.iter().zip(&inputs) {
-            assert_eq!(&zlib_decompress(stream).unwrap(), input);
-        }
-    }
-
-    #[test]
-    fn batched_telemetry_reports_dispatch_and_occupancy() {
-        let inputs: Vec<Vec<u8>> = (0..6).map(|i| generate(Corpus::Mixed, i, 50_000)).collect();
-        let refs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-        let cfg = ParallelConfig { telemetry: true, ..turbo_cfg(64 * 1024, 1) };
-        let rep = compress_batch(&refs, &cfg, 3).unwrap();
-        let c = rep.counters.as_ref().unwrap();
-        assert_eq!(c.covered_bytes(), rep.input_bytes);
-        assert_eq!(c.dispatches(), 2, "two groups of three lanes");
-        assert_eq!(c.lane_occupancy.max(), 3);
-        let plain = compress_batch(&refs, &turbo_cfg(64 * 1024, 1), 3).unwrap();
-        assert!(plain.counters.is_none());
-        assert_eq!(plain.streams, rep.streams, "telemetry never changes bytes");
-    }
-
-    #[test]
-    fn batched_rejects_zero_lanes_and_empty_batch_is_empty() {
-        let err = compress_batch(&[], &turbo_cfg(64 * 1024, 1), 0).unwrap_err();
-        assert!(matches!(err, ParallelError::Config(ParallelConfigError::NoLanes)));
-        let rep = compress_batch(&[], &turbo_cfg(64 * 1024, 1), 4).unwrap();
-        assert!(rep.streams.is_empty());
-        assert_eq!(rep.input_bytes, 0);
-    }
-
-    #[test]
-    fn batched_frames_match_the_frame_writer_for_any_lane_width() {
-        use lzfpga_container::FrameWriter;
-        use std::io::Write as _;
-        let data = generate(Corpus::Mixed, 31, 500_000);
-        let frame_cfg =
-            FrameConfig { frame_bytes: 64 * 1024, collect_events: false, ..FrameConfig::default() };
-        let mut w =
-            FrameWriter::new(Vec::new(), frame_cfg, HwConfig::paper_fast().as_lzss_params())
-                .unwrap();
-        w.write_all(&data).unwrap();
-        let (serial, _) = w.finish().unwrap();
-        for lanes in [1usize, 2, 4, 16] {
-            for workers in [1usize, 2] {
-                let rep = compress_frames_batched(
-                    &data,
-                    &turbo_cfg(64 * 1024, workers),
-                    &frame_cfg,
-                    lanes,
-                )
-                .unwrap();
-                assert_eq!(rep.framed, serial, "lanes={lanes} workers={workers}");
-                assert_eq!(rep.frames, 8);
-            }
-        }
-        assert_eq!(lzfpga_container::unframe(&serial).unwrap(), data);
-    }
-
-    #[test]
-    fn batched_frames_roundtrip_with_events_counters_and_empty_input() {
-        let data = generate(Corpus::JsonTelemetry, 41, 300_000);
-        let frame_cfg =
-            FrameConfig { frame_bytes: 32 * 1024, collect_events: true, ..FrameConfig::default() };
-        let cfg = ParallelConfig { telemetry: true, ..turbo_cfg(32 * 1024, 2) };
-        let rep = compress_frames_batched(&data, &cfg, &frame_cfg, 4).unwrap();
-        assert_eq!(rep.events.len(), rep.frames as usize);
-        assert_eq!(decompress_frames_parallel(&rep.framed, 2).unwrap(), data);
-        let c = rep.counters.as_ref().unwrap();
-        assert_eq!(c.covered_bytes(), data.len() as u64);
-        assert!(c.lane_occupancy.max() >= 1);
-        assert_eq!(c.dispatches(), rep.frames.div_ceil(4) as u64);
-
-        let empty = compress_frames_batched(b"", &turbo_cfg(32 * 1024, 2), &frame_cfg, 4).unwrap();
-        assert_eq!(empty.frames, 0);
-        assert_eq!(empty.framed.len(), HEADER_LEN);
-        assert_eq!(decompress_frames_parallel(&empty.framed, 1).unwrap(), b"");
     }
 
     #[test]

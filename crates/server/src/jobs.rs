@@ -169,7 +169,7 @@ pub fn compress_job(
     for (i, chunk) in data.chunks(frame_bytes).enumerate() {
         ctl.checkpoint()?;
         let (codec, payload) =
-            ladder(&faults, "server.chunk", i..i + 1, &mut ledger.failures, None, |rung| {
+            ladder(&faults, "server.chunk", i, &mut ledger.failures, None, |rung| {
                 if rung == Rung::Reference {
                     let tokens = lzfpga_lzss::compress(chunk, &params);
                     return Ok(payload_from_tokens(&tokens, chunk, &params));

@@ -1,4 +1,4 @@
-//! Zero-cost-when-disabled counters for the software match kernel.
+//! Zero-cost-when-disabled counters for the software match loop.
 //!
 //! The turbo engine's hot loops are generic over [`MatchProbe`]; with the
 //! default [`NoProbe`] every callback monomorphizes to an empty inline
@@ -35,7 +35,7 @@ pub trait MatchProbe {
         }
     }
 
-    /// The full word-at-a-time kernel ran and matched `len` bytes.
+    /// The full match kernel ran and matched `len` bytes.
     #[inline]
     fn kernel_run(&mut self, len: u32) {
         let _ = len;
@@ -73,21 +73,6 @@ pub trait MatchProbe {
     fn matched(&mut self, len: u32) {
         let _ = len;
     }
-
-    /// A compress run resolved its match-kernel dispatch to the named ISA
-    /// path (`"scalar"`, `"sse2"`, `"avx2"`, `"neon"`). Fired once per
-    /// engine run, before any token is produced.
-    #[inline]
-    fn kernel_select(&mut self, isa: &'static str) {
-        let _ = isa;
-    }
-
-    /// One round-robin turn of the multi-lane batch driver completed with
-    /// `lanes` streams still live — the batched-lane occupancy signal.
-    #[inline]
-    fn lanes_active(&mut self, lanes: u32) {
-        let _ = lanes;
-    }
 }
 
 /// The disabled probe: every observation point is a no-op.
@@ -103,7 +88,7 @@ pub struct TurboCounters {
     pub inserts: u64,
     /// Chain candidates examined (quick-reject byte compares).
     pub probes: u64,
-    /// Full word-at-a-time kernel invocations (quick reject passed).
+    /// Full match-kernel invocations (quick reject passed).
     pub kernel_runs: u64,
     /// Bytes matched across all kernel runs (including non-best candidates).
     pub kernel_bytes: u64,
@@ -117,16 +102,6 @@ pub struct TurboCounters {
     pub chain_hist: Histogram,
     /// Distribution of emitted match lengths.
     pub match_len_hist: Histogram,
-    /// Engine runs dispatched to the scalar (u64) match kernel.
-    pub dispatch_scalar: u64,
-    /// Engine runs dispatched to the SSE2 (16-byte) match kernel.
-    pub dispatch_sse2: u64,
-    /// Engine runs dispatched to the AVX2 (32-byte) match kernel.
-    pub dispatch_avx2: u64,
-    /// Engine runs dispatched to the NEON (16-byte) match kernel.
-    pub dispatch_neon: u64,
-    /// Distribution of live lanes per batch round (multi-lane driver only).
-    pub lane_occupancy: Histogram,
 }
 
 impl MatchProbe for TurboCounters {
@@ -168,21 +143,6 @@ impl MatchProbe for TurboCounters {
         self.match_bytes += u64::from(len);
         self.match_len_hist.record(u64::from(len));
     }
-
-    #[inline]
-    fn kernel_select(&mut self, isa: &'static str) {
-        match isa {
-            "sse2" => self.dispatch_sse2 += 1,
-            "avx2" => self.dispatch_avx2 += 1,
-            "neon" => self.dispatch_neon += 1,
-            _ => self.dispatch_scalar += 1,
-        }
-    }
-
-    #[inline]
-    fn lanes_active(&mut self, lanes: u32) {
-        self.lane_occupancy.record(u64::from(lanes));
-    }
 }
 
 impl TurboCounters {
@@ -223,16 +183,6 @@ impl TurboCounters {
         self.match_bytes += other.match_bytes;
         self.chain_hist.merge(&other.chain_hist);
         self.match_len_hist.merge(&other.match_len_hist);
-        self.dispatch_scalar += other.dispatch_scalar;
-        self.dispatch_sse2 += other.dispatch_sse2;
-        self.dispatch_avx2 += other.dispatch_avx2;
-        self.dispatch_neon += other.dispatch_neon;
-        self.lane_occupancy.merge(&other.lane_occupancy);
-    }
-
-    /// Total engine runs that reported a kernel dispatch.
-    pub fn dispatches(&self) -> u64 {
-        self.dispatch_scalar + self.dispatch_sse2 + self.dispatch_avx2 + self.dispatch_neon
     }
 
     /// JSON form for the `telemetry.turbo` report section.
@@ -250,16 +200,6 @@ impl TurboCounters {
             ("match_ratio", self.match_ratio().into()),
             ("chain_len", self.chain_hist.to_json()),
             ("match_len", self.match_len_hist.to_json()),
-            (
-                "dispatch",
-                obj([
-                    ("scalar", self.dispatch_scalar.into()),
-                    ("sse2", self.dispatch_sse2.into()),
-                    ("avx2", self.dispatch_avx2.into()),
-                    ("neon", self.dispatch_neon.into()),
-                ]),
-            ),
-            ("lane_occupancy", self.lane_occupancy.to_json()),
         ])
     }
 }
@@ -312,31 +252,22 @@ mod tests {
     }
 
     #[test]
-    fn kernel_dispatch_and_lane_occupancy_accumulate() {
+    fn kernel_runs_accumulate_merge_and_render() {
         let mut c = TurboCounters::default();
-        c.kernel_select("avx2");
-        c.kernel_select("avx2");
-        c.kernel_select("scalar");
-        c.kernel_select("mystery-isa");
-        c.lanes_active(4);
-        c.lanes_active(2);
-        assert_eq!(c.dispatch_avx2, 2);
-        assert_eq!(c.dispatch_scalar, 2, "unknown ISAs count as scalar");
-        assert_eq!(c.dispatches(), 4);
-        assert_eq!(c.lane_occupancy.count(), 2);
-        assert_eq!(c.lane_occupancy.sum(), 6);
+        c.kernel_run(4);
+        c.kernel_run(20);
+        assert_eq!((c.kernel_runs, c.kernel_bytes), (2, 24));
 
         let mut other = TurboCounters::default();
-        other.kernel_select("sse2");
-        other.lanes_active(3);
+        other.kernel_run(7);
+        other.chain_done(3);
         c.merge(&other);
-        assert_eq!(c.dispatches(), 5);
-        assert_eq!(c.lane_occupancy.sum(), 9);
+        assert_eq!((c.kernel_runs, c.kernel_bytes, c.probes), (3, 31, 3));
+        assert_eq!(c.chain_hist.count(), 1);
 
         let parsed = crate::json::parse(&c.to_json().render()).unwrap();
-        let dispatch = parsed.get("dispatch").unwrap();
-        assert_eq!(dispatch.get("avx2").unwrap().as_i64(), Some(2));
-        assert_eq!(dispatch.get("sse2").unwrap().as_i64(), Some(1));
-        assert_eq!(parsed.get("lane_occupancy").unwrap().get("count").unwrap().as_i64(), Some(3));
+        assert_eq!(parsed.get("kernel_runs").unwrap().as_i64(), Some(3));
+        assert_eq!(parsed.get("kernel_bytes").unwrap().as_i64(), Some(31));
+        assert_eq!(parsed.get("chain_len").unwrap().get("count").unwrap().as_i64(), Some(1));
     }
 }

@@ -1,14 +1,16 @@
-//! Differential verification of the SIMD match kernels: every ISA path the
-//! host can execute must agree with the portable scalar kernel — first at
-//! the raw `match_length` level on adversarial byte layouts, then through
-//! the full turbo compressor where a single wrong length silently corrupts
-//! token streams. The scalar kernel itself is checked against a trivial
-//! byte-at-a-time loop, so the chain is anchored in obviously-correct code.
+//! Verification of the match kernels against a trivial byte-at-a-time loop:
+//! the portable scalar kernel and the one kernel this target compiles
+//! (SSE2 on x86_64, NEON on AArch64, the scalar kernel elsewhere). A single
+//! wrong length silently corrupts token streams, so both are checked on
+//! adversarial layouts: random offsets, a mismatch at every byte offset,
+//! overlapping windows, exact limits and the end of the buffer.
 
-use lzfpga::hw::HwConfig;
-use lzfpga::lzss::params::CompressionLevel;
-use lzfpga::lzss::{decode_tokens, MatchKernel, TurboEngine};
-use lzfpga::workloads::{generate, Corpus};
+use lzfpga::lzss::simd::{match_length, match_length_scalar};
+
+type Kernel = fn(&[u8], usize, usize, u32) -> u32;
+
+/// The scalar kernel and the compiled one, by name.
+const KERNELS: [(&str, Kernel); 2] = [("scalar", match_length_scalar), ("compiled", match_length)];
 
 /// The obviously-correct reference every kernel must match.
 fn naive_match_length(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
@@ -30,9 +32,6 @@ fn xorshift(state: &mut u64) -> u64 {
 
 #[test]
 fn every_supported_kernel_matches_the_naive_loop() {
-    let kernels = MatchKernel::supported();
-    assert!(kernels.iter().any(|k| k.name() == "scalar"), "scalar must always be supported");
-
     // Buffer with long runs, so matches of every length occur, plus a
     // pseudo-random tail so mismatches land at arbitrary offsets.
     let mut data = vec![0u8; 4096];
@@ -51,9 +50,8 @@ fn every_supported_kernel_matches_the_naive_loop() {
         }
         let limit = (1 + xorshift(&mut state) % max_limit.min(258)) as u32;
         let want = naive_match_length(&data, a, b, limit);
-        for k in &kernels {
-            let got = k.match_length(&data, a, b, limit);
-            assert_eq!(got, want, "kernel {} at a={a} b={b} limit={limit}", k.name());
+        for (name, kernel) in KERNELS {
+            assert_eq!(kernel(&data, a, b, limit), want, "{name} at a={a} b={b} limit={limit}");
         }
         cases += 1;
     }
@@ -64,23 +62,22 @@ fn every_supported_kernel_matches_the_naive_loop() {
 fn kernels_agree_on_mismatches_at_every_byte_offset() {
     // The hard part of a vectorized compare is locating the first differing
     // byte *within* a vector word. Plant a single mismatch at each offset
-    // 0..64 and demand an exact length from every kernel.
+    // 0..80 (past the second 32-byte step) and demand an exact length from
+    // every kernel.
     let base = vec![0xA5u8; 600];
-    for mismatch_at in 0..64usize {
+    for mismatch_at in 0..80usize {
         let mut data = base.clone();
         data[300 + mismatch_at] = 0x5A;
-        for limit in [1u32, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 258] {
+        for limit in [1u32, 7, 8, 9, 15, 16, 17, 24, 25, 31, 32, 33, 39, 40, 41, 71, 72, 73, 258] {
             if 300 + limit as usize > data.len() {
                 continue;
             }
             let want = naive_match_length(&data, 0, 300, limit);
-            for k in MatchKernel::supported() {
-                let got = k.match_length(&data, 0, 300, limit);
+            for (name, kernel) in KERNELS {
                 assert_eq!(
-                    got,
+                    kernel(&data, 0, 300, limit),
                     want,
-                    "kernel {} with mismatch at {mismatch_at}, limit {limit}",
-                    k.name()
+                    "{name} with mismatch at {mismatch_at}, limit {limit}"
                 );
             }
         }
@@ -93,15 +90,14 @@ fn overlapping_matches_are_kernel_independent() {
     // encoding `a=0, b=1` over a constant run. Vector kernels must load
     // from both cursors independently, never memcpy-style.
     let data = vec![7u8; 1024];
-    for dist in [1usize, 2, 3, 7, 8, 15, 31] {
+    for dist in [1usize, 2, 3, 7, 8, 15, 16, 17, 31] {
         for limit in [8u32, 57, 258] {
             let want = naive_match_length(&data, 0, dist, limit);
-            for k in MatchKernel::supported() {
+            for (name, kernel) in KERNELS {
                 assert_eq!(
-                    k.match_length(&data, 0, dist, limit),
+                    kernel(&data, 0, dist, limit),
                     want,
-                    "kernel {} at distance {dist} limit {limit}",
-                    k.name()
+                    "{name} at distance {dist} limit {limit}"
                 );
             }
         }
@@ -109,63 +105,31 @@ fn overlapping_matches_are_kernel_independent() {
 }
 
 #[test]
-fn full_compressor_is_token_identical_across_kernels() {
-    // The end-to-end guarantee the ISA dispatch must uphold: forcing any
-    // supported kernel produces the exact token stream the scalar kernel
-    // produces, at every level, on every corpus.
-    let kernels = MatchKernel::supported();
-    for level in [CompressionLevel::Min, CompressionLevel::Medium, CompressionLevel::Max] {
-        let params = {
-            let mut p = HwConfig::paper_fast().as_lzss_params();
-            p.level = level;
-            p
-        };
-        for corpus in [
-            Corpus::Mixed,
-            Corpus::Wiki,
-            Corpus::Random,
-            Corpus::Constant,
-            Corpus::Periodic { period: 64 },
-            Corpus::CollisionStress,
-        ] {
-            let data = generate(corpus, 42, 150_000);
-            let reference =
-                TurboEngine::with_kernel(MatchKernel::scalar()).compress(&data, &params);
-            assert_eq!(
-                decode_tokens(&reference, params.window_size).unwrap(),
-                data,
-                "scalar tokens must round-trip on {}",
-                corpus.name()
-            );
-            for k in &kernels {
-                let tokens = TurboEngine::with_kernel(*k).compress(&data, &params);
-                assert_eq!(
-                    tokens,
-                    reference,
-                    "kernel {} diverges from scalar on {} at {level:?}",
-                    k.name(),
-                    corpus.name()
-                );
-            }
+fn kernels_stop_at_exactly_the_limit() {
+    // A full-agreement window: the length is the limit itself, for every
+    // limit up to 258, so every step boundary of both kernels is crossed.
+    let data = vec![0x3Cu8; 1024];
+    for limit in 0..=258u32 {
+        for (name, kernel) in KERNELS {
+            assert_eq!(kernel(&data, 10, 400, limit), limit, "{name} limit {limit}");
         }
     }
 }
 
 #[test]
-fn env_override_cannot_select_an_unsupported_kernel() {
-    // `try_named` is the same validator the LZFPGA_MATCH_KERNEL override
-    // uses: unknown names are rejected, and anything it returns must be in
-    // the supported set.
-    assert!(MatchKernel::try_named("avx512-unicorn").is_none());
-    assert!(MatchKernel::try_named("").is_none());
-    let supported = MatchKernel::supported();
-    for name in ["scalar", "auto", "sse2", "avx2", "neon"] {
-        if let Some(k) = MatchKernel::try_named(name) {
-            assert!(
-                supported.contains(&k),
-                "try_named({name:?}) returned unsupported kernel {}",
-                k.name()
-            );
+fn kernels_never_read_past_the_end_of_the_buffer() {
+    // `b + limit == data.len()`: the window ends exactly at the buffer's
+    // end, with the match running all the way or breaking on the last byte.
+    for len in 8..=80usize {
+        let mut data: Vec<u8> = (0..2 * len).map(|i| (i % len) as u8).collect();
+        let b = len;
+        let limit = len as u32;
+        for (name, kernel) in KERNELS {
+            assert_eq!(kernel(&data, 0, b, limit), limit, "{name} full match, len {len}");
+        }
+        *data.last_mut().expect("non-empty") ^= 0xFF;
+        for (name, kernel) in KERNELS {
+            assert_eq!(kernel(&data, 0, b, limit), limit - 1, "{name} last byte, len {len}");
         }
     }
 }
