@@ -53,7 +53,7 @@ pub use writer::{
 };
 
 use lzfpga_deflate::crc32::Crc32;
-use lzfpga_deflate::zlib::zlib_decompress_limited;
+use lzfpga_deflate::zlib::{zlib_decompress_limited, zlib_inflate_head};
 use lzfpga_deflate::Limits;
 
 /// Why an LZFC stream failed the strict decoder.
@@ -402,40 +402,64 @@ pub fn frame_spans(bytes: &[u8]) -> Result<Vec<FrameSpan>, ContainerError> {
     Ok(spans)
 }
 
-/// Verify and decode one data frame's payload.
+/// Verify and decode one data frame's payload: [`decode_frame_to`] the
+/// frame's whole length.
+///
+/// # Errors
+/// See [`decode_frame_to`].
+pub fn decode_frame(bytes: &[u8], span: &FrameSpan) -> Result<Vec<u8>, ContainerError> {
+    decode_frame_to(bytes, span, u64::from(span.record.ulen))
+}
+
+/// Verify one data frame's payload and decode its first `n` bytes (`n`
+/// past the frame's length means all of them).
+///
+/// The payload CRC is checked over every stored byte first, so a damaged
+/// payload is refused before a byte of it is decoded, wherever the damage
+/// lies. A whole-frame decode then runs every codec check: end of block,
+/// Adler-32 and the exact length. A shorter one inflates only the head,
+/// stopping a few hundred bytes past `n`, and a `Raw` frame of the right
+/// size is sliced: the CRC has already proven the stored bytes are the
+/// writer's.
 ///
 /// # Errors
 /// [`ContainerError::PayloadCrc`] when the stored bytes fail their CRC,
-/// [`ContainerError::PayloadDecode`] when the codec fails, and
-/// [`ContainerError::FrameLength`] when the decoded size disagrees with
-/// the header.
-pub fn decode_frame(bytes: &[u8], span: &FrameSpan) -> Result<Vec<u8>, ContainerError> {
+/// [`ContainerError::PayloadDecode`] when the codec fails (a head decode
+/// also when the payload ends before `n`), and
+/// [`ContainerError::FrameLength`] when a whole-frame decode's size, or a
+/// `Raw` payload's, disagrees with the header.
+pub fn decode_frame_to(bytes: &[u8], span: &FrameSpan, n: u64) -> Result<Vec<u8>, ContainerError> {
     let rec = &span.record;
     let payload = &bytes[span.payload_start..span.end];
+    let offset = span.header_start as u64;
     if lzfpga_deflate::crc32::crc32(payload) != rec.payload_crc {
-        return Err(ContainerError::PayloadCrc { seq: rec.seq, offset: span.header_start as u64 });
+        return Err(ContainerError::PayloadCrc { seq: rec.seq, offset });
     }
-    let data = match rec.codec() {
-        Some(Codec::Raw) => payload.to_vec(),
-        Some(Codec::FixedZlib | Codec::ZlibChunk) => {
-            let limits = Limits::none().with_max_output_bytes(u64::from(rec.ulen));
-            zlib_decompress_limited(payload, &limits).map_err(|_| {
-                ContainerError::PayloadDecode { seq: rec.seq, offset: span.header_start as u64 }
-            })?
-        }
-        None => {
-            return Err(ContainerError::UnknownCodec {
-                offset: span.header_start as u64,
-                bits: rec.codec_bits,
-            })
-        }
+    let ulen = u64::from(rec.ulen);
+    let n = n.min(ulen);
+    let wrong_length = |actual: usize| ContainerError::FrameLength {
+        seq: rec.seq,
+        expected: ulen,
+        actual: actual as u64,
     };
-    if data.len() as u64 != u64::from(rec.ulen) {
-        return Err(ContainerError::FrameLength {
-            seq: rec.seq,
-            expected: u64::from(rec.ulen),
-            actual: data.len() as u64,
-        });
+    let decode_failed = |_| ContainerError::PayloadDecode { seq: rec.seq, offset };
+    let data = match rec.codec() {
+        Some(Codec::Raw) if payload.len() as u64 != ulen => {
+            return Err(wrong_length(payload.len()))
+        }
+        Some(Codec::Raw) => payload[..n as usize].to_vec(),
+        Some(Codec::FixedZlib | Codec::ZlibChunk) if n == ulen => {
+            let limits = Limits::none().with_max_output_bytes(ulen);
+            zlib_decompress_limited(payload, &limits).map_err(decode_failed)?
+        }
+        // A head decode returns exactly `n` bytes or fails.
+        Some(Codec::FixedZlib | Codec::ZlibChunk) => {
+            zlib_inflate_head(payload, n as usize).map_err(decode_failed)?
+        }
+        None => return Err(ContainerError::UnknownCodec { offset, bits: rec.codec_bits }),
+    };
+    if data.len() as u64 != n {
+        return Err(wrong_length(data.len()));
     }
     Ok(data)
 }
@@ -629,6 +653,47 @@ mod tests {
         // …and u32 report fields saturate instead of silently truncating.
         assert_eq!(frames_found_u32(7), 7);
         assert_eq!(frames_found_u32(usize::MAX), u32::MAX);
+    }
+
+    #[test]
+    fn decode_frame_to_is_the_whole_frame_cut_at_every_length() {
+        // Wiki text frames compress; xorshift noise frames are stored Raw.
+        let mut data = generate(Corpus::Wiki, 13, 9_000);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        data.extend((0..6_000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        }));
+        let stream = frame_up(&data, 4 * 1024);
+        let s = check_structure(&stream).unwrap();
+        let codecs: Vec<_> = s.frames.iter().map(|f| f.record.codec().unwrap()).collect();
+        assert!(codecs.contains(&Codec::Raw) && codecs.contains(&Codec::FixedZlib), "{codecs:?}");
+        for span in &s.frames {
+            let whole = decode_frame(&stream, span).unwrap();
+            assert_eq!(whole.len() as u64, u64::from(span.record.ulen));
+            for n in 0..=whole.len() as u64 + 2 {
+                let head = decode_frame_to(&stream, span, n).unwrap();
+                assert_eq!(
+                    head,
+                    whole[..(n as usize).min(whole.len())],
+                    "frame {}",
+                    span.record.seq
+                );
+            }
+            // A payload flip anywhere is refused by the CRC, at any length.
+            for at in [span.payload_start, span.end - 1] {
+                let mut bad = stream.clone();
+                bad[at] ^= 0x01;
+                for n in [0, 1, u64::from(span.record.ulen)] {
+                    assert!(matches!(
+                        decode_frame_to(&bad, span, n),
+                        Err(ContainerError::PayloadCrc { .. })
+                    ));
+                }
+            }
+        }
     }
 
     #[test]

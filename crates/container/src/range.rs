@@ -27,7 +27,7 @@ use lzfpga_telemetry::RangeCounters;
 use crate::format::{parse_record, FrameSpan, HEADER_LEN};
 use crate::index::{load_index, IndexEntry, IndexFault};
 use crate::salvage::{salvage, SalvageReport};
-use crate::{check_structure_with, decode_frame, ContainerError};
+use crate::{check_structure_with, decode_frame_to, ContainerError};
 
 /// Default decoded-frame cache budget (8 MiB ≈ 32 default-size frames).
 pub const DEFAULT_CACHE_BYTES: usize = 8 << 20;
@@ -400,8 +400,14 @@ impl<'a> IndexedReader<'a> {
     }
 
     /// Append `frame[lo..hi]` of frame `i` to `out`, via the cache when
-    /// hot. Every miss fully verifies the frame against the stream before
-    /// a byte is trusted; `Err(seq)` on any mismatch.
+    /// it holds at least `hi` bytes of the frame. Every miss verifies the
+    /// frame's header against the map and its payload CRC before a byte is
+    /// trusted; `Err(seq)` on any mismatch.
+    ///
+    /// A cold miss decodes only the head `..hi` and caches that prefix. A
+    /// read past a cached prefix decodes the whole frame, with every codec
+    /// check, and replaces the entry: a frame is inflated at most twice
+    /// while it stays cached, however its reads are cut.
     fn append_frame(
         &mut self,
         i: usize,
@@ -412,11 +418,15 @@ impl<'a> IndexedReader<'a> {
         out: &mut Vec<u8>,
     ) -> Result<(), u32> {
         let seq = u32::try_from(i).unwrap_or(u32::MAX);
-        if let Some(data) = self.cache.get(i) {
-            self.counters.cache_hits += 1;
-            out.extend_from_slice(&data[lo..hi]);
-            return Ok(());
-        }
+        let upto = match self.cache.get(i) {
+            Some(data) if data.len() >= hi => {
+                self.counters.cache_hits += 1;
+                out.extend_from_slice(&data[lo..hi]);
+                return Ok(());
+            }
+            Some(_) => expected_ulen,
+            None => hi as u64,
+        };
         self.counters.cache_misses += 1;
         // Decode-side failpoint: an injected failure here is
         // indistinguishable from a frame that failed verification, so it
@@ -448,10 +458,11 @@ impl<'a> IndexedReader<'a> {
             return Err(seq);
         }
         let span = FrameSpan { header_start, payload_start, end: frame_end, record: rec };
-        let Ok(data) = decode_frame(self.bytes, &span) else {
+        let Ok(data) = decode_frame_to(self.bytes, &span, upto) else {
             return Err(seq);
         };
         self.counters.frames_decoded += 1;
+        self.counters.bytes_inflated += data.len() as u64;
         out.extend_from_slice(&data[lo..hi]);
         self.cache.insert(i, data);
         Ok(())

@@ -230,6 +230,27 @@ impl<'a> BitReader<'a> {
         Ok(self.read_bits(8)? as u8)
     }
 
+    /// Append the next `n` whole bytes to `out` with at most two slice
+    /// copies (the buffered bytes, then the input); reader must be
+    /// byte-aligned. Fails, taking nothing, when fewer than `n` are left.
+    pub fn read_aligned_bytes(&mut self, n: usize, out: &mut Vec<u8>) -> Result<(), OutOfBits> {
+        debug_assert_eq!(self.bitcount % 8, 0, "reader not byte-aligned");
+        let buffered = (self.bitcount / 8) as usize;
+        if self.rest.len().saturating_add(buffered) < n {
+            return Err(OutOfBits);
+        }
+        let from_buf = buffered.min(n);
+        out.extend_from_slice(&self.bitbuf.to_le_bytes()[..from_buf]);
+        // Emptied, the buffer is cleared: bits above its count may be
+        // input bytes copied below, no longer the stream's next bits.
+        self.bitbuf = if from_buf == buffered { 0 } else { self.bitbuf >> (from_buf * 8) };
+        self.bitcount -= from_buf as u32 * 8;
+        let (taken, rest) = self.rest.split_at(n - from_buf);
+        out.extend_from_slice(taken);
+        self.rest = rest;
+        Ok(())
+    }
+
     /// Number of the *unread* whole bytes remaining, counting buffered bits.
     pub fn remaining_bits(&self) -> u64 {
         self.rest.len() as u64 * 8 + u64::from(self.bitcount)
@@ -317,6 +338,44 @@ mod tests {
         assert_eq!(w.bit_len(), 3);
         w.write_bits(0x7F, 7);
         assert_eq!(w.bit_len(), 10);
+    }
+
+    #[test]
+    fn aligned_byte_runs_match_byte_reads_from_any_buffer_state() {
+        let bytes: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        // Bytes read one by one up to `skip` leave the buffer at every fill
+        // level. Leading reads of 3, 57 and 5 bits (9 bytes once aligned)
+        // also leave the next input byte's low bits above the buffered ones.
+        for (lead, lead_bytes) in [(&[][..], 0), (&[3, 57, 5][..], 9)] {
+            for skip in lead_bytes..20 {
+                for n in 0..=bytes.len() - skip + 1 {
+                    let mut r = BitReader::new(&bytes);
+                    for &bits in lead {
+                        r.read_bits(bits).unwrap();
+                    }
+                    r.align_to_byte();
+                    for _ in lead_bytes..skip {
+                        r.read_aligned_byte().unwrap();
+                    }
+                    let what = format!("lead {lead:?}, skip {skip}, n {n}");
+                    let mut out = vec![0xEE];
+                    if skip + n > bytes.len() {
+                        assert_eq!(r.read_aligned_bytes(n, &mut out), Err(OutOfBits), "{what}");
+                        assert_eq!(out, [0xEE], "a failed run takes nothing: {what}");
+                        continue;
+                    }
+                    r.read_aligned_bytes(n, &mut out).unwrap();
+                    assert_eq!(out[1..], bytes[skip..skip + n], "{what}");
+                    assert_eq!(r.remaining_bits(), (bytes.len() - skip - n) as u64 * 8);
+                    // Reading on continues with the very next bits.
+                    for &want in &bytes[skip + n..] {
+                        assert_eq!(r.read_bits(3), Ok(u64::from(want & 7)), "{what}");
+                        assert_eq!(r.read_bits(5), Ok(u64::from(want >> 3)), "{what}");
+                    }
+                    assert_eq!(r.read_bits(1), Err(OutOfBits));
+                }
+            }
+        }
     }
 
     #[test]

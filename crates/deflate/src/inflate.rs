@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use crate::bitio::{BitReader, OutOfBits};
 use crate::fixed::{
-    distance_base, fixed_dist_lengths, fixed_litlen_lengths, length_base, END_OF_BLOCK,
+    distance_base, fixed_dist_lengths, fixed_litlen_lengths, length_base, END_OF_BLOCK, MAX_MATCH,
 };
 use crate::huffman::{DecodeError, Decoder, FAST_BITS};
 
@@ -172,25 +172,66 @@ pub fn inflate_into_limited(
     compressed_len: usize,
 ) -> Result<(), InflateError> {
     let cap = limits.output_cap(compressed_len);
-    let hint = cap.min(compressed_len as u64 * RESERVE_PER_INPUT_BYTE);
-    let hint = usize::try_from(hint).unwrap_or(0).saturating_add(SLACK);
-    out.reserve(hint.saturating_sub(out.len()));
+    reserve(out, cap, compressed_len);
     let mut blocks: u64 = 0;
     loop {
         blocks += 1;
         if limits.max_blocks.is_some_and(|max| blocks > max) {
             return Err(InflateError::BlockLimitExceeded);
         }
-        if inflate_one_block_capped(r, out, cap)? {
+        if inflate_one_block_capped(r, out, cap, None)? {
             return Ok(());
         }
     }
 }
 
+/// Decode the first `n` bytes of the Deflate stream in `r`, appending
+/// them to `out`: the one decode loop, stopped early and successfully.
+/// Returns `true` when it stopped, with exactly `n` new bytes in `out`
+/// and the reader somewhere past them, and `false` when the final block
+/// ended first, with the reader just past it as after [`inflate_into`]
+/// and every byte of the stream in `out` (possibly fewer than `n`).
+///
+/// The output cap is `n + MAX_MATCH`. A literal or match that would pass
+/// it starts past byte `n`, so hitting the cap is the stop, and the hot
+/// loop needs no check of its own: only its cold room-making path sees
+/// the cap. A stored block that would pass the cap takes its bytes up to
+/// the head and stops; a block ending past the head stops at its
+/// boundary. Errors before the stop are the full decode's, in its order.
+pub(crate) fn inflate_head_into(
+    r: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    n: usize,
+) -> Result<bool, InflateError> {
+    let head = out.len().saturating_add(n);
+    let cap = head.saturating_add(MAX_MATCH as usize) as u64;
+    reserve(out, cap, (r.remaining_bits() / 8) as usize);
+    loop {
+        match inflate_one_block_capped(r, out, cap, Some(head)) {
+            Ok(true) => return Ok(false),
+            Ok(false) if out.len() <= head => {}
+            Ok(false) | Err(InflateError::OutputLimitExceeded) => {
+                assert!(out.len() >= head, "a head decode stopped short of its head");
+                out.truncate(head);
+                return Ok(true);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Reserve room for a decode under `cap` from `compressed_len` input
+/// bytes, bounded by the input (see [`RESERVE_PER_INPUT_BYTE`]).
+fn reserve(out: &mut Vec<u8>, cap: u64, compressed_len: usize) {
+    let hint = cap.min(compressed_len as u64 * RESERVE_PER_INPUT_BYTE);
+    let hint = usize::try_from(hint).unwrap_or(0).saturating_add(SLACK);
+    out.reserve(hint.saturating_sub(out.len()));
+}
+
 /// Decode exactly one Deflate block, appending to `out`. Returns `true`
 /// when the block carried the BFINAL bit.
 pub fn inflate_one_block(r: &mut BitReader<'_>, out: &mut Vec<u8>) -> Result<bool, InflateError> {
-    inflate_one_block_capped(r, out, u64::MAX)
+    inflate_one_block_capped(r, out, u64::MAX, None)
 }
 
 /// The fixed-Huffman block codes, built once per process.
@@ -204,15 +245,18 @@ fn fixed_codes() -> &'static BlockCodes {
     })
 }
 
+/// One block under the output `cap`; `head` is a head decode's stop
+/// point (see [`inflate_head_into`]), which only a stored block reads.
 fn inflate_one_block_capped(
     r: &mut BitReader<'_>,
     out: &mut Vec<u8>,
     cap: u64,
+    head: Option<usize>,
 ) -> Result<bool, InflateError> {
     let bfinal = r.read_bit()?;
     let btype = r.read_bits(2)?;
     match btype {
-        0b00 => inflate_stored(r, out, cap)?,
+        0b00 => inflate_stored(r, out, cap, head)?,
         0b01 => inflate_compressed(r, out, fixed_codes(), cap)?,
         0b10 => {
             let (lit, dist) = read_dynamic_tables(r)?;
@@ -298,19 +342,30 @@ impl InflateStream {
     }
 }
 
-fn inflate_stored(r: &mut BitReader<'_>, out: &mut Vec<u8>, cap: u64) -> Result<(), InflateError> {
+/// A stored block's bytes, in one slice copy. Past the cap a head decode
+/// takes the bytes up to its head and reports the cap, which is its stop;
+/// any other decode fails there.
+fn inflate_stored(
+    r: &mut BitReader<'_>,
+    out: &mut Vec<u8>,
+    cap: u64,
+    head: Option<usize>,
+) -> Result<(), InflateError> {
     r.align_to_byte();
     let len = u16::from_le_bytes([r.read_aligned_byte()?, r.read_aligned_byte()?]);
     let nlen = u16::from_le_bytes([r.read_aligned_byte()?, r.read_aligned_byte()?]);
     if len != !nlen {
         return Err(InflateError::StoredLengthMismatch);
     }
-    if out.len() as u64 + u64::from(len) > cap {
+    let len = usize::from(len);
+    let take = match head {
+        _ if out.len() as u64 + len as u64 <= cap => len,
+        Some(head) => head.saturating_sub(out.len()),
+        None => return Err(InflateError::OutputLimitExceeded),
+    };
+    r.read_aligned_bytes(take, out)?;
+    if take < len {
         return Err(InflateError::OutputLimitExceeded);
-    }
-    out.reserve(len as usize);
-    for _ in 0..len {
-        out.push(r.read_aligned_byte()?);
     }
     Ok(())
 }
@@ -636,7 +691,7 @@ impl Window {
     }
 
     /// Make room for `n` more bytes past `at` and [`SLACK`] after them, or
-    /// fail if they would pass the cap.
+    /// fail if they would pass the cap (a head decode's stop).
     #[inline(always)]
     fn make_room(&mut self, n: usize) -> Result<(), InflateError> {
         if self.at.saturating_add(n) > self.cap {

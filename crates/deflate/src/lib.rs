@@ -47,5 +47,5 @@ pub use sink::{CountingSink, TokenSink};
 pub use token::Token;
 pub use zlib::{
     zlib_compress_tokens, zlib_decompress, zlib_decompress_limited, zlib_decompress_prefix,
-    ZlibError,
+    zlib_inflate_head, ZlibError,
 };

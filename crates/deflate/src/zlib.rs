@@ -7,7 +7,7 @@
 use crate::adler32::adler32;
 use crate::bitio::BitReader;
 use crate::encoder::{BlockKind, DeflateEncoder, FixedZlibSink};
-use crate::inflate::{inflate_into, inflate_into_limited, InflateError, Limits};
+use crate::inflate::{inflate_head_into, inflate_into, inflate_into_limited, InflateError, Limits};
 use crate::sink::TokenSink;
 use crate::token::Token;
 
@@ -109,7 +109,25 @@ pub fn zlib_compress_tokens_with_dict(
 /// Decompress a zlib stream that requires the given preset dictionary
 /// (verifies the `FDICT` flag, the DICTID and the payload Adler-32).
 pub fn zlib_decompress_with_dict(data: &[u8], dict: &[u8]) -> Result<Vec<u8>, ZlibError> {
-    if data.len() < 10 {
+    check_header(data, true)?;
+    let dictid = u32::from_be_bytes([data[2], data[3], data[4], data[5]]);
+    if dictid != adler32(dict) {
+        return Err(ZlibError::ChecksumMismatch { expected: dictid, actual: adler32(dict) });
+    }
+    let mut r = BitReader::new(&data[6..]);
+    let mut out = dict.to_vec();
+    inflate_into(&mut r, &mut out)?;
+    check_trailer(&mut r, &out[dict.len()..])?;
+    out.drain(..dict.len());
+    Ok(out)
+}
+
+/// The checks on a stream's 2-byte header, in order: the stream is long
+/// enough for header and trailer (plus a DICTID when `dict`), the method
+/// is Deflate with at most a 32 KiB window, the check bits hold, and the
+/// `FDICT` flag is set exactly when a dictionary is supplied.
+fn check_header(data: &[u8], dict: bool) -> Result<(), ZlibError> {
+    if data.len() < if dict { 10 } else { 6 } {
         return Err(ZlibError::TooShort);
     }
     let (cmf, flg) = (data[0], data[1]);
@@ -119,29 +137,28 @@ pub fn zlib_decompress_with_dict(data: &[u8], dict: &[u8]) -> Result<Vec<u8>, Zl
     if (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
         return Err(ZlibError::HeaderChecksum);
     }
-    if flg & 0x20 == 0 {
+    match (flg & 0x20 != 0, dict) {
+        (true, false) => Err(ZlibError::PresetDictUnsupported),
         // A dictionary was supplied for a stream that does not want one.
-        return Err(ZlibError::BadHeader);
+        (false, true) => Err(ZlibError::BadHeader),
+        _ => Ok(()),
     }
-    let dictid = u32::from_be_bytes([data[2], data[3], data[4], data[5]]);
-    if dictid != adler32(dict) {
-        return Err(ZlibError::ChecksumMismatch { expected: dictid, actual: adler32(dict) });
-    }
-    let mut r = BitReader::new(&data[6..]);
-    let mut out = dict.to_vec();
-    inflate_into(&mut r, &mut out)?;
+}
+
+/// Read the Adler-32 trailer after the final block `r` has just passed
+/// and check it against `payload`.
+fn check_trailer(r: &mut BitReader<'_>, payload: &[u8]) -> Result<(), ZlibError> {
     r.align_to_byte();
     let mut trailer = [0u8; 4];
     for b in &mut trailer {
         *b = r.read_aligned_byte().map_err(|_| ZlibError::TooShort)?;
     }
-    out.drain(..dict.len());
     let expected = u32::from_be_bytes(trailer);
-    let actual = adler32(&out);
+    let actual = adler32(payload);
     if expected != actual {
         return Err(ZlibError::ChecksumMismatch { expected, actual });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Compress a token stream (already produced by some LZSS stage) into a
@@ -189,37 +206,18 @@ pub fn zlib_decompress(data: &[u8]) -> Result<Vec<u8>, ZlibError> {
 /// field was lost with the damaged frame header.
 ///
 /// # Errors
-/// The same failures as [`zlib_decompress_limited`]; `limits` is enforced
-/// while the body inflates.
+/// In order: a short stream or a bad header (`TooShort`, `BadHeader`,
+/// `HeaderChecksum`, `PresetDictUnsupported`), the body's `Inflate` error
+/// (`limits` is enforced while it inflates), a missing trailer
+/// (`TooShort`) and an Adler-32 `ChecksumMismatch`.
 pub fn zlib_decompress_prefix(data: &[u8], limits: &Limits) -> Result<(Vec<u8>, usize), ZlibError> {
-    if data.len() < 6 {
-        return Err(ZlibError::TooShort);
-    }
-    let (cmf, flg) = (data[0], data[1]);
-    if cmf & 0x0F != 8 || (cmf >> 4) > 7 {
-        return Err(ZlibError::BadHeader);
-    }
-    if (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
-        return Err(ZlibError::HeaderChecksum);
-    }
-    if flg & 0x20 != 0 {
-        return Err(ZlibError::PresetDictUnsupported);
-    }
+    check_header(data, false)?;
     let body = &data[2..];
     let mut r = BitReader::new(body);
     let mut out = Vec::new();
     inflate_into_limited(&mut r, &mut out, limits, data.len())?;
-    r.align_to_byte();
-    let mut trailer = [0u8; 4];
-    for b in &mut trailer {
-        *b = r.read_aligned_byte().map_err(|_| ZlibError::TooShort)?;
-    }
-    let expected = u32::from_be_bytes(trailer);
-    let actual = adler32(&out);
-    if expected != actual {
-        return Err(ZlibError::ChecksumMismatch { expected, actual });
-    }
-    // After align_to_byte the remaining bit count is a whole number of
+    check_trailer(&mut r, &out)?;
+    // After the trailer the remaining bit count is a whole number of
     // bytes, so the consumed length is exact.
     let consumed = 2 + (body.len() - (r.remaining_bits() / 8) as usize);
     Ok((out, consumed))
@@ -229,32 +227,36 @@ pub fn zlib_decompress_prefix(data: &[u8], limits: &Limits) -> Result<(Vec<u8>, 
 /// a decompression bomb fails with `Inflate(OutputLimitExceeded)` before
 /// its expansion is allocated.
 pub fn zlib_decompress_limited(data: &[u8], limits: &Limits) -> Result<Vec<u8>, ZlibError> {
-    if data.len() < 6 {
-        return Err(ZlibError::TooShort);
-    }
-    let (cmf, flg) = (data[0], data[1]);
-    if cmf & 0x0F != 8 || (cmf >> 4) > 7 {
-        return Err(ZlibError::BadHeader);
-    }
-    if (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
-        return Err(ZlibError::HeaderChecksum);
-    }
-    if flg & 0x20 != 0 {
-        return Err(ZlibError::PresetDictUnsupported);
-    }
+    zlib_decompress_prefix(data, limits).map(|(out, _)| out)
+}
+
+/// The first `n` bytes a zlib stream decodes to: the header is checked,
+/// then the one inflater runs with a stop after byte `n` (a few hundred
+/// bytes past it at most), so the cost follows `n`, not the stream.
+///
+/// A decode that stops early checks no more of the stream: the Adler-32
+/// covers the whole payload, and bytes past the stop are not decoded.
+/// Callers that need the stored bytes proven take a checksum over them
+/// first, as the LZFC container does with its payload CRC. When the
+/// stream ends within `n + 258` bytes every check of
+/// [`zlib_decompress`] runs, trailer included.
+///
+/// # Errors
+/// The full decode's error for a stream that is malformed before the
+/// stop, in its order, and `Inflate(UnexpectedEof)` for a sound stream
+/// that decodes to fewer than `n` bytes — never short output.
+pub fn zlib_inflate_head(data: &[u8], n: usize) -> Result<Vec<u8>, ZlibError> {
+    check_header(data, false)?;
     let mut r = BitReader::new(&data[2..]);
     let mut out = Vec::new();
-    inflate_into_limited(&mut r, &mut out, limits, data.len())?;
-    r.align_to_byte();
-    let mut trailer = [0u8; 4];
-    for b in &mut trailer {
-        *b = r.read_aligned_byte().map_err(|_| ZlibError::TooShort)?;
+    if inflate_head_into(&mut r, &mut out, n)? {
+        return Ok(out);
     }
-    let expected = u32::from_be_bytes(trailer);
-    let actual = adler32(&out);
-    if expected != actual {
-        return Err(ZlibError::ChecksumMismatch { expected, actual });
+    check_trailer(&mut r, &out)?;
+    if out.len() < n {
+        return Err(ZlibError::Inflate(InflateError::UnexpectedEof));
     }
+    out.truncate(n);
     Ok(out)
 }
 
@@ -369,6 +371,48 @@ mod tests {
         assert_eq!(consumed, n);
         // A truncated stream is a typed error.
         assert!(zlib_decompress_prefix(&stream[..n - 3], &Limits::none()).is_err());
+    }
+
+    #[test]
+    fn head_decode_checks_the_trailer_when_it_reads_to_the_end() {
+        let original: Vec<u8> = (0..5_000u32).map(|i| (i * 7 % 251) as u8).collect();
+        let stream =
+            zlib_compress_tokens(&literals(&original), &original, BlockKind::FixedHuffman, 32_768);
+        assert_eq!(zlib_inflate_head(&stream, 0).unwrap(), b"");
+        assert_eq!(zlib_inflate_head(&stream, 100).unwrap(), &original[..100]);
+        assert_eq!(zlib_inflate_head(&stream, original.len()).unwrap(), original);
+        assert_eq!(
+            zlib_inflate_head(&stream, original.len() + 1),
+            Err(ZlibError::Inflate(InflateError::UnexpectedEof))
+        );
+        // A bad trailer is caught by every head that reads to the end, and
+        // by none that stops well short of it.
+        let mut bad = stream.clone();
+        *bad.last_mut().unwrap() ^= 1;
+        assert_eq!(zlib_inflate_head(&bad, 100).unwrap(), &original[..100]);
+        for n in [original.len() - 1, original.len(), original.len() + 1] {
+            assert!(matches!(zlib_inflate_head(&bad, n), Err(ZlibError::ChecksumMismatch { .. })));
+        }
+        // Header checks run first, as in every other entry.
+        bad[1] ^= 0x04;
+        assert_eq!(zlib_inflate_head(&bad, 100), Err(ZlibError::HeaderChecksum));
+        assert_eq!(zlib_inflate_head(&stream[..5], 0), Err(ZlibError::TooShort));
+    }
+
+    #[test]
+    fn limited_decode_is_the_prefix_decode() {
+        let data = b"limited and prefix decode share one path";
+        let stream = zlib_compress_tokens(&literals(data), data, BlockKind::FixedHuffman, 4_096);
+        let limits = Limits::none().with_max_output_bytes(20);
+        for cut in 0..=stream.len() {
+            for l in [Limits::none(), limits] {
+                let z = &stream[..cut];
+                assert_eq!(
+                    zlib_decompress_limited(z, &l),
+                    zlib_decompress_prefix(z, &l).map(|p| p.0)
+                );
+            }
+        }
     }
 
     #[test]

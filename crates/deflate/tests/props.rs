@@ -18,7 +18,8 @@ use lzfpga_deflate::inflate::{inflate, inflate_limited, InflateError, InflateStr
 use lzfpga_deflate::sink::TokenSink;
 use lzfpga_deflate::token::Token;
 use lzfpga_deflate::zlib::{
-    zlib_compress_tokens, zlib_decompress, zlib_decompress_prefix, zlib_header, ZlibError,
+    zlib_compress_tokens, zlib_decompress, zlib_decompress_prefix, zlib_header, zlib_inflate_head,
+    ZlibError,
 };
 use lzfpga_lzss::{LzssParams, TurboEngine};
 use lzfpga_sim::rng::XorShift64;
@@ -399,10 +400,12 @@ fn crc32_bitwise(data: &[u8]) -> u32 {
 #[test]
 fn crc32_slicing_matches_the_bitwise_reference() {
     let mut rng = XorShift64::new(0xDEF1_000B);
-    let mut buf = vec![0u8; 72];
+    // Past four braid blocks (5 words of 8 bytes), so every split lands
+    // in the braided body, its last block and the slicing tail alike.
+    let mut buf = vec![0u8; 8 + 4 * 40 + 17];
     rng.fill_bytes(&mut buf);
     for start in 0..8 {
-        for len in 0..=64 {
+        for len in 0..=buf.len() - 8 {
             let data = &buf[start..start + len];
             let want = crc32_bitwise(data);
             assert_eq!(crc32(data), want, "start {start}, len {len}");
@@ -413,6 +416,24 @@ fn crc32_slicing_matches_the_bitwise_reference() {
                 assert_eq!(c.finish(), want, "start {start}, len {len}, cut {cut}");
             }
         }
+    }
+}
+
+#[test]
+fn crc32_braids_match_the_bitwise_reference_on_long_inputs() {
+    let mut rng = XorShift64::new(0xDEF1_000C);
+    let mut buf = vec![0u8; 300_007];
+    rng.fill_bytes(&mut buf);
+    for len in [79, 80, 81, 119, 120, 121, 4_096, 65_536 + 3, 300_000] {
+        let start = rng.below_usize(8);
+        let data = &buf[start..start + len];
+        let want = crc32_bitwise(data);
+        assert_eq!(crc32(data), want, "len {len}");
+        let mut c = Crc32::new();
+        for piece in data.chunks(1 + rng.below_usize(5_000)) {
+            c.update(piece);
+        }
+        assert_eq!(c.finish(), want, "len {len}, pieces");
     }
 }
 
@@ -800,6 +821,13 @@ fn ref_symbols(
 /// result under `limits` (ratio cap taken against `data.len()`) and the
 /// bits read, which after success is where the stream's final block ends.
 fn ref_inflate(data: &[u8], limits: &Limits) -> (Result<Vec<u8>, InflateError>, u64) {
+    let (result, out, bits) = ref_inflate_partial(data, limits);
+    (result.map(|()| out), bits)
+}
+
+/// [`ref_inflate`] that keeps its output on failure too: every byte
+/// written before the error.
+fn ref_inflate_partial(data: &[u8], limits: &Limits) -> (Result<(), InflateError>, Vec<u8>, u64) {
     let cap = limits.output_cap(data.len());
     let mut r = SerialReader { data, pos: 0 };
     let mut out = Vec::new();
@@ -839,12 +867,12 @@ fn ref_inflate(data: &[u8], limits: &Limits) -> (Result<Vec<u8>, InflateError>, 
             Ok(last)
         })();
         match block {
-            Ok(true) => break Ok(out),
+            Ok(true) => break Ok(()),
             Ok(false) => {}
             Err(e) => break Err(e),
         }
     };
-    (result, r.pos)
+    (result, out, r.pos)
 }
 
 /// `body` must inflate under an output cap of `cap` exactly as the
@@ -1132,4 +1160,168 @@ fn inflate_stream_fed_in_small_pieces_matches_the_reference() {
     let mut s = InflateStream::new();
     let errors: Vec<_> = stream.chunks(3).filter_map(|c| s.feed(c).err()).collect();
     assert_eq!(errors.first(), Some(&InflateError::BadSymbol));
+}
+
+// ---------------------------------------------------------------------
+// Head decodes: the one inflater stopped after `n` bytes.
+// ---------------------------------------------------------------------
+
+/// `body` as a zlib stream. A body the reference decodes gets its true
+/// Adler-32 trailer (flipped when `bad_trailer`); any other keeps none.
+fn zlib_wrap(body: &[u8], bits: u64, decoded: Option<&[u8]>, bad_trailer: bool) -> Vec<u8> {
+    let mut z = zlib_header(32_768, 1).to_vec();
+    z.extend_from_slice(body);
+    if let Some(payload) = decoded {
+        z.truncate(2 + bits.div_ceil(8) as usize);
+        let adler = adler32(payload) ^ u32::from(bad_trailer);
+        z.extend_from_slice(&adler.to_be_bytes());
+    }
+    z
+}
+
+/// The head lengths a sweep over an `len`-byte output tries. Dense: every
+/// one near the start and within a match length of the end, a stride
+/// between, and a few past the end. Sparse: the edges of those spans.
+fn head_points(len: usize, dense: bool) -> Vec<usize> {
+    let m = MAX_MATCH as usize;
+    let near_end = len.saturating_sub(m + 2)..=len + 2;
+    let mut points: Vec<usize> = if dense {
+        (0..=len + 2).filter(|&n| n < 300 || n % 13 == 0 || near_end.contains(&n)).collect()
+    } else {
+        let edges = [len.saturating_sub(m + 1), len.saturating_sub(m), len.saturating_sub(1)];
+        [0, 1, len / 2, len, len + 1].into_iter().chain(edges).collect()
+    };
+    points.sort_unstable();
+    points.dedup();
+    points
+}
+
+/// Head decodes of `body` against the reference, at every point of
+/// [`head_points`]. When the reference decodes all of it (`full`):
+/// `n <= len` gives `full[..n]`, `n > len` a typed error, and a head that
+/// reads to the end (`n >= len` surely) checks the trailer. When it fails
+/// with `e` after writing `partial`: a head past `partial` gives `e`, one
+/// more than a match short of its end gives `partial[..n]`, and one in
+/// between may give either — never other bytes or another error.
+fn assert_head_parity(body: &[u8], dense: bool, what: &str) {
+    let (result, partial, bits) = ref_inflate_partial(body, &Limits::none());
+    let len = partial.len();
+    match result {
+        Ok(()) => {
+            let z = zlib_wrap(body, bits, Some(&partial), false);
+            let bad = zlib_wrap(body, bits, Some(&partial), true);
+            for n in head_points(len, dense) {
+                let got = zlib_inflate_head(&z, n);
+                if n <= len {
+                    assert_eq!(got.as_deref(), Ok(&partial[..n]), "{what}, head {n} of {len}");
+                } else {
+                    assert_eq!(
+                        got,
+                        Err(ZlibError::Inflate(InflateError::UnexpectedEof)),
+                        "{what}, head {n} past {len}"
+                    );
+                }
+                match zlib_inflate_head(&bad, n) {
+                    Ok(out) => assert!(n < len && out == partial[..n], "{what}, bad trailer, {n}"),
+                    Err(e) => assert!(
+                        matches!(e, ZlibError::ChecksumMismatch { .. }),
+                        "{what}, bad trailer, head {n}: {e:?}"
+                    ),
+                }
+            }
+        }
+        Err(e) => {
+            let z = zlib_wrap(body, bits, None, false);
+            if z.len() < 6 {
+                return;
+            }
+            for n in head_points(len, dense) {
+                let got = zlib_inflate_head(&z, n);
+                if n > len {
+                    assert_eq!(got, Err(ZlibError::Inflate(e)), "{what}, head {n} past {len}");
+                } else if n + (MAX_MATCH as usize) < len {
+                    assert_eq!(got.as_deref(), Ok(&partial[..n]), "{what}, head {n} of {len}");
+                } else {
+                    assert!(
+                        got == Err(ZlibError::Inflate(e)) || got.as_deref() == Ok(&partial[..n]),
+                        "{what}, head {n} of {len}: {got:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Streams whose stored blocks straddle every head: stored blocks short
+/// and long (past one match length), between Huffman blocks; and one
+/// whose final block is empty.
+fn stored_mix_streams(rng: &mut XorShift64) -> Vec<(String, Vec<u8>)> {
+    let mut streams = Vec::new();
+    for case in 0..4 {
+        let mut enc = DeflateEncoder::new();
+        let mut produced = 0;
+        for block in 0..5 {
+            let last = block == 4;
+            if (block + case) % 2 == 0 {
+                let n = [1, 200, 259, 700, 2_000][(block + case) % 5];
+                let raw: Vec<Token> = (0..n).map(|_| Token::Literal(rng.next_u8())).collect();
+                enc.write_block(&raw, BlockKind::Stored, last);
+                produced += n;
+            } else {
+                // A block that starts by reaching back across the boundary.
+                let mut tokens = Vec::new();
+                if produced > 0 {
+                    let dist = produced.min(MAX_DISTANCE as usize) as u32;
+                    tokens.push(Token::Match { dist, len: MAX_MATCH });
+                    produced += MAX_MATCH as usize;
+                }
+                let own = uniform_tokens(rng, 20 + 10 * block);
+                produced += expand(&own).len();
+                tokens.extend(own);
+                let kind = if block % 2 == 0 {
+                    BlockKind::DynamicHuffman
+                } else {
+                    BlockKind::FixedHuffman
+                };
+                enc.write_block(&tokens, kind, last);
+            }
+        }
+        streams.push((format!("stored mix {case}"), enc.finish()));
+    }
+    // The last byte in a block before an empty final one: a head of the
+    // whole length still reads on to the trailer.
+    let mut enc = DeflateEncoder::new();
+    enc.write_block(&uniform_tokens(rng, 30), BlockKind::FixedHuffman, false);
+    enc.write_block(&[], BlockKind::FixedHuffman, true);
+    streams.push(("empty final block".into(), enc.finish()));
+    streams
+}
+
+#[test]
+fn head_decode_is_the_full_decode_cut_at_every_length() {
+    let mut rng = XorShift64::new(0xDEF1_0017);
+    let mut streams = parity_streams(&mut rng);
+    streams.extend(stored_mix_streams(&mut rng));
+    for (what, stream) in streams {
+        assert_head_parity(&stream, true, &what);
+    }
+    // Long outputs: the cap stop lands in the middle of long matches.
+    let data = generate(Corpus::Wiki, 7, 40_000);
+    let tokens = TurboEngine::new().compress(&data, &LzssParams::paper_fast());
+    for kind in [BlockKind::FixedHuffman, BlockKind::DynamicHuffman] {
+        let stream = one_block(&tokens, kind);
+        assert_head_parity(&stream, true, &format!("wiki {kind:?}"));
+    }
+}
+
+#[test]
+fn head_decode_gives_the_full_decoders_error_at_every_truncation() {
+    let mut rng = XorShift64::new(0xDEF1_0018);
+    let mut streams = parity_streams(&mut rng);
+    streams.extend(stored_mix_streams(&mut rng));
+    for (what, stream) in streams {
+        for cut in 0..stream.len() {
+            assert_head_parity(&stream[..cut], false, &format!("{what}, cut {cut}"));
+        }
+    }
 }

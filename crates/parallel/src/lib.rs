@@ -45,8 +45,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use lzfpga_container::{
-    check_structure, decode_frame, encode_frame, finish_stream_checks, payload_from_sink,
-    plan_range, ContainerError, FrameConfig, StreamLayout, HEADER_LEN,
+    check_structure, decode_frame, decode_frame_to, encode_frame, finish_stream_checks,
+    payload_from_sink, plan_range, ContainerError, FrameConfig, StreamLayout, HEADER_LEN,
 };
 use lzfpga_core::config::CLOCK_HZ;
 use lzfpga_core::{HwCompressor, HwConfig};
@@ -836,20 +836,23 @@ pub fn decode_range_parallel_with<F: Failpoints>(
         workers,
         |_| FailureReport::default(),
         |ledger, i, (span, fstart)| {
+            // The last covering frame stops at the range's end.
+            let hi = clamped.end.min(fstart + u64::from(span.record.ulen)) - fstart;
             ladder(faults, "parallel.range.frame", i, ledger, None, |_| {
-                Ok(decode_frame(bytes, span))
+                Ok(decode_frame_to(bytes, span, hi))
             })
             .unwrap_or(Err(ContainerError::RangeUnavailable { offset: *fstart }))
         },
         |i, data| {
-            // decode_frame verified data.len() == the header's ulen, and the
-            // planner verified the header against the frame map — the slice
-            // arithmetic below cannot go out of bounds.
+            // decode_frame_to returned exactly `hi` bytes: the frame's
+            // ulen, or the range's end inside it when that comes first.
+            // The planner verified every covering frame's header against
+            // the frame map, so fstart < clamped.end and the frame ends at
+            // or past clamped.start: lo <= data.len(), and the slice below
+            // is in bounds.
             let fstart = plan[i].1;
-            let fend = fstart + data.len() as u64;
             let lo = (clamped.start.max(fstart) - fstart) as usize;
-            let hi = (clamped.end.min(fend) - fstart) as usize;
-            out.extend_from_slice(&data[lo..hi]);
+            out.extend_from_slice(&data[lo..]);
         },
     );
     for ledger in &ledgers {

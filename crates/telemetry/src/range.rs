@@ -21,6 +21,10 @@ pub struct RangeCounters {
     pub frames_in_range: u64,
     /// Frames actually inflated (cache misses plus verification decodes).
     pub frames_decoded: u64,
+    /// Bytes those decodes produced: a read that ends inside a frame
+    /// inflates only the frame's head, so this stays near the bytes
+    /// served instead of growing by whole frames.
+    pub bytes_inflated: u64,
     /// Frames served straight from the decoded-frame cache.
     pub cache_hits: u64,
     /// Frames that had to be decoded because the cache lacked them.
@@ -45,6 +49,7 @@ impl RangeCounters {
             ("ranges_served", self.ranges_served.into()),
             ("frames_in_range", self.frames_in_range.into()),
             ("frames_decoded", self.frames_decoded.into()),
+            ("bytes_inflated", self.bytes_inflated.into()),
             ("cache_hits", self.cache_hits.into()),
             ("cache_misses", self.cache_misses.into()),
             ("cache_evictions", self.cache_evictions.into()),
@@ -66,6 +71,7 @@ mod tests {
             ranges_served: 3,
             frames_in_range: 7,
             frames_decoded: 5,
+            bytes_inflated: 300_000,
             cache_hits: 2,
             cache_misses: 5,
             cache_evictions: 1,
@@ -77,6 +83,7 @@ mod tests {
         let parsed = crate::json::parse(&c.to_json().render()).unwrap();
         assert_eq!(parsed.get("frames_in_range").unwrap().as_i64(), Some(7));
         assert_eq!(parsed.get("frames_decoded").unwrap().as_i64(), Some(5));
+        assert_eq!(parsed.get("bytes_inflated").unwrap().as_i64(), Some(300_000));
         assert_eq!(parsed.get("cache_hits").unwrap().as_i64(), Some(2));
         assert_eq!(parsed.get("cache_capacity_bytes").unwrap().as_i64(), Some(8 << 20));
     }

@@ -336,3 +336,96 @@ fn empty_and_trailerless_edge_cases_hold() {
     // The empty range is still trivially servable.
     assert_eq!(reader.decode_range(0..0).unwrap(), b"");
 }
+
+#[test]
+fn a_cold_read_inflates_only_up_to_its_end_and_the_prefix_serves_reads_inside_it() {
+    let data = generate(Corpus::Wiki, 43, 4 * 64 * 1024);
+    let stream = frame_up(&data, 64 * 1024);
+    let mut reader = open_indexed(&stream);
+
+    // Bytes 70_000..74_096 lie in frame 1: its head is inflated up to the
+    // read's end inside the frame, and not a byte further.
+    let out = reader.decode_range(70_000..74_096).unwrap();
+    assert_eq!(out, &data[70_000..74_096]);
+    let c = reader.counters();
+    assert_eq!((c.frames_decoded, c.cache_misses), (1, 1), "{c:?}");
+    assert_eq!(c.bytes_inflated, 74_096 - 65_536, "{c:?}");
+
+    // A read that ends inside the cached prefix is a hit.
+    assert_eq!(reader.decode_range(65_536..70_000).unwrap(), &data[65_536..70_000]);
+    let c = reader.counters();
+    assert_eq!((c.frames_decoded, c.cache_hits), (1, 1), "{c:?}");
+    assert_eq!(c.bytes_inflated, 74_096 - 65_536, "{c:?}");
+
+    // One past it decodes the whole frame once, with every check, and the
+    // whole frame serves every later read.
+    assert_eq!(reader.decode_range(74_000..80_000).unwrap(), &data[74_000..80_000]);
+    assert_eq!(reader.decode_range(66_000..131_072).unwrap(), &data[66_000..131_072]);
+    let c = reader.counters();
+    assert_eq!((c.frames_decoded, c.cache_hits), (2, 2), "{c:?}");
+    assert_eq!(c.bytes_inflated, (74_096 - 65_536) + 65_536, "{c:?}");
+    assert_eq!(c.cache_bytes, 65_536, "the whole frame replaced its prefix: {c:?}");
+}
+
+#[test]
+fn sequential_steps_inflate_each_frame_at_most_twice() {
+    let data = generate(Corpus::Mixed, 47, 3 * 64 * 1024 + 5_000);
+    let stream = frame_up(&data, 64 * 1024);
+    let total = data.len() as u64;
+    let mut reader = open_indexed(&stream);
+    let mut at = 0;
+    while at < total {
+        let stop = total.min(at + 4096);
+        assert_eq!(reader.decode_range(at..stop).unwrap(), &data[at as usize..stop as usize]);
+        at = stop;
+    }
+    let c = reader.counters();
+    let frames = check_structure(&stream).unwrap().frames.len() as u64;
+    assert_eq!(frames, 4);
+    assert!(c.frames_decoded <= 2 * frames, "{c:?}");
+    assert!(c.bytes_inflated <= 2 * total, "{c:?}");
+    // Within one frame: its head once, then the whole frame once.
+    let mut one = open_indexed(&stream);
+    for k in 0..16u64 {
+        let r = 65_536 + k * 4096..65_536 + (k + 1) * 4096;
+        assert_eq!(one.decode_range(r.clone()).unwrap(), &data[r.start as usize..r.end as usize]);
+    }
+    let c = one.counters();
+    assert_eq!(c.frames_decoded, 2, "{c:?}");
+    assert_eq!(c.bytes_inflated, 4096 + 65_536, "{c:?}");
+}
+
+#[test]
+fn a_payload_flip_past_the_head_is_refused_before_the_frame_serves_a_byte() {
+    use lzfpga::deflate::zlib::zlib_inflate_head;
+
+    let data = generate(Corpus::Wiki, 53, 4 * 64 * 1024);
+    let stream = frame_up(&data, 64 * 1024);
+    let s = check_structure(&stream).unwrap();
+    let victim = s.frames[2];
+    let mut bad = stream.clone();
+    let flip = victim.end - 9;
+    bad[flip] ^= 0x40;
+
+    // The flipped byte lies past everything a 4 KiB head decode reads: the
+    // payload alone would hand back the right bytes. Only the payload CRC,
+    // checked over every stored byte first, can catch it.
+    let head = zlib_inflate_head(&bad[victim.payload_start..victim.end], 4096).unwrap();
+    assert_eq!(head, &data[2 * 65_536..2 * 65_536 + 4096]);
+
+    let mut reader = open_indexed(&bad);
+    assert_eq!(reader.report().source, IndexSource::Index);
+    let err = reader.decode_range(2 * 65_536..2 * 65_536 + 4096).unwrap_err();
+    assert!(matches!(err, ContainerError::RangeUnavailable { offset: 131_072 }), "{err}");
+    let report = reader.report();
+    assert_eq!(report.source, IndexSource::Salvage, "the ladder was walked: {report:?}");
+    assert_eq!(report.serviceable_bytes, 2 * 65_536);
+    assert_eq!(reader.counters().bytes_inflated, 0, "no byte of the frame was decoded");
+    // The frames before the damage still serve exactly.
+    assert_eq!(reader.decode_range(60_000..70_000).unwrap(), &data[60_000..70_000]);
+    // The parallel range decoder refuses the frame with the strict error.
+    assert!(matches!(
+        decode_range_parallel(&bad, 2 * 65_536..2 * 65_536 + 4096, 2),
+        Err(ContainerError::PayloadCrc { seq: 2, .. })
+    ));
+}
