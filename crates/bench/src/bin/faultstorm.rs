@@ -77,7 +77,7 @@ use lzfpga_deflate::gzip::{gzip_compress_tokens, gzip_decompress_limited};
 use lzfpga_deflate::zlib::zlib_decompress_limited;
 use lzfpga_deflate::Limits;
 use lzfpga_faults::{FailPlan, FailRule, FrameSite, MutationKind, StreamMutator};
-use lzfpga_lzss::compress;
+use lzfpga_lzss::TurboEngine;
 use lzfpga_obs::{snapshot_to_json, MetricsRegistry};
 use lzfpga_parallel::{
     compress_frames_parallel, compress_parallel, compress_parallel_with, EngineKind, ParallelConfig,
@@ -234,7 +234,7 @@ fn run_server_storm(seed: u64) -> bool {
     };
     // Deterministic panics early in the chunk-hit sequence prove the
     // containment path runs; the thinned rule keeps pressure on it for the
-    // rest of the storm. The ladder's reference rung is not injectable, so
+    // rest of the storm. The ladder's fresh rung is not injectable, so
     // compress results must stay byte-exact through all of this.
     let plan = std::sync::Arc::new(
         FailPlan::new(seed ^ 0x5E11)
@@ -989,7 +989,7 @@ fn build_corpus() -> Vec<BaseStream> {
             original: data.clone(),
             container: Container::HwZlib,
         });
-        let tokens = compress(&data, &params);
+        let tokens = TurboEngine::new().compress(&data, &params);
         streams.push(BaseStream {
             name,
             bytes: gzip_compress_tokens(&tokens, &data, BlockKind::FixedHuffman),

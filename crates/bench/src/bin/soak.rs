@@ -23,7 +23,7 @@
 use lzfpga_core::pipeline::compress_to_zlib;
 use lzfpga_core::{DecompConfig, HwConfig, HwDecompressor};
 use lzfpga_deflate::zlib::zlib_decompress;
-use lzfpga_lzss::compress;
+use lzfpga_lzss::reference::compress;
 use lzfpga_sim::rng::XorShift64;
 use lzfpga_workloads::{generate, Corpus};
 

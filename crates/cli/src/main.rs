@@ -1,7 +1,7 @@
 //! `lzfpga` — command-line front-end to the whole stack.
 //!
 //! ```text
-//! lzfpga compress   [--engine hw|sw|turbo] [--format zlib|gzip] [--window N]
+//! lzfpga compress   [--engine hw|turbo] [--format zlib|gzip] [--window N]
 //!                   [--hash N] [--level min|medium|max] [--stats]
 //!                   [--parallel] [--chunk N] [--workers N]
 //!                   [-o OUT] [FILE]        (stdin when FILE is omitted)
@@ -12,12 +12,12 @@
 //! ```
 //!
 //! `--engine hw` (default) runs the cycle-accurate hardware model and can
-//! report modelled FPGA throughput; `--engine sw` runs the zlib-equivalent
-//! software reference (identical output at the greedy levels, plus the lazy
-//! `medium`/`max` variants the hardware does not implement); `--engine
-//! turbo` runs the word-at-a-time fast path (same output as `sw` at every
-//! level — and thus as `hw` at the greedy `min` level — as fast as the
-//! host allows). `--parallel` compresses in
+//! report modelled FPGA throughput; `--engine turbo` (also spelled `sw`,
+//! `software` or `fast`) runs the software engine, the turbo matcher: the
+//! same output as `hw` at the greedy `min` level, plus the lazy
+//! `medium`/`max` levels the hardware does not implement, as fast as the
+//! host allows. On `decompress`, any engine but `hw` selects the software
+//! inflate. `--parallel` compresses in
 //! fixed-size chunks on a thread pool — the zlib stream stays byte-for-byte
 //! independent of the worker count.
 
@@ -37,7 +37,6 @@ use lzfpga_deflate::gzip::{gzip_compress_tokens, gzip_decompress_limited};
 use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_decompress, zlib_decompress_limited};
 use lzfpga_deflate::Limits;
 use lzfpga_lzss::params::CompressionLevel;
-use lzfpga_lzss::LzssParams;
 use lzfpga_obs::bridge::{record_frames, record_pipeline, record_turbo};
 use lzfpga_obs::{
     frame_span_tree, prometheus_text, snapshot_to_json, MetricsRegistry, StatsAggregate,
@@ -54,13 +53,13 @@ use lzfpga_workloads::Corpus;
 const USAGE: &str = "\
 lzfpga <compress|decompress|frame|unframe|salvage|resume|stats|serve|client|gen|trace|rtl> [options]
 
-  compress   [--engine hw|sw|turbo] [--format zlib|gzip] [--window N] [--hash N]
+  compress   [--engine hw|turbo] [--format zlib|gzip] [--window N] [--hash N]
              [--level min|medium|max] [--dict FILE] [--stats]
              [--parallel] [--chunk N] [--workers N]
              [--metrics OUT.jsonl] [--trace-events OUT.json]
              [--prometheus OUT.prom] [-o OUT] [FILE]
-  decompress [--engine hw|sw] [--dict FILE] [--max-output-bytes N] [-o OUT] [FILE]
-  frame      [--engine hw|sw|turbo] [--window N] [--hash N] [--level L]
+  decompress [--engine hw|turbo] [--dict FILE] [--max-output-bytes N] [-o OUT] [FILE]
+  frame      [--engine hw|turbo] [--window N] [--hash N] [--level L]
              [--frame-size N] [--parallel] [--workers N] [--stats]
              [--metrics OUT.jsonl] [--trace-events OUT.json]
              [--prometheus OUT.prom] [-o OUT] [FILE]  (LZFC framed container)
@@ -102,6 +101,8 @@ lzfpga <compress|decompress|frame|unframe|salvage|resume|stats|serve|client|gen|
   rtl        [--window N] [--hash N] -o OUT_DIR             (VHDL bundle)
 
 FILE defaults to stdin; OUT defaults to stdout.
+--engine sw (or software, fast) is turbo, the software engine; on decompress
+it selects the software inflate.
 File outputs are atomic (staged then renamed); `frame -o OUT` streams durable
 frames into OUT.part and renames on completion, so a crash leaves a resumable
 prefix. `resume` must use the same --frame-size as the interrupted run.
@@ -119,8 +120,10 @@ Corpora: wiki, x2e-can, log-lines, json-telemetry, sensor-frames, wiki-xml,
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
+    /// The cycle-accurate hardware model.
     Hw,
-    Sw,
+    /// The software engine: the turbo matcher (software inflate on
+    /// `decompress`).
     Turbo,
 }
 
@@ -226,8 +229,7 @@ fn parse_opts(args: &[String]) -> Result<CommonOpts, String> {
             "--engine" => {
                 o.engine = match value("--engine")?.as_str() {
                     "hw" | "hardware" => Engine::Hw,
-                    "sw" | "software" => Engine::Sw,
-                    "turbo" | "fast" => Engine::Turbo,
+                    "turbo" | "fast" | "sw" | "software" => Engine::Turbo,
                     other => return Err(format!("unknown engine '{other}'")),
                 }
             }
@@ -483,7 +485,6 @@ fn run_event(o: &CommonOpts, command: &str, input_bytes: usize, output_bytes: us
             "engine",
             match o.engine {
                 Engine::Hw => "hw",
-                Engine::Sw => "sw",
                 Engine::Turbo => "turbo",
             }
             .into(),
@@ -549,7 +550,7 @@ fn cmd_compress(o: &CommonOpts) -> Result<(), String> {
             hw: hw_config(o),
             engine: match o.engine {
                 Engine::Hw => EngineKind::Modelled,
-                Engine::Sw | Engine::Turbo => EngineKind::Turbo,
+                Engine::Turbo => EngineKind::Turbo,
             },
             telemetry: wants_obs(o) || o.trace_events.is_some(),
         };
@@ -595,23 +596,6 @@ fn cmd_compress(o: &CommonOpts) -> Result<(), String> {
                 }
             };
             (out, Some(rep), None)
-        }
-        Engine::Sw => {
-            let params = LzssParams {
-                window_size: o.window,
-                hash_bits: o.hash,
-                hash_fn: lzfpga_lzss::HashFn::zlib(o.hash),
-                level: o.level,
-                chain_limit: None,
-            };
-            let tokens = lzfpga_lzss::compress(&data, &params);
-            let out = match o.format {
-                Format::Zlib => {
-                    zlib_compress_tokens(&tokens, &data, BlockKind::FixedHuffman, o.window.max(256))
-                }
-                Format::Gzip => gzip_compress_tokens(&tokens, &data, BlockKind::FixedHuffman),
-            };
-            (out, None, None)
         }
         Engine::Turbo => {
             let cfg = hw_config(o);
@@ -768,7 +752,7 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
             hw: hw_config(o),
             engine: match o.engine {
                 Engine::Hw => EngineKind::Modelled,
-                Engine::Sw | Engine::Turbo => EngineKind::Turbo,
+                Engine::Turbo => EngineKind::Turbo,
             },
             telemetry: wants_obs(o) || o.trace_events.is_some(),
         };
@@ -1492,7 +1476,7 @@ mod tests {
             "max", "--seed", "7", "--stats", "-o", "out.bin", "in.bin",
         ]))
         .unwrap();
-        assert_eq!(o.engine, Engine::Sw);
+        assert_eq!(o.engine, Engine::Turbo, "sw is the software engine");
         assert_eq!(o.format, Format::Gzip);
         assert_eq!(o.window, 8_192);
         assert_eq!(o.hash, 13);
@@ -1817,7 +1801,12 @@ mod metrics_tests {
             let events = parse_jsonl(&text).unwrap();
             assert!(!events.is_empty());
             assert_eq!(events[0].get("event").unwrap().as_str(), Some("run"));
-            assert_eq!(events[0].get("engine").unwrap().as_str(), Some(engine));
+            // `sw` is a spelling of the software engine, which is turbo.
+            let ran = if engine == "hw" { "hw" } else { "turbo" };
+            assert_eq!(events[0].get("engine").unwrap().as_str(), Some(ran));
+            let has_turbo =
+                events.iter().any(|e| e.get("event").unwrap().as_str() == Some("turbo"));
+            assert_eq!(has_turbo, ran == "turbo", "{engine}: turbo counter section");
         }
     }
 

@@ -109,7 +109,9 @@ pub fn payload_from_sink(sink: FixedZlibSink, data: &[u8]) -> (Codec, Vec<u8>) {
     }
 }
 
-/// [`payload_from_sink`] for an already-produced token stream.
+/// [`payload_from_sink`] for an already-produced token stream, for callers
+/// that time tokenizing and encoding apart (lzbench's `deflate.encode`
+/// layer); compress paths stream into the sink instead.
 pub fn payload_from_tokens(tokens: &[Token], data: &[u8], params: &LzssParams) -> (Codec, Vec<u8>) {
     let mut sink = FixedZlibSink::new(params.window_size);
     sink.push_tokens(tokens);

@@ -27,7 +27,6 @@ use lzfpga_deflate::fixed::{MAX_MATCH, MIN_MATCH};
 use lzfpga_deflate::token::Token;
 use lzfpga_lzss::hash::HASH_BYTES;
 use lzfpga_lzss::params::{LevelTuning, MIN_LOOKAHEAD};
-use lzfpga_lzss::reference::max_distance;
 use lzfpga_sim::clock::Clocked;
 use lzfpga_sim::stream::{BackPressure, HandshakeStream};
 
@@ -114,7 +113,7 @@ impl HwEngine {
             slid: 0,
             next_wipe: u64::from(cfg.window_size) / 2,
             prefetch_valid: false,
-            max_dist: u64::from(max_distance(cfg.window_size)),
+            max_dist: u64::from(cfg.as_lzss_params().max_distance()),
             slide_trigger: span - SLIDE_MARGIN,
             wipe_period: u64::from(cfg.window_size) / 2,
             trace: None,

@@ -15,8 +15,8 @@
 //!   crash-durability drill may arm by name from outside the process;
 //!   kept drift-free against DESIGN §14 by `tests/crash_sites.rs`.
 //! * **[`report`]** — the per-job [`FailureReport`]: how many chunk
-//!   attempts ran, what was retried, which chunks degraded to the
-//!   reference engine, which faults actually fired. Renders to JSON for
+//!   attempts ran, what was retried, which chunks degraded to a fresh
+//!   engine, which faults actually fired. Renders to JSON for
 //!   the telemetry sink.
 //! * **[`mutate`]** — a deterministic, structure-aware stream mutator
 //!   (bit flips, truncations, slice duplication/deletion, length-field

@@ -15,10 +15,10 @@ pub struct FailureReport {
     pub attempts: u64,
     /// Chunks that were retried once on the same engine after a failure.
     pub retries: u64,
-    /// Chunk indices that fell back to the single-threaded reference
-    /// engine after the retry also failed (sorted).
+    /// Chunk indices that fell back to a fresh engine after the retry
+    /// also failed (sorted).
     pub degraded_chunks: Vec<usize>,
-    /// Chunk indices that failed even the reference engine (sorted; the
+    /// Chunk indices that failed even the fresh engine (sorted; the
     /// job reports a typed error when this is non-empty).
     pub failed_chunks: Vec<usize>,
     /// Worker panics caught and recovered from (each one is a logical

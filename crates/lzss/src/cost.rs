@@ -4,9 +4,15 @@
 //! embedded in the Virtex-5 FX70T, measured at 2.8–3.3 MB/s on the two data
 //! sets. We do not have that board, so — per the substitution rule in
 //! `DESIGN.md` — the baseline is reproduced by *counting the algorithm's
-//! dynamic operations* (via [`crate::reference::Probe`]) and charging each
-//! class a cycle cost calibrated to a PPC440-class core: in-order, 32 KB
-//! caches, no L2, blocking loads to DDR2.
+//! dynamic operations* and charging each class a cycle cost calibrated to a
+//! PPC440-class core: in-order, 32 KB caches, no L2, blocking loads to DDR2.
+//!
+//! The counts come from the one matcher, the turbo core, observed through
+//! [`MatchProbe`]: [`OpCounts`] is a probe. The chain walk it observes is
+//! zlib's, candidate for candidate, but the matcher compares 16 bytes at a
+//! time and skips most candidates with a one-byte quick reject, so the
+//! comparison count is replayed per visited candidate as zlib's byte loop
+//! would execute it ([`MatchProbe::candidate`]).
 //!
 //! The constants below are the model, not measurements; they were chosen so
 //! the headline lands in the paper's 2.5–3.5 MB/s band for text-like data at
@@ -16,8 +22,10 @@
 //! model explicitly.
 
 use crate::params::LzssParams;
-use crate::reference::{compress_with_probe, Probe};
+use crate::simd::match_length;
+use crate::turbo::TurboEngine;
 use lzfpga_deflate::token::Token;
+use lzfpga_telemetry::MatchProbe;
 
 /// PPC440 core clock in Hz (the paper's SW platform clock).
 pub const PPC440_HZ: f64 = 400.0e6;
@@ -90,23 +98,25 @@ pub struct OpCounts {
     pub match_bytes: u64,
 }
 
-impl Probe for OpCounts {
-    fn hash_computed(&mut self) {
-        self.hashes += 1;
+impl MatchProbe for OpCounts {
+    /// Every inserted position had its hash computed first.
+    fn inserted_n(&mut self, n: u32) {
+        self.hashes += u64::from(n);
+        self.inserts += u64::from(n);
     }
-    fn position_inserted(&mut self) {
-        self.inserts += 1;
+    /// zlib's byte loop compares each matching byte, plus the mismatching
+    /// one when it stops before `limit`.
+    fn candidate(&mut self, data: &[u8], cand: usize, pos: usize, limit: u32) {
+        let n = match_length(data, cand, pos, limit);
+        self.compared_bytes += u64::from(n + u32::from(n < limit));
     }
-    fn chain_step(&mut self) {
-        self.chain_steps += 1;
+    fn chain_done(&mut self, steps: u32) {
+        self.chain_steps += u64::from(steps);
     }
-    fn bytes_compared(&mut self, n: u32) {
-        self.compared_bytes += u64::from(n);
+    fn literals_n(&mut self, n: u32) {
+        self.literals += u64::from(n);
     }
-    fn literal_emitted(&mut self) {
-        self.literals += 1;
-    }
-    fn match_emitted(&mut self, len: u32) {
+    fn matched(&mut self, len: u32) {
         self.matches += 1;
         self.match_bytes += u64::from(len);
     }
@@ -115,7 +125,7 @@ impl Probe for OpCounts {
 /// Result of a modelled software compression run.
 #[derive(Debug, Clone)]
 pub struct SoftwareEstimate {
-    /// The compressed token stream (identical to [`crate::reference::compress`]).
+    /// The compressed token stream.
     pub tokens: Vec<Token>,
     /// Dynamic operation counts.
     pub ops: OpCounts,
@@ -145,7 +155,7 @@ fn table_bytes(params: &LzssParams) -> f64 {
     head + prev
 }
 
-/// Run the reference compressor under the cost model.
+/// Run the turbo core under the cost model.
 pub fn estimate_software(data: &[u8], params: &LzssParams) -> SoftwareEstimate {
     estimate_software_with(data, params, &CostWeights::default())
 }
@@ -157,7 +167,8 @@ pub fn estimate_software_with(
     w: &CostWeights,
 ) -> SoftwareEstimate {
     let mut ops = OpCounts { input_bytes: data.len() as u64, ..OpCounts::default() };
-    let tokens = compress_with_probe(data, params, &mut ops);
+    let mut tokens = Vec::new();
+    TurboEngine::new().compress_into_probed(data, params, &mut tokens, &mut ops);
     let miss = miss_probability(table_bytes(params));
     let table_access_cost = w.miss_penalty * miss;
     let cycles = w.per_byte * ops.input_bytes as f64
@@ -234,6 +245,71 @@ mod tests {
         let params = LzssParams::paper_fast();
         let est = estimate_software(&data, &params);
         assert_eq!(est.tokens, crate::reference::compress(&data, &params));
+    }
+
+    /// The eight counts `estimate_software` returned for these inputs when
+    /// zlib's byte loop (the reference compressor) still counted them
+    /// itself. The turbo core must reproduce them exactly, or Table I moves.
+    #[test]
+    fn op_counts_match_the_byte_loop_golden_values() {
+        use lzfpga_workloads::{generate, Corpus};
+        let wiki = generate(Corpus::Wiki, 1, 200_000);
+        let x2e = generate(Corpus::X2e, 1, 200_000);
+        let chain1 = LzssParams { chain_limit: Some(1), ..LzssParams::paper_fast() };
+        let cases = [
+            // input, hashes, inserts, chain_steps, compared, literals, matches, match_bytes
+            (
+                &wiki,
+                LzssParams::paper_fast(),
+                [200_000, 114_539, 114_539, 85_474, 397_077, 39_690, 31_229, 160_310],
+            ),
+            (
+                &x2e,
+                LzssParams::paper_fast(),
+                [200_000, 101_043, 101_043, 42_130, 218_706, 72_264, 17_536, 127_736],
+            ),
+            (
+                &wiki,
+                LzssParams::new(4_096, 15, CompressionLevel::Medium),
+                [200_000, 199_998, 199_998, 631_394, 2_907_718, 39_852, 26_268, 160_148],
+            ),
+            (
+                &wiki,
+                LzssParams::new(4_096, 15, CompressionLevel::Max),
+                [200_000, 199_998, 199_998, 673_848, 3_117_878, 39_859, 26_261, 160_141],
+            ),
+            (&wiki, chain1, [200_000, 126_250, 126_250, 38_978, 197_016, 42_200, 32_999, 157_800]),
+        ];
+        for (data, params, want) in cases {
+            let o = estimate_software(data, &params).ops;
+            let got = [
+                o.input_bytes,
+                o.hashes,
+                o.inserts,
+                o.chain_steps,
+                o.compared_bytes,
+                o.literals,
+                o.matches,
+                o.match_bytes,
+            ];
+            assert_eq!(got, want, "{params:?}");
+        }
+    }
+
+    #[test]
+    fn probe_counts_are_consistent() {
+        let data = b"abcabcabcabc xyz abcabc xyz ".repeat(50);
+        for level in [CompressionLevel::Min, CompressionLevel::Medium, CompressionLevel::Max] {
+            let est = estimate_software(&data, &LzssParams::new(4_096, 15, level));
+            let ops = est.ops;
+            let lit_count =
+                est.tokens.iter().filter(|t| matches!(t, Token::Literal(_))).count() as u64;
+            assert_eq!(ops.literals, lit_count, "{level:?}");
+            assert_eq!(ops.matches, est.tokens.len() as u64 - lit_count, "{level:?}");
+            assert_eq!(ops.inserts, ops.hashes, "every computed hash is inserted");
+            // Coverage: literals + match bytes == input length.
+            assert_eq!(ops.literals + ops.match_bytes, data.len() as u64, "{level:?}");
+        }
     }
 
     #[test]

@@ -137,6 +137,14 @@ impl LzssParams {
         assert!((8..=20).contains(&self.hash_bits), "hash bits {} outside 8..=20", self.hash_bits);
     }
 
+    /// Maximum usable match distance: zlib's `MAX_DIST`, which the hardware
+    /// shares because its background filler may overwrite the oldest
+    /// [`MIN_LOOKAHEAD`] dictionary bytes while a match is in flight.
+    #[inline]
+    pub fn max_distance(&self) -> u32 {
+        self.window_size - MIN_LOOKAHEAD as u32
+    }
+
     /// log2(window_size): the dictionary address width in bits.
     pub fn window_bits(&self) -> u32 {
         self.window_size.trailing_zeros()

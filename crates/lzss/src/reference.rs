@@ -1,22 +1,21 @@
-//! ZLib-algorithm-equivalent software LZSS compressor.
+//! The test oracle: zlib's algorithm as plain byte loops.
 //!
-//! This is the Table I software baseline *and* the golden model for the
-//! cycle-accurate hardware simulation: with [`CompressionLevel::Min`](crate::params::CompressionLevel::Min) the
-//! greedy path below follows zlib's `deflate_fast` decision-for-decision
+//! This module is *obviously* the zlib algorithm — byte-at-a-time compares,
+//! fresh tables per call, no quick reject — and that is its whole job: the
+//! equivalence suites check the one matcher the program runs
+//! ([`crate::turbo`]) and the cycle-accurate hardware model in
+//! `lzfpga-core` against it token for token. Nothing outside the tests
+//! calls it.
+//!
+//! With [`CompressionLevel::Min`](crate::params::CompressionLevel::Min) the
+//! greedy path follows zlib's `deflate_fast` decision-for-decision
 //! (head/next chains, newest-candidate-first walk, `max_insert_length` skip
 //! rule), which is exactly the algorithm the paper moved into hardware. The
-//! hardware model in `lzfpga-core` is tested to produce token-for-token
-//! identical output against this function.
-//!
-//! The lazy path (`Medium`/`Max`) mirrors zlib's `deflate_slow` one-position
+//! lazy path (`Medium`/`Max`) mirrors zlib's `deflate_slow` one-position
 //! deferral, providing the Fig. 4 "max compression level" end point.
-//!
-//! Every interesting dynamic operation is reported through the [`Probe`]
-//! trait so the embedded-CPU cost model in [`crate::cost`] can count work
-//! without a second implementation of the algorithm.
 
 use crate::hash::HASH_BYTES;
-use crate::params::{LzssParams, MIN_LOOKAHEAD};
+use crate::params::LzssParams;
 use lzfpga_deflate::fixed::{MAX_MATCH, MIN_MATCH};
 use lzfpga_deflate::token::Token;
 
@@ -24,39 +23,6 @@ use lzfpga_deflate::token::Token;
 /// distance is large (zlib's `TOO_FAR`); applied only on the lazy path, as in
 /// zlib.
 const TOO_FAR: u32 = 4_096;
-
-/// Observer of the compressor's dynamic operations (all hooks default to
-/// no-ops; the optimiser removes them entirely for [`NoProbe`]).
-pub trait Probe {
-    /// A 3-byte hash was computed.
-    #[inline]
-    fn hash_computed(&mut self) {}
-    /// A position was inserted into the head/next tables.
-    #[inline]
-    fn position_inserted(&mut self) {}
-    /// One hash-chain candidate was fetched and considered.
-    #[inline]
-    fn chain_step(&mut self) {}
-    /// `n` byte comparisons were performed while extending a match.
-    #[inline]
-    fn bytes_compared(&mut self, n: u32) {
-        let _ = n;
-    }
-    /// A literal token was emitted.
-    #[inline]
-    fn literal_emitted(&mut self) {}
-    /// A match token of length `len` was emitted.
-    #[inline]
-    fn match_emitted(&mut self, len: u32) {
-        let _ = len;
-    }
-}
-
-/// The no-op probe used for plain compression.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoProbe;
-
-impl Probe for NoProbe {}
 
 /// Head/prev chain tables with the hardware's zero-initialisation semantics.
 ///
@@ -104,23 +70,26 @@ impl ChainTables {
 }
 
 /// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
-/// `limit`. Reports the number of byte comparisons to the probe (one per
-/// matched byte plus the mismatching byte, as executed).
+/// `limit`, compared one byte at a time.
 #[inline]
-fn match_length<P: Probe>(data: &[u8], a: usize, b: usize, limit: u32, probe: &mut P) -> u32 {
+fn match_length(data: &[u8], a: usize, b: usize, limit: u32) -> u32 {
     debug_assert!(a < b);
     let max = limit as usize;
     let mut n = 0usize;
     while n < max && data[a + n] == data[b + n] {
         n += 1;
     }
-    probe.bytes_compared((n + usize::from(n < max)) as u32);
     n as u32
 }
 
 /// Compress `data` into an LZSS token stream.
 pub fn compress(data: &[u8], params: &LzssParams) -> Vec<Token> {
-    compress_with_probe(data, params, &mut NoProbe)
+    params.validate();
+    if params.effective_tuning().lazy {
+        compress_lazy(data, params)
+    } else {
+        compress_greedy_from(data, 0, params)
+    }
 }
 
 /// Compress `data` with a *preset dictionary*: the window and hash chains
@@ -148,36 +117,12 @@ pub fn compress_with_dict(dict: &[u8], data: &[u8], params: &LzssParams) -> Vec<
     let mut buf = Vec::with_capacity(dict.len() + data.len());
     buf.extend_from_slice(dict);
     buf.extend_from_slice(data);
-    compress_greedy_from(&buf, dict.len(), params, &mut NoProbe)
-}
-
-/// Compress `data`, reporting dynamic operation counts to `probe`.
-pub fn compress_with_probe<P: Probe>(
-    data: &[u8],
-    params: &LzssParams,
-    probe: &mut P,
-) -> Vec<Token> {
-    params.validate();
-    let tuning = params.effective_tuning();
-    if tuning.lazy {
-        compress_lazy(data, params, probe)
-    } else {
-        compress_greedy(data, params, probe)
-    }
-}
-
-/// Maximum usable match distance: zlib's `MAX_DIST`, which the hardware
-/// shares because its background filler may overwrite the oldest
-/// `MIN_LOOKAHEAD` dictionary bytes while a match is in flight.
-#[inline]
-pub fn max_distance(window_size: u32) -> u32 {
-    window_size - MIN_LOOKAHEAD as u32
+    compress_greedy_from(&buf, dict.len(), params)
 }
 
 /// Search the hash chain starting at `cand` for the longest match against
 /// `data[pos..]`. Returns `(best_len, best_dist)`, `(0, 0)` if none.
-#[allow(clippy::too_many_arguments)]
-fn longest_match<P: Probe>(
+fn longest_match(
     data: &[u8],
     pos: usize,
     mut cand: usize,
@@ -185,7 +130,6 @@ fn longest_match<P: Probe>(
     max_dist: u32,
     mut chain_budget: u32,
     nice: u32,
-    probe: &mut P,
 ) -> (u32, u32) {
     let limit = MAX_MATCH.min((data.len() - pos) as u32);
     let nice = nice.min(limit);
@@ -201,8 +145,7 @@ fn longest_match<P: Probe>(
         if dist > max_dist {
             break;
         }
-        probe.chain_step();
-        let len = match_length(data, cand, pos, limit, probe);
+        let len = match_length(data, cand, pos, limit);
         if len > best_len {
             best_len = len;
             best_dist = dist;
@@ -219,29 +162,18 @@ fn longest_match<P: Probe>(
     (best_len, best_dist)
 }
 
-fn compress_greedy<P: Probe>(data: &[u8], params: &LzssParams, probe: &mut P) -> Vec<Token> {
-    compress_greedy_from(data, 0, params, probe)
-}
-
 /// Greedy compression of `data[start..]` with `data[..start]` serving as a
 /// pre-inserted dictionary (every hashable dictionary position enters the
 /// chains first, exactly like zlib's `deflateSetDictionary`).
-fn compress_greedy_from<P: Probe>(
-    data: &[u8],
-    start: usize,
-    params: &LzssParams,
-    probe: &mut P,
-) -> Vec<Token> {
+fn compress_greedy_from(data: &[u8], start: usize, params: &LzssParams) -> Vec<Token> {
     let tuning = params.effective_tuning();
-    let max_dist = max_distance(params.window_size);
+    let max_dist = params.max_distance();
     let mut tables = ChainTables::new(params);
     let mut out = Vec::new();
     let n = data.len();
     for k in 0..start.min(n.saturating_sub(HASH_BYTES - 1)) {
         let hk = params.hash_fn.hash_at(data, k);
-        probe.hash_computed();
         tables.insert(hk, k);
-        probe.position_inserted();
     }
     let mut pos = start;
 
@@ -249,54 +181,39 @@ fn compress_greedy_from<P: Probe>(
         if n - pos < HASH_BYTES {
             // Tail too short to hash: emit the remaining bytes as literals.
             out.push(Token::Literal(data[pos]));
-            probe.literal_emitted();
             pos += 1;
             continue;
         }
         let h = params.hash_fn.hash_at(data, pos);
-        probe.hash_computed();
         let cand = tables.insert(h, pos);
-        probe.position_inserted();
 
-        let (best_len, best_dist) = longest_match(
-            data,
-            pos,
-            cand,
-            &tables,
-            max_dist,
-            tuning.max_chain,
-            tuning.nice_length,
-            probe,
-        );
+        let (best_len, best_dist) =
+            longest_match(data, pos, cand, &tables, max_dist, tuning.max_chain, tuning.nice_length);
 
         if best_len >= MIN_MATCH {
             out.push(Token::new_match(best_dist, best_len));
-            probe.match_emitted(best_len);
             // zlib deflate_fast: insert every position of a short match;
             // skip hash maintenance entirely for long ones.
             if best_len <= tuning.max_lazy {
                 for k in pos + 1..pos + best_len as usize {
                     if k + HASH_BYTES <= n {
                         let hk = params.hash_fn.hash_at(data, k);
-                        probe.hash_computed();
                         tables.insert(hk, k);
-                        probe.position_inserted();
                     }
                 }
             }
             pos += best_len as usize;
         } else {
             out.push(Token::Literal(data[pos]));
-            probe.literal_emitted();
             pos += 1;
         }
     }
     out
 }
 
-fn compress_lazy<P: Probe>(data: &[u8], params: &LzssParams, probe: &mut P) -> Vec<Token> {
+fn compress_lazy(data: &[u8], params: &LzssParams) -> Vec<Token> {
     let tuning = params.effective_tuning();
-    let max_dist = max_distance(params.window_size);
+    let max_dist = params.max_distance();
     let mut tables = ChainTables::new(params);
     let mut out = Vec::new();
     let n = data.len();
@@ -311,7 +228,6 @@ fn compress_lazy<P: Probe>(data: &[u8], params: &LzssParams, probe: &mut P) -> V
         if n - pos < HASH_BYTES {
             if prev_len >= MIN_MATCH {
                 out.push(Token::new_match(prev_dist, prev_len));
-                probe.match_emitted(prev_len);
                 let skip = prev_len as usize - 1;
                 prev_len = 0;
                 have_prev_literal = false;
@@ -320,34 +236,21 @@ fn compress_lazy<P: Probe>(data: &[u8], params: &LzssParams, probe: &mut P) -> V
             }
             if have_prev_literal {
                 out.push(Token::Literal(data[pos - 1]));
-                probe.literal_emitted();
                 have_prev_literal = false;
             }
             out.push(Token::Literal(data[pos]));
-            probe.literal_emitted();
             pos += 1;
             continue;
         }
 
         let h = params.hash_fn.hash_at(data, pos);
-        probe.hash_computed();
         let cand = tables.insert(h, pos);
-        probe.position_inserted();
 
         // Reduce effort when the pending match is already good (zlib).
         let budget =
             if prev_len >= tuning.good_length { tuning.max_chain >> 2 } else { tuning.max_chain };
         let (mut cur_len, cur_dist) = if prev_len < tuning.max_lazy {
-            longest_match(
-                data,
-                pos,
-                cand,
-                &tables,
-                max_dist,
-                budget.max(1),
-                tuning.nice_length,
-                probe,
-            )
+            longest_match(data, pos, cand, &tables, max_dist, budget.max(1), tuning.nice_length)
         } else {
             (0, 0)
         };
@@ -358,15 +261,12 @@ fn compress_lazy<P: Probe>(data: &[u8], params: &LzssParams, probe: &mut P) -> V
         if prev_len >= MIN_MATCH && cur_len <= prev_len {
             // The deferred match wins: emit it, covering data[pos-1..].
             out.push(Token::new_match(prev_dist, prev_len));
-            probe.match_emitted(prev_len);
             // Insert the remaining covered positions (pos .. pos-1+prev_len),
             // pos itself is already inserted.
             for k in pos + 1..pos - 1 + prev_len as usize {
                 if k + HASH_BYTES <= n {
                     let hk = params.hash_fn.hash_at(data, k);
-                    probe.hash_computed();
                     tables.insert(hk, k);
-                    probe.position_inserted();
                 }
             }
             pos += prev_len as usize - 1;
@@ -375,7 +275,6 @@ fn compress_lazy<P: Probe>(data: &[u8], params: &LzssParams, probe: &mut P) -> V
         } else {
             if have_prev_literal {
                 out.push(Token::Literal(data[pos - 1]));
-                probe.literal_emitted();
             }
             prev_len = cur_len;
             prev_dist = cur_dist;
@@ -385,7 +284,6 @@ fn compress_lazy<P: Probe>(data: &[u8], params: &LzssParams, probe: &mut P) -> V
     }
     if have_prev_literal {
         out.push(Token::Literal(data[n - 1]));
-        probe.literal_emitted();
     }
     out
 }
@@ -482,7 +380,7 @@ mod tests {
         let tokens = compress(&data, &params);
         for t in &tokens {
             if let Token::Match { dist, .. } = t {
-                assert!(*dist <= max_distance(1_024), "dist {dist} escapes window");
+                assert!(*dist <= params.max_distance(), "dist {dist} escapes window");
             }
         }
         roundtrip(&data, &params);
@@ -510,46 +408,9 @@ mod tests {
         for t in compress(&data, &params) {
             if let Token::Match { dist, len } = t {
                 assert!((MIN_MATCH..=MAX_MATCH).contains(&len));
-                assert!(dist >= 1 && dist <= max_distance(2_048));
+                assert!(dist >= 1 && dist <= params.max_distance());
             }
         }
-    }
-
-    #[test]
-    fn probe_counts_are_consistent() {
-        #[derive(Default)]
-        struct Counting {
-            literals: u64,
-            matches: u64,
-            match_bytes: u64,
-            hashes: u64,
-            inserts: u64,
-        }
-        impl Probe for Counting {
-            fn literal_emitted(&mut self) {
-                self.literals += 1;
-            }
-            fn match_emitted(&mut self, len: u32) {
-                self.matches += 1;
-                self.match_bytes += u64::from(len);
-            }
-            fn hash_computed(&mut self) {
-                self.hashes += 1;
-            }
-            fn position_inserted(&mut self) {
-                self.inserts += 1;
-            }
-        }
-        let data = b"abcabcabcabc xyz abcabc xyz ".repeat(50);
-        let mut probe = Counting::default();
-        let tokens = compress_with_probe(&data, &fast(), &mut probe);
-        let lit_count = tokens.iter().filter(|t| matches!(t, Token::Literal(_))).count() as u64;
-        let match_count = tokens.len() as u64 - lit_count;
-        assert_eq!(probe.literals, lit_count);
-        assert_eq!(probe.matches, match_count);
-        assert_eq!(probe.inserts, probe.hashes, "every computed hash is inserted in greedy mode");
-        // Coverage: literals + match bytes == input length.
-        assert_eq!(probe.literals + probe.match_bytes, data.len() as u64);
     }
 
     #[test]

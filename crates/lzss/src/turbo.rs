@@ -1,16 +1,16 @@
-//! Turbo software fast path: the reference algorithm with a wide match
-//! kernel and zero-allocation engine reuse.
+//! The matcher: zlib's hash-chain LZSS with a wide match kernel and
+//! zero-allocation engine reuse. Every compress path in the workspace runs
+//! it, and so does the Table I cost model ([`crate::cost`]).
 //!
-//! [`mod@crate::reference`] optimises for being *obviously* the zlib
-//! algorithm — byte loops, fresh tables per call, a probe on every
-//! operation. This module is the same decision procedure made fast:
+//! The decision procedure is zlib's; what makes it fast:
 //!
 //! * **Wide matching.** Where the hardware compares a full dictionary bus
 //!   word per cycle (§IV of the paper; see `compare_cycles` in
 //!   `lzfpga-core`), the software kernel ([`crate::simd::match_length`])
 //!   compares 8 bytes as one `u64`, then 16-byte vector compares on
 //!   targets with SSE2 or NEON — one branch per word instead of one per
-//!   byte.
+//!   byte — and a one-byte quick reject (zlib's `scan_end`) skips most
+//!   candidates before the kernel runs.
 //! * **Arena reuse.** A [`TurboEngine`] owns its head/next tables and hands
 //!   them to every call: compressing a stream of chunks allocates nothing
 //!   after the first chunk (reset is a `fill(0)`, preserving the hardware's
@@ -20,24 +20,24 @@
 //!   count, or encode without an intermediate `Vec` when they don't need
 //!   one.
 //!
-//! The output is **token-for-token identical** to [`crate::compress`] for
-//! every parameter set — greedy and lazy — which transitively makes it
-//! identical to the cycle-accurate hardware model. The tests here and the
-//! workspace-level `turbo_equivalence` suite enforce that.
+//! The output is **token-for-token identical** to the byte-loop test
+//! oracle, [`mod@crate::reference`], for every parameter set — greedy and
+//! lazy — and at the greedy level to the cycle-accurate hardware model.
+//! The tests here and the workspace-level `turbo_equivalence` and
+//! `hw_equivalence` suites enforce that.
 //!
 //! **Observability.** Every hot loop is generic over
 //! [`MatchProbe`](lzfpga_telemetry::MatchProbe): the plain entry points use
 //! [`NoProbe`](lzfpga_telemetry::NoProbe) (whose callbacks monomorphize
 //! away — zero cost, byte-identical output), while
-//! [`TurboEngine::compress_into_probed`] records hash-chain inserts, probe
-//! counts, kernel runs, chain-walk-length histograms and the match/literal
-//! mix into any probe — [`lzfpga_telemetry::TurboCounters`] being the one
-//! the `--metrics` report uses. Probes observe; they never influence a
-//! decision.
+//! [`TurboEngine::compress_into_probed`] reports hash-chain inserts, each
+//! visited chain candidate, kernel runs, chain-walk lengths and the
+//! match/literal mix to any probe: [`lzfpga_telemetry::TurboCounters`] for
+//! the `--metrics` report, [`crate::cost::OpCounts`] for the cost model.
+//! Probes observe; they never influence a decision.
 
 use crate::hash::HASH_BYTES;
 use crate::params::{LevelTuning, LzssParams};
-use crate::reference::max_distance;
 use crate::simd::match_length;
 use lzfpga_deflate::fixed::{MAX_MATCH, MIN_MATCH};
 use lzfpga_deflate::sink::TokenSink;
@@ -45,16 +45,17 @@ use lzfpga_deflate::token::Token;
 use lzfpga_faults::{Failpoints, InjectedFault};
 use lzfpga_telemetry::{MatchProbe, NoProbe};
 
-/// Same threshold as the reference lazy path (zlib's `TOO_FAR`).
-pub(crate) const TOO_FAR: u32 = 4_096;
+/// zlib's `TOO_FAR`: on the lazy path a minimum-length match reaching
+/// further back than this is dropped.
+const TOO_FAR: u32 = 4_096;
 
 /// Per-run search geometry, hoisted out of the hot loop.
 #[derive(Clone, Copy)]
-pub(crate) struct Search {
-    /// Largest emittable distance (`max_distance(window_size)`).
-    pub(crate) max_dist: u32,
+struct Search {
+    /// Largest emittable distance ([`LzssParams::max_distance`]).
+    max_dist: u32,
     /// Stop searching once a match of this length is found.
-    pub(crate) nice: u32,
+    nice: u32,
 }
 
 /// zlib `INSERT_STRING`: file `pos` under `h`, return the old head.
@@ -62,10 +63,10 @@ pub(crate) struct Search {
 /// `head` and `prev` must be exactly the live regions (`1 << hash_bits` and
 /// `window_size` entries) so the mask-derived-from-length indexing below is
 /// both correct and bounds-check free. Positions are `u32` — half the table
-/// footprint of the reference's `usize` entries, which matters because the
+/// footprint of `usize` entries, which matters because the
 /// head table is hit at a random slot for every input position.
 #[inline]
-pub(crate) fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u32 {
+fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u32 {
     let slot = h as usize & (head.len() - 1);
     let old = head[slot];
     prev[pos as usize & (prev.len() - 1)] = old;
@@ -73,15 +74,15 @@ pub(crate) fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u3
     old
 }
 
-/// Walk the chain from `cand` for the longest match against `data[pos..]`;
-/// identical decisions to the reference `longest_match`. `prev` is the live
+/// Walk the chain from `cand` for the longest match against `data[pos..]`,
+/// zlib's `longest_match`. `prev` is the live
 /// `window_size`-entry ring (its length is the index mask + 1).
 ///
 /// `#[inline(always)]`, like the kernel it calls: the chain walk makes
 /// millions of probes, most of which resolve in a handful of bytes, so a
 /// call boundary per probe would rival the cost of the compare itself.
 #[inline(always)]
-pub(crate) fn longest_match<P: MatchProbe>(
+fn longest_match<P: MatchProbe>(
     data: &[u8],
     pos: usize,
     mut cand: u32,
@@ -109,14 +110,15 @@ pub(crate) fn longest_match<P: MatchProbe>(
             break;
         }
         steps += 1;
+        probe.candidate(data, cand as usize, pos, limit);
         // Quick reject (zlib's probe): a candidate can only beat `best_len`
         // if it also matches at offset `best_len`, so one byte compare skips
         // most full kernel runs without changing which matches are found.
         // `best_len < limit` holds here — a best of `limit >= nice` would
         // have exited at its update below — so both probes are in bounds.
         if data[cand as usize + best_len as usize] == scan_end {
-            // `cand < pos` and `pos + limit <= data.len()`: the kernel's
-            // contract is the reference compressor's invariant above.
+            // `cand < pos` (the break above) and `pos + limit <= data.len()`
+            // (`limit`'s definition): the kernel's contract holds.
             let len = match_length(data, cand as usize, pos, limit);
             probe.kernel_run(len);
             if len > best_len {
@@ -148,7 +150,7 @@ pub(crate) fn longest_match<P: MatchProbe>(
 /// are skipped exactly as before.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn insert_run<P: MatchProbe>(
+fn insert_run<P: MatchProbe>(
     data: &[u8],
     head: &mut [u32],
     prev: &mut [u32],
@@ -181,8 +183,8 @@ pub(crate) fn insert_run<P: MatchProbe>(
     probe.inserted_n(filed);
 }
 
-/// A reusable LZSS compression engine: the reference algorithm with
-/// persistent head/next arenas and the wide match kernel.
+/// A reusable LZSS compression engine: zlib's algorithm with persistent
+/// head/next arenas and the wide match kernel.
 ///
 /// Construction is cheap; tables are grown lazily to the largest geometry
 /// seen and zero-filled (not reallocated) between inputs.
@@ -215,8 +217,7 @@ impl TurboEngine {
         self.prev[..prev_len].fill(0);
     }
 
-    /// Compress `data`, streaming tokens into `sink`. Token-for-token
-    /// identical to [`crate::compress`] with the same `params`.
+    /// Compress `data`, streaming tokens into `sink`.
     pub fn compress_into<S: TokenSink>(&mut self, data: &[u8], params: &LzssParams, sink: &mut S) {
         self.compress_into_probed(data, params, sink, &mut NoProbe);
     }
@@ -236,8 +237,7 @@ impl TurboEngine {
         assert!(data.len() <= u32::MAX as usize, "turbo inputs are limited to 4 GiB - 1");
         self.reset(params);
         let tuning = params.effective_tuning();
-        let search =
-            Search { max_dist: max_distance(params.window_size), nice: tuning.nice_length };
+        let search = Search { max_dist: params.max_distance(), nice: tuning.nice_length };
         let hash = params.hash_fn;
         let head = &mut self.head[..1usize << params.hash_bits];
         let prev = &mut self.prev[..params.window_size as usize];

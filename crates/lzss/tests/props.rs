@@ -10,7 +10,7 @@ use lzfpga_lzss::cost::estimate_software;
 use lzfpga_lzss::decoder::decode_tokens;
 use lzfpga_lzss::hash::{HashFn, HASH_BYTES};
 use lzfpga_lzss::params::{CompressionLevel, LzssParams};
-use lzfpga_lzss::reference::{compress, max_distance};
+use lzfpga_lzss::reference::compress;
 use lzfpga_sim::rng::XorShift64;
 
 const CASES: usize = 64;
@@ -62,7 +62,7 @@ fn all_matches_respect_the_window() {
     for _ in 0..CASES {
         let data = random_input(&mut rng);
         let params = random_params(&mut rng);
-        let limit = max_distance(params.window_size);
+        let limit = params.max_distance();
         for t in compress(&data, &params) {
             if let Token::Match { dist, len } = t {
                 assert!(dist >= 1 && dist <= limit);

@@ -152,23 +152,24 @@ pub enum Rung {
     Engine,
     /// One retry on the same engine.
     Retry,
-    /// The single-threaded reference path: token-identical to every
-    /// engine, and never failpoint-injectable.
-    Reference,
+    /// The last resort, never failpoint-injectable: an attempt that
+    /// shares no state with the failed ones. Compressors run a new
+    /// `TurboEngine`, token-identical to every engine.
+    Fresh,
 }
 
-/// Run one item through the degradation ladder: engine, retry, then the
-/// reference path, each attempt under [`std::panic::catch_unwind`].
+/// Run one item through the degradation ladder: engine, retry, then a
+/// fresh engine, each attempt under [`std::panic::catch_unwind`].
 ///
 /// The failpoint `site` is checked before the engine and retry attempts
-/// only; the reference rung is the last resort, so drills can storm a site
+/// only; the fresh rung is the last resort, so drills can storm a site
 /// as hard as they like and the output stays exact. `chunk` is the item's
 /// index in the ledger, which records every attempt, retry, degradation,
 /// caught panic and injected error. With a `timer`, each failed attempt
 /// leaves a `fault` span on the chunk's branch of the span tree.
 ///
 /// # Errors
-/// The attempts consumed (always 3) when even the reference rung failed.
+/// The attempts consumed (always 3) when even the fresh rung failed.
 pub fn ladder<R, F: Failpoints>(
     faults: &F,
     site: &'static str,
@@ -177,13 +178,13 @@ pub fn ladder<R, F: Failpoints>(
     mut timer: Option<&mut SpanTimer>,
     mut attempt: impl FnMut(Rung) -> Result<R, InjectedFault>,
 ) -> Result<R, u64> {
-    let rungs = [Rung::Engine, Rung::Retry, Rung::Reference];
+    let rungs = [Rung::Engine, Rung::Retry, Rung::Fresh];
     for (n, rung) in rungs.into_iter().enumerate() {
         ledger.attempts += 1;
         match rung {
             Rung::Engine => {}
             Rung::Retry => ledger.retries += 1,
-            Rung::Reference => {
+            Rung::Fresh => {
                 ledger.degraded_chunks.push(chunk);
                 ledger.degraded_chunks.sort_unstable();
             }
@@ -194,7 +195,7 @@ pub fn ladder<R, F: Failpoints>(
         // re-zero their arenas per call), so a mid-attempt panic leaves no
         // poisoned state behind.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if rung != Rung::Reference && faults.check(site) {
+            if rung != Rung::Fresh && faults.check(site) {
                 return Err(InjectedFault { site });
             }
             attempt(rung)
@@ -319,14 +320,15 @@ mod tests {
             |_| (TurboEngine::new(), FailureReport::default()),
             |(turbo, ledger), i, chunk| {
                 ladder(&plan, "exec.test", i, ledger, None, |rung| match rung {
-                    Rung::Reference => Ok(lzfpga_lzss::compress(chunk, &params)),
+                    Rung::Fresh => Ok(TurboEngine::new().compress(chunk, &params)),
                     _ => Ok(turbo.compress(chunk, &params)),
                 })
             },
             |_, t| tokens.push(t),
         );
         assert!(outcome.is_ok());
-        let expect: Vec<_> = chunks.iter().map(|c| lzfpga_lzss::compress(c, &params)).collect();
+        let expect: Vec<_> =
+            chunks.iter().map(|c| lzfpga_lzss::reference::compress(c, &params)).collect();
         assert_eq!(tokens, expect, "degraded items stay token-exact");
         let mut ledger = FailureReport::default();
         for (_, l) in &states {
@@ -336,7 +338,7 @@ mod tests {
         assert_eq!(ledger.degraded_chunks, (0..n).collect::<Vec<_>>());
         assert_eq!((ledger.attempts, ledger.injected_errors), (3 * n as u64, 2 * n as u64));
         assert!(ledger.failed_chunks.is_empty());
-        assert_eq!(plan.fired_count(), 2 * n, "the site is never checked on the reference rung");
+        assert_eq!(plan.fired_count(), 2 * n, "the site is never checked on the fresh rung");
     }
 
     #[test]
@@ -356,7 +358,7 @@ mod tests {
             |_| FailureReport::default(),
             |ledger, i, _| {
                 ladder(&NoFaults, "exec.test", i, ledger, None, |_| -> Result<(), _> {
-                    panic!("the reference rung panics too")
+                    panic!("the fresh rung panics too")
                 })
             },
             |_, ()| {},

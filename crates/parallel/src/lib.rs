@@ -22,9 +22,9 @@
 //! land*, so the Deflate bit-packing or frame layout of chunk `i` overlaps
 //! the matching of chunks `i+1..`, the paper's matcher→Huffman FIFO
 //! decoupling in software. Every per-chunk attempt runs through the one
-//! degradation ladder, [`exec::ladder`] (engine, retry, then the never
-//! injectable reference compressor), whose recoveries land in the job's
-//! [`FailureReport`]; only a chunk whose reference attempt also fails
+//! degradation ladder, [`exec::ladder`] (engine, retry, then a fresh,
+//! never injectable turbo engine), whose recoveries land in the job's
+//! [`FailureReport`]; only a chunk whose fresh attempt also fails
 //! yields [`ParallelError::ChunkFailed`].
 //!
 //! Two front-ends produce identical token streams: [`EngineKind::Modelled`],
@@ -150,8 +150,8 @@ impl std::error::Error for ParallelConfigError {}
 pub enum ParallelError {
     /// The configuration failed validation (nothing ran).
     Config(ParallelConfigError),
-    /// A chunk failed the whole degradation ladder (engine, retry,
-    /// reference fallback).
+    /// A chunk failed the whole degradation ladder (engine, retry, fresh
+    /// engine).
     ChunkFailed {
         /// The chunk that could not be compressed.
         index: usize,
@@ -298,8 +298,8 @@ impl Worker {
 
     /// Tokenize chunk `i` through the ladder into a sink `fresh` makes for
     /// each attempt; returns the filled sink and the engine cycles (0 for
-    /// turbo and for degraded chunks). The turbo engine streams into the
-    /// sink; the reference and modelled rungs feed it their token vectors.
+    /// turbo and for degraded chunks). The turbo engines stream into the
+    /// sink; the modelled engine feeds it its token vector.
     fn tokenize<S: TokenSink, F: Failpoints>(
         &mut self,
         cfg: &ParallelConfig,
@@ -315,9 +315,7 @@ impl Worker {
             let mut sink = fresh();
             let mut cycles = 0;
             match (rung, cfg.engine) {
-                (Rung::Reference, _) => {
-                    sink.push_tokens(&lzfpga_lzss::compress(chunk, &params));
-                }
+                (Rung::Fresh, _) => TurboEngine::new().compress_into(chunk, &params, &mut sink),
                 (_, EngineKind::Modelled) => {
                     let rep = HwCompressor::new(cfg.hw).compress(chunk);
                     sink.push_tokens(&rep.tokens);
@@ -388,7 +386,7 @@ struct ChunkDone {
 /// # Errors
 /// Returns [`ParallelError::Config`] when `cfg` fails validation, and
 /// [`ParallelError::ChunkFailed`] when a chunk exhausts the degradation
-/// ladder (engine → retry → reference fallback).
+/// ladder (engine → retry → fresh engine).
 pub fn compress_parallel(
     data: &[u8],
     cfg: &ParallelConfig,
@@ -398,7 +396,7 @@ pub fn compress_parallel(
 
 /// [`compress_parallel`] with failpoints active: site
 /// `parallel.worker.chunk` fires before each chunk's engine and retry
-/// attempts (never its reference rung), and the turbo front-end also routes
+/// attempts (never its fresh rung), and the turbo front-end also routes
 /// through `turbo.compress.enter` / `.exit` unless telemetry is on. Fired
 /// faults are drained into [`ParallelReport::failures`].
 pub fn compress_parallel_with<F: Failpoints>(
@@ -1050,7 +1048,7 @@ mod tests {
         assert_eq!(zlib_decompress(&rep.compressed).unwrap(), data);
 
         // Exactly the injected fault shows up, nothing else: one panic,
-        // one retry that succeeds, no degradation to the reference engine.
+        // one retry that succeeds, no degradation to a fresh engine.
         assert_eq!(rep.failures.attempts, 9);
         assert_eq!(rep.failures.retries, 1);
         assert_eq!(rep.failures.worker_restarts, 1);
@@ -1073,7 +1071,7 @@ mod tests {
         let plan = FailPlan::new(11)
             .rule(FailRule::new("parallel.worker.chunk").on_hit(3).times(2).errors());
         let rep = compress_parallel_with(&data, &turbo_cfg(32 * 1024, 1), &plan).unwrap();
-        assert_eq!(rep.compressed, clean.compressed, "reference fallback is token-identical");
+        assert_eq!(rep.compressed, clean.compressed, "fresh fallback is token-identical");
         assert_eq!(rep.failures.attempts, 10);
         assert_eq!(rep.failures.retries, 1);
         assert_eq!(rep.failures.injected_errors, 2);
@@ -1087,7 +1085,7 @@ mod tests {
         use lzfpga_faults::{FailPlan, FailRule};
         let data = generate(Corpus::LogLines, 2, 40_000);
         let clean = compress_parallel(&data, &turbo_cfg(8 * 1024, 1)).unwrap();
-        // Hits 1 and 2 are chunk 0's engine and retry rungs; its reference
+        // Hits 1 and 2 are chunk 0's engine and retry rungs; its fresh
         // rung is never injectable. Hit 3 fails chunk 1's first attempt.
         let plan = FailPlan::new(3)
             .rule(FailRule::new("parallel.worker.chunk").on_hit(1).times(3).errors());
@@ -1226,7 +1224,7 @@ mod tests {
         assert_eq!(rep.failures.worker_restarts, 1);
         assert_eq!(rep.failures.retries, 1);
         assert_eq!(rep.failures.injected[0].site, "parallel.frame.chunk");
-        // A frame whose engine rungs all fail degrades to the reference
+        // A frame whose engine rungs all fail degrades to the fresh
         // rung, which is never injectable: the bytes stay exact.
         let plan = FailPlan::new(4)
             .rule(FailRule::new("parallel.frame.chunk").on_hit(1).times(3).errors());

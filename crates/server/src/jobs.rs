@@ -7,8 +7,8 @@
 //! deadline, or a drain-deadline sweep stops the work at the next frame
 //! boundary. The compress body keeps its serial frame loop but runs each
 //! frame through the workspace's one degradation ladder
-//! ([`lzfpga_parallel::exec::ladder`]): engine, retry, then the never
-//! injectable reference compressor — so an injected panic degrades a frame
+//! ([`lzfpga_parallel::exec::ladder`]): engine, retry, then a fresh, never
+//! injectable turbo engine — so an injected panic degrades a frame
 //! instead of failing the request — and lays the frames out through
 //! [`StreamLayout`], so the bytes stay identical to `FrameWriter` output
 //! either way.
@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use lzfpga_container::{
-    check_structure, decode_frame, open_indexed_faulty, payload_from_sink, payload_from_tokens,
-    ContainerError, StreamLayout, MAX_FRAME_BYTES,
+    check_structure, decode_frame, open_indexed_faulty, payload_from_sink, ContainerError,
+    StreamLayout, MAX_FRAME_BYTES,
 };
 use lzfpga_core::HwConfig;
 use lzfpga_deflate::crc32::Crc32;
@@ -170,12 +170,12 @@ pub fn compress_job(
         ctl.checkpoint()?;
         let (codec, payload) =
             ladder(&faults, "server.chunk", i, &mut ledger.failures, None, |rung| {
-                if rung == Rung::Reference {
-                    let tokens = lzfpga_lzss::compress(chunk, &params);
-                    return Ok(payload_from_tokens(&tokens, chunk, &params));
-                }
                 let mut sink = FixedZlibSink::new(params.window_size);
-                turbo.compress_into_faulty(chunk, &params, &mut sink, &faults)?;
+                if rung == Rung::Fresh {
+                    TurboEngine::new().compress_into(chunk, &params, &mut sink);
+                } else {
+                    turbo.compress_into_faulty(chunk, &params, &mut sink, &faults)?;
+                }
                 Ok(payload_from_sink(sink, chunk))
             })
             .map_err(|attempts| {
@@ -338,6 +338,28 @@ mod tests {
         assert_eq!(framed, reference_stream(&data, 65536));
         assert!(ledger.failures.worker_restarts >= 1);
         assert!(!ledger.failures.injected.is_empty());
+    }
+
+    #[test]
+    fn an_always_firing_plan_degrades_every_frame_byte_exactly() {
+        let data = sample(200_000);
+        let plan =
+            FailPlan::new(9).rule(FailRule::new("server.chunk").on_hit(1).times(u64::MAX).errors());
+        let ctl = test_ctl(0);
+        let mut ledger = JobLedger::default();
+        let framed =
+            compress_job(&data, 65536, &HwConfig::paper_fast(), &ctl, &plan, &mut ledger).unwrap();
+        assert_eq!(framed, reference_stream(&data, 65536));
+        let frames = ledger.frames as usize;
+        assert_eq!(frames, 4);
+        assert_eq!(ledger.failures.degraded_chunks, (0..frames).collect::<Vec<_>>());
+        assert_eq!(ledger.failures.injected_errors, 2 * frames as u64);
+        assert!(ledger.failures.failed_chunks.is_empty());
+        assert_eq!(
+            ledger.failures.injected.len(),
+            2 * frames,
+            "the fresh rung is never injectable"
+        );
     }
 
     #[test]

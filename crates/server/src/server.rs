@@ -1471,7 +1471,7 @@ mod tests {
     #[test]
     fn injected_panics_degrade_requests_without_killing_the_server() {
         // Panic both engine attempts of the first frame: the ladder's
-        // reference rung (deliberately not injectable) still produces the
+        // fresh rung (deliberately not injectable) still produces the
         // exact bytes, and the server contains both panics.
         let plan = Arc::new(
             FailPlan::new(11).rule(FailRule::new("server.chunk").on_hit(1).times(2).panics()),

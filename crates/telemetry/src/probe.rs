@@ -41,6 +41,17 @@ pub trait MatchProbe {
         let _ = len;
     }
 
+    /// The chain walk reached candidate `cand` for the match at `pos`, just
+    /// before the quick reject. `cand < pos` and `pos + limit <= data.len()`,
+    /// so `data[cand..]` and `data[pos..]` can be compared for up to `limit`
+    /// bytes. Called once per visited candidate; only a probe that does
+    /// per-candidate work overrides it (the software cost model replays the
+    /// byte-loop compare count here).
+    #[inline]
+    fn candidate(&mut self, data: &[u8], cand: usize, pos: usize, limit: u32) {
+        let _ = (data, cand, pos, limit);
+    }
+
     /// A chain walk finished after examining `steps` candidates.
     ///
     /// This is also the per-candidate accounting point: the engines count

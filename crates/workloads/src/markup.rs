@@ -62,8 +62,8 @@ mod tests {
         // The tag skeleton is pure redundancy on top of the prose.
         let params = lzfpga_lzss::LzssParams::paper_fast();
         let bits = |data: &[u8]| {
-            lzfpga_deflate::encoder::fixed_block_bit_size(&lzfpga_lzss::compress(data, &params))
-                as f64
+            let tokens = lzfpga_lzss::TurboEngine::new().compress(data, &params);
+            lzfpga_deflate::encoder::fixed_block_bit_size(&tokens) as f64
         };
         let xml = generate(5, 150_000);
         let prose = wiki::generate(5, 150_000);

@@ -131,7 +131,8 @@ mod tests {
         assert_eq!(a, b, "both sides must carry the same bytes");
         let params = lzfpga_lzss::LzssParams::paper_fast();
         let bits = |d: &[u8]| {
-            lzfpga_deflate::encoder::fixed_block_bit_size(&lzfpga_lzss::compress(d, &params))
+            let tokens = lzfpga_lzss::TurboEngine::new().compress(d, &params);
+            lzfpga_deflate::encoder::fixed_block_bit_size(&tokens)
         };
         assert!(bits(&fine) > bits(&coarse) * 95 / 100, "mixing must not look free");
     }

@@ -83,7 +83,7 @@ mod tests {
     fn compressible_but_not_trivially() {
         let data = generate(7, 120_000);
         let params = lzfpga_lzss::LzssParams::paper_fast();
-        let tokens = lzfpga_lzss::compress(&data, &params);
+        let tokens = lzfpga_lzss::TurboEngine::new().compress(&data, &params);
         let bits = lzfpga_deflate::encoder::fixed_block_bit_size(&tokens);
         let ratio = data.len() as f64 * 8.0 / bits as f64;
         assert!(ratio > 1.05, "sensor frames must compress: {ratio}");

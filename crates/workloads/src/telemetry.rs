@@ -83,7 +83,7 @@ mod tests {
         // the CAN corpus at the same settings.
         let data = generate(3, 200_000);
         let params = lzfpga_lzss::LzssParams::paper_fast();
-        let tokens = lzfpga_lzss::compress(&data, &params);
+        let tokens = lzfpga_lzss::TurboEngine::new().compress(&data, &params);
         let covered: u64 = tokens
             .iter()
             .map(|t| match *t {

@@ -6,7 +6,7 @@
 //! |---|---|---|
 //! | [`sim`] | `lzfpga-sim` | Dual-port BRAM model, clocking, handshake streams, Virtex-5 resources |
 //! | [`deflate`] | `lzfpga-deflate` | Deflate fixed/dynamic encoding, full inflate, zlib/gzip containers |
-//! | [`lzss`] | `lzfpga-lzss` | Token model, software reference compressor, decoder, CPU cost model |
+//! | [`lzss`] | `lzfpga-lzss` | Token model, turbo matcher, test-oracle compressor, decoder, CPU cost model |
 //! | [`hw`] | `lzfpga-core` | The cycle-accurate hardware compressor model (the paper's contribution) |
 //! | [`workloads`] | `lzfpga-workloads` | Wiki/X2E/synthetic data generators |
 //! | [`estimator`] | `lzfpga-estimator` | Design-space exploration sweeps, Pareto/budget selection, interactive shell |

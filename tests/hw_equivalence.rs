@@ -9,8 +9,9 @@
 //! scaled to CI sizes but covering every parameter axis.
 
 use lzfpga::hw::{HwCompressor, HwConfig};
+use lzfpga::lzss::decode_tokens;
 use lzfpga::lzss::params::CompressionLevel;
-use lzfpga::lzss::{compress, decode_tokens};
+use lzfpga::lzss::reference::compress;
 use lzfpga::workloads::{generate, Corpus};
 
 fn assert_equivalent(data: &[u8], cfg: HwConfig, what: &str) {

@@ -11,7 +11,8 @@ use lzfpga::deflate::gzip::{gzip_compress_tokens, gzip_decompress};
 use lzfpga::deflate::zlib_decompress;
 use lzfpga::hw::{compress_to_zlib, HwConfig, ZlibSession};
 use lzfpga::lzss::params::CompressionLevel;
-use lzfpga::lzss::{compress, decode_tokens, LzssParams};
+use lzfpga::lzss::reference::compress;
+use lzfpga::lzss::{decode_tokens, LzssParams};
 use lzfpga::sim::rng::XorShift64;
 
 const CASES: usize = 48;

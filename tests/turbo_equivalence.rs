@@ -8,7 +8,8 @@
 use lzfpga::deflate::zlib_decompress;
 use lzfpga::hw::{compress_to_zlib, turbo_compress_to_zlib, HwCompressor, HwConfig};
 use lzfpga::lzss::params::CompressionLevel;
-use lzfpga::lzss::{compress, decode_tokens, TurboEngine};
+use lzfpga::lzss::reference::compress;
+use lzfpga::lzss::{decode_tokens, TurboEngine};
 use lzfpga::parallel::{compress_parallel, EngineKind, ParallelConfig};
 use lzfpga::workloads::{generate, Corpus};
 

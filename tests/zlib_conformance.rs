@@ -17,7 +17,8 @@ use lzfpga::deflate::gzip::gzip_compress_tokens;
 use lzfpga::deflate::vectors::{interop_text, ZLIB_LEVEL1, ZLIB_LEVEL6, ZLIB_LEVEL9};
 use lzfpga::deflate::{zlib_compress_tokens, zlib_decompress};
 use lzfpga::hw::{compress_to_zlib, HwConfig, ZlibSession};
-use lzfpga::lzss::{compress, LzssParams};
+use lzfpga::lzss::reference::compress;
+use lzfpga::lzss::LzssParams;
 use lzfpga::workloads::{generate, Corpus};
 
 #[test]
