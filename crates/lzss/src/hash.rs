@@ -77,6 +77,19 @@ impl HashFn {
         self.hash3(data[pos], data[pos + 1], data[pos + 2])
     }
 
+    /// [`Self::hash_at`] from one little-endian `u32` read: the low three
+    /// bytes of the word at `pos` are the three hashed bytes, so the result
+    /// is the same, for one bounds check instead of three. The greedy
+    /// matcher's main span uses it, where `MIN_LOOKAHEAD` bytes lie ahead.
+    ///
+    /// # Panics
+    /// Panics (via slice indexing) when fewer than 4 bytes remain.
+    #[inline]
+    pub(crate) fn hash_word_at(&self, data: &[u8], pos: usize) -> u32 {
+        let w = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"));
+        self.hash3(w as u8, (w >> 8) as u8, (w >> 16) as u8)
+    }
+
     /// Hash the 4 consecutive positions `pos..pos + 4` in one call —
     /// four independent lanes of the same arithmetic, written so the
     /// compiler can schedule (or vectorize) them together instead of
@@ -180,6 +193,24 @@ mod tests {
                 let wide = f.hash4_at(data, pos);
                 for (lane, h) in wide.into_iter().enumerate() {
                     assert_eq!(h, f.hash_at(data, pos + lane), "{f:?} pos={pos} lane={lane}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hash_word_at_equals_hash_at() {
+        let mut data: Vec<u8> = (0..=255u8).collect();
+        data.extend_from_slice(b"the quick brown fox jumps over the lazy dog 0123456789");
+        data.extend((0..256u32).map(|i| (i * 167 + 13) as u8));
+        for bits in 8..=20 {
+            for f in [HashFn::zlib(bits), HashFn::multiplicative(bits)] {
+                for pos in 0..=data.len() - 4 {
+                    assert_eq!(
+                        f.hash_word_at(&data, pos),
+                        f.hash_at(&data, pos),
+                        "{f:?} pos={pos}"
+                    );
                 }
             }
         }

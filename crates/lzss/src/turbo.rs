@@ -11,6 +11,16 @@
 //!   targets with SSE2 or NEON — one branch per word instead of one per
 //!   byte — and a one-byte quick reject (zlib's `scan_end`) skips most
 //!   candidates before the kernel runs.
+//! * **Full-lookahead main span.** The hardware's main FSM matches only
+//!   once its lookahead buffer holds `MIN_LOOKAHEAD` = 262 bytes
+//!   (*WaitData*), so its comparator never checks for end of data inside
+//!   a match. The greedy loop does the same in software: while 262 bytes
+//!   lie ahead, the match limit is the constant `MAX_MATCH`, `nice` is
+//!   used unclamped, the bulk insert runs without its end-of-input guards
+//!   and the position hash reads one little-endian `u32`. The last 261
+//!   positions run the same loop body with every check (`FULL = false`),
+//!   so both spans make the same decisions, probe callbacks and tokens.
+//!   The lazy loop runs checked throughout: the split did not pay there.
 //! * **Arena reuse.** A [`TurboEngine`] owns its head/next tables and hands
 //!   them to every call: compressing a stream of chunks allocates nothing
 //!   after the first chunk (reset is a `fill(0)`, preserving the hardware's
@@ -37,7 +47,7 @@
 //! Probes observe; they never influence a decision.
 
 use crate::hash::HASH_BYTES;
-use crate::params::{LevelTuning, LzssParams};
+use crate::params::{LevelTuning, LzssParams, MIN_LOOKAHEAD};
 use crate::simd::match_length;
 use lzfpga_deflate::fixed::{MAX_MATCH, MIN_MATCH};
 use lzfpga_deflate::sink::TokenSink;
@@ -82,7 +92,7 @@ fn insert(head: &mut [u32], prev: &mut [u32], h: u32, pos: u32) -> u32 {
 /// millions of probes, most of which resolve in a handful of bytes, so a
 /// call boundary per probe would rival the cost of the compare itself.
 #[inline(always)]
-fn longest_match<P: MatchProbe>(
+fn longest_match<const FULL: bool, P: MatchProbe>(
     data: &[u8],
     pos: usize,
     mut cand: u32,
@@ -93,8 +103,15 @@ fn longest_match<P: MatchProbe>(
 ) -> (u32, u32) {
     let Search { max_dist, nice } = search;
     let wmask = prev.len() - 1;
-    let limit = MAX_MATCH.min((data.len() - pos) as u32);
-    let nice = nice.min(limit);
+    // In the main span (`FULL`) at least `MIN_LOOKAHEAD` bytes lie ahead,
+    // so the clamps below would return `MAX_MATCH` and `nice` unchanged.
+    debug_assert!(!FULL || data.len() - pos >= MIN_LOOKAHEAD);
+    let (limit, nice) = if FULL {
+        (MAX_MATCH, nice)
+    } else {
+        let limit = MAX_MATCH.min((data.len() - pos) as u32);
+        (limit, nice.min(limit))
+    };
     let mut best_len = 0u32;
     let mut best_dist = 0u32;
     let mut steps = 0u32;
@@ -146,11 +163,16 @@ fn longest_match<P: MatchProbe>(
 /// of a match: hashes are computed four lanes at a time ([`crate::hash::HashFn::hash4_at`])
 /// so the serial hash→insert dependency of one position overlaps the next
 /// three. Insert order and values are identical to the one-at-a-time loop,
-/// which keeps the token stream identical. Positions past `n - HASH_BYTES`
-/// are skipped exactly as before.
+/// which keeps the token stream identical. Positions with fewer than
+/// `HASH_BYTES` bytes left are not filed, as in zlib.
+///
+/// `FULL` is the main span's promise that the run belongs to a match found
+/// at `pos` with `MIN_LOOKAHEAD` bytes ahead. Every hash below reads at
+/// most 3 bytes past `to`, and `to + 3 <= pos + MAX_MATCH + 3 < n`, so
+/// both end-of-input guards are dropped.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn insert_run<P: MatchProbe>(
+fn insert_run<const FULL: bool, P: MatchProbe>(
     data: &[u8],
     head: &mut [u32],
     prev: &mut [u32],
@@ -165,7 +187,7 @@ fn insert_run<P: MatchProbe>(
     // 4-wide while the group fits the run and `hash4_at`'s 7-byte window
     // fits the input (`k + 7 <= n` also guarantees every lane has its 3
     // hash bytes).
-    while k + 4 <= to && k + 7 <= n {
+    while k + 4 <= to && (FULL || k + 7 <= n) {
         let hs = hash.hash4_at(data, k);
         for (j, hk) in hs.into_iter().enumerate() {
             insert(head, prev, hk, (k + j) as u32);
@@ -174,7 +196,7 @@ fn insert_run<P: MatchProbe>(
         k += 4;
     }
     while k < to {
-        if k + HASH_BYTES <= n {
+        if FULL || k + HASH_BYTES <= n {
             insert(head, prev, hash.hash_at(data, k), k as u32);
             filed += 1;
         }
@@ -281,6 +303,21 @@ impl TurboEngine {
     }
 }
 
+/// Where a greedy span stops and the next resumes: the next position to
+/// code and the literal and insert counts not yet flushed to the probe.
+#[derive(Clone, Copy)]
+struct GreedyCursor {
+    pos: usize,
+    lits: u32,
+    inserts: u32,
+}
+
+/// zlib's `deflate_fast` as two spans of one loop. The main span covers
+/// every position with at least `MIN_LOOKAHEAD` bytes ahead — the software
+/// form of the hardware's *WaitData* guarantee — and runs without the
+/// end-of-input clamps and guards; the tail span codes the last
+/// `MIN_LOOKAHEAD - 1` positions (fewer on short inputs) with them. A match found in the main
+/// span may end inside the tail: the tail resumes where it stopped.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn run_greedy<S: TokenSink, P: MatchProbe>(
@@ -294,26 +331,53 @@ fn run_greedy<S: TokenSink, P: MatchProbe>(
     probe: &mut P,
 ) {
     let n = data.len();
-    let mut pos = 0usize;
     // Literal and head-insert counts accumulate in registers and flush to
     // the probe at match boundaries: the counts are exactly the per-event
     // ones, but the callback rate drops from per-byte to per-match.
-    let mut pend_lits = 0u32;
-    let mut pend_inserts = 0u32;
+    let cur = GreedyCursor { pos: 0, lits: 0, inserts: 0 };
+    let main_end = n.saturating_sub(MIN_LOOKAHEAD - 1);
+    let cur = greedy_span::<true, _, _>(
+        data, main_end, cur, head, prev, hash, search, tuning, sink, probe,
+    );
+    let cur =
+        greedy_span::<false, _, _>(data, n, cur, head, prev, hash, search, tuning, sink, probe);
+    probe.literals_n(cur.lits);
+    probe.inserted_n(cur.inserts);
+}
 
-    while pos < n {
-        if n - pos < HASH_BYTES {
+/// Code positions from `cur.pos` while they are below `end`. `FULL` spans
+/// end at or before `data.len() - (MIN_LOOKAHEAD - 1)`: every position in
+/// them has a full hash word ahead, matches up to `MAX_MATCH` and a bulk
+/// insert run that stays inside the input.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn greedy_span<const FULL: bool, S: TokenSink, P: MatchProbe>(
+    data: &[u8],
+    end: usize,
+    cur: GreedyCursor,
+    head: &mut [u32],
+    prev: &mut [u32],
+    hash: crate::hash::HashFn,
+    search: Search,
+    tuning: LevelTuning,
+    sink: &mut S,
+    probe: &mut P,
+) -> GreedyCursor {
+    let n = data.len();
+    let GreedyCursor { mut pos, lits: mut pend_lits, inserts: mut pend_inserts } = cur;
+    while pos < end {
+        if !FULL && n - pos < HASH_BYTES {
             sink.literal(data[pos]);
             pend_lits += 1;
             pos += 1;
             continue;
         }
-        let h = hash.hash_at(data, pos);
+        let h = if FULL { hash.hash_word_at(data, pos) } else { hash.hash_at(data, pos) };
         let cand = insert(head, prev, h, pos as u32);
         pend_inserts += 1;
 
         let (best_len, best_dist) =
-            longest_match(data, pos, cand, prev, search, tuning.max_chain, probe);
+            longest_match::<FULL, P>(data, pos, cand, prev, search, tuning.max_chain, probe);
 
         if best_len >= MIN_MATCH {
             sink.matched(best_dist, best_len);
@@ -323,7 +387,8 @@ fn run_greedy<S: TokenSink, P: MatchProbe>(
             pend_inserts = 0;
             probe.matched(best_len);
             if best_len <= tuning.max_lazy {
-                insert_run(data, head, prev, hash, pos + 1, pos + best_len as usize, n, probe);
+                let to = pos + best_len as usize;
+                insert_run::<FULL, P>(data, head, prev, hash, pos + 1, to, n, probe);
             }
             pos += best_len as usize;
         } else {
@@ -332,8 +397,7 @@ fn run_greedy<S: TokenSink, P: MatchProbe>(
             pos += 1;
         }
     }
-    probe.literals_n(pend_lits);
-    probe.inserted_n(pend_inserts);
+    GreedyCursor { pos, lits: pend_lits, inserts: pend_inserts }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -392,7 +456,7 @@ fn run_lazy<S: TokenSink, P: MatchProbe>(
         let budget =
             if prev_len >= tuning.good_length { tuning.max_chain >> 2 } else { tuning.max_chain };
         let (mut cur_len, cur_dist) = if prev_len < tuning.max_lazy {
-            longest_match(data, pos, cand, prev, search, budget.max(1), probe)
+            longest_match::<false, P>(data, pos, cand, prev, search, budget.max(1), probe)
         } else {
             (0, 0)
         };
@@ -407,7 +471,8 @@ fn run_lazy<S: TokenSink, P: MatchProbe>(
             pend_lits = 0;
             pend_inserts = 0;
             probe.matched(prev_len);
-            insert_run(data, head, prev, hash, pos + 1, pos - 1 + prev_len as usize, n, probe);
+            let to = pos - 1 + prev_len as usize;
+            insert_run::<false, P>(data, head, prev, hash, pos + 1, to, n, probe);
             pos += prev_len as usize - 1;
             prev_len = 0;
             have_prev_literal = false;
@@ -472,6 +537,226 @@ mod tests {
                     let got = engine.compress(&data, &params);
                     assert_eq!(got, expect, "len={} {params:?}", data.len());
                 }
+            }
+        }
+    }
+
+    /// The input families of the span-boundary tests: runs of random bytes
+    /// and lengths, period-1..17 patterns and a 3-letter random text. An
+    /// input longer than `TAIL` is random bytes with the family in its last
+    /// `TAIL` bytes, where the main span hands over to the tail.
+    fn boundary_family(family: usize, n: usize, seed: u64) -> Vec<u8> {
+        const TAIL: usize = 1_024;
+        let mut rng = XorShift64::new(seed);
+        let mut data = vec![0u8; n - n.min(TAIL)];
+        rng.fill_bytes(&mut data);
+        let tail = n - data.len();
+        match family {
+            0 => {
+                while data.len() < n {
+                    let (byte, len) = (rng.next_u8() % 8, 1 + rng.below_usize(40));
+                    data.resize(n.min(data.len() + len), byte);
+                }
+            }
+            1..=17 => {
+                let period: Vec<u8> = (0..family).map(|_| rng.next_u8()).collect();
+                data.extend(period.iter().cycle().take(tail));
+            }
+            _ => data.extend((0..tail).map(|_| b'a' + rng.next_u8() % 3)),
+        }
+        data
+    }
+
+    const BOUNDARY_FAMILIES: usize = 19;
+    const LEVELS: [CompressionLevel; 3] =
+        [CompressionLevel::Min, CompressionLevel::Medium, CompressionLevel::Max];
+
+    /// Plain and probed turbo runs both equal the oracle, and the probe
+    /// accounts for every input byte.
+    fn assert_matches_oracle(
+        engine: &mut TurboEngine,
+        data: &[u8],
+        params: &LzssParams,
+        what: &str,
+    ) {
+        let n = data.len();
+        let expect = reference_compress(data, params);
+        assert_eq!(engine.compress(data, params), expect, "{what} n={n} {params:?}");
+        let mut probed = Vec::new();
+        let mut counters = lzfpga_telemetry::TurboCounters::default();
+        engine.compress_into_probed(data, params, &mut probed, &mut counters);
+        assert_eq!(probed, expect, "{what} n={n} {params:?} (probed)");
+        assert_eq!(counters.covered_bytes(), n as u64, "{what} n={n} {params:?}");
+    }
+
+    #[test]
+    fn span_boundary_every_short_length() {
+        // Every length up to 600 puts the main span's end (n - 261) at
+        // every offset of these inputs, and inputs under 262 bytes are all
+        // tail.
+        let mut engine = TurboEngine::new();
+        for n in 0..=600 {
+            for family in 0..BOUNDARY_FAMILIES {
+                let data = boundary_family(family, n, n as u64 * 31 + family as u64);
+                for level in LEVELS {
+                    let params = LzssParams::new(4_096, 15, level);
+                    assert_matches_oracle(&mut engine, &data, &params, &format!("family {family}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_boundary_at_multiples_of_the_lookahead() {
+        // n = 262k - 4 ..= 262k + 4 up to 64 KiB; family, level and hash
+        // family rotate with the length so every combination recurs.
+        let mut engine = TurboEngine::new();
+        let mut i = 0usize;
+        for k in 1..=65_536 / MIN_LOOKAHEAD {
+            for n in k * MIN_LOOKAHEAD - 4..=k * MIN_LOOKAHEAD + 4 {
+                let family = i % BOUNDARY_FAMILIES;
+                let mut params = LzssParams::new(4_096, 15, LEVELS[i % 3]);
+                if i % 2 == 1 {
+                    params.hash_fn = crate::hash::HashFn::multiplicative(15);
+                }
+                let data = boundary_family(family, n, i as u64);
+                assert_matches_oracle(&mut engine, &data, &params, &format!("family {family}"));
+                i += 1;
+            }
+        }
+    }
+
+    /// Random inputs of each length in `lengths` with a 258-byte repeat
+    /// planted at every start n-270..=n-250, 3, 300 or 3000 bytes back: it
+    /// fits before the end, ends exactly at it, or is cut short by it, and
+    /// its search starts on either side of the main span's end.
+    fn planted_max_matches(lengths: &[usize]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        for &n in lengths {
+            let mut base = vec![0u8; n];
+            XorShift64::new(n as u64).fill_bytes(&mut base);
+            for start in n - 270..=n - 250 {
+                for dist in [3, 300, 3_000].into_iter().filter(|&d| d <= start) {
+                    let mut data = base.clone();
+                    for k in start..n.min(start + MAX_MATCH as usize) {
+                        data[k] = data[k - dist];
+                    }
+                    out.push(data);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn span_boundary_planted_max_match() {
+        let mut engine = TurboEngine::new();
+        for data in planted_max_matches(&[530, 600, 1_000, 4_000, 262 * 50 + 1, 65_536]) {
+            for level in LEVELS {
+                let params = LzssParams::new(4_096, 15, level);
+                assert_matches_oracle(&mut engine, &data, &params, "planted repeat");
+            }
+        }
+    }
+
+    /// Every [`MatchProbe`] callback in order, with its arguments.
+    #[derive(Debug, Default, PartialEq)]
+    struct CallLog(Vec<(&'static str, usize, usize, u32)>);
+
+    impl MatchProbe for CallLog {
+        fn inserted(&mut self) {
+            self.0.push(("inserted", 0, 0, 1));
+        }
+        fn inserted_n(&mut self, n: u32) {
+            self.0.push(("inserted", 0, 0, n));
+        }
+        fn kernel_run(&mut self, len: u32) {
+            self.0.push(("kernel_run", 0, 0, len));
+        }
+        fn candidate(&mut self, _: &[u8], cand: usize, pos: usize, limit: u32) {
+            self.0.push(("candidate", cand, pos, limit));
+        }
+        fn chain_done(&mut self, steps: u32) {
+            self.0.push(("chain_done", 0, 0, steps));
+        }
+        fn literal(&mut self) {
+            self.0.push(("literals", 0, 0, 1));
+        }
+        fn literals_n(&mut self, n: u32) {
+            self.0.push(("literals", 0, 0, n));
+        }
+        fn matched(&mut self, len: u32) {
+            self.0.push(("matched", 0, 0, len));
+        }
+    }
+
+    /// The greedy loop at any tuning, either split into its two spans (as
+    /// every compress runs it) or as one checked tail span over the whole
+    /// input: the loop as it was before the split.
+    fn greedy_log(
+        engine: &mut TurboEngine,
+        data: &[u8],
+        params: &LzssParams,
+        tuning: LevelTuning,
+        split: bool,
+    ) -> (Vec<Token>, CallLog) {
+        engine.reset(params);
+        let search = Search { max_dist: params.max_distance(), nice: tuning.nice_length };
+        let head = &mut engine.head[..1usize << params.hash_bits];
+        let prev = &mut engine.prev[..params.window_size as usize];
+        let (mut tokens, mut log) = (Vec::new(), CallLog::default());
+        let hash = params.hash_fn;
+        if split {
+            run_greedy(data, head, prev, hash, search, tuning, &mut tokens, &mut log);
+        } else {
+            let start = GreedyCursor { pos: 0, lits: 0, inserts: 0 };
+            let cur = greedy_span::<false, _, _>(
+                data,
+                data.len(),
+                start,
+                head,
+                prev,
+                hash,
+                search,
+                tuning,
+                &mut tokens,
+                &mut log,
+            );
+            log.literals_n(cur.lits);
+            log.inserted_n(cur.inserts);
+        }
+        (tokens, log)
+    }
+
+    #[test]
+    fn span_split_equals_the_checked_loop_at_any_greedy_tuning() {
+        // The presets run greedy only at Min, whose bulk inserts cover at
+        // most 4 bytes; long insert runs (`max_lazy` up to 258) reach the
+        // last byte the main span's lookahead guarantees.
+        let tunings = [(4, 4, 8), (1, 258, 258), (8, 32, 16), (64, 258, 258), (4_096, 258, 130)]
+            .map(|(max_chain, max_lazy, nice_length)| LevelTuning {
+                max_chain,
+                lazy: false,
+                max_lazy,
+                nice_length,
+                good_length: 4,
+            });
+        let mut inputs: Vec<Vec<u8>> = (0..=700)
+            .chain([1_000, 4_000, 262 * 30 + 3])
+            .map(|n| boundary_family(n % BOUNDARY_FAMILIES, n, n as u64))
+            .collect();
+        inputs.extend(planted_max_matches(&[530, 700]));
+        let mut engine = TurboEngine::new();
+        for data in &inputs {
+            let n = data.len();
+            for (i, tuning) in tunings.into_iter().enumerate() {
+                let mut params = LzssParams::new(1_024, 12, CompressionLevel::Min);
+                if (n + i) % 2 == 1 {
+                    params.hash_fn = crate::hash::HashFn::multiplicative(12);
+                }
+                let split = greedy_log(&mut engine, data, &params, tuning, true);
+                let checked = greedy_log(&mut engine, data, &params, tuning, false);
+                assert!(split == checked, "n={n} {tuning:?} {params:?}");
             }
         }
     }
