@@ -127,6 +127,16 @@ enum Engine {
     Turbo,
 }
 
+impl Engine {
+    /// The matcher's name in `--metrics` run events.
+    fn name(self) -> &'static str {
+        match self {
+            Engine::Hw => "hw",
+            Engine::Turbo => "turbo",
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
     Zlib,
@@ -477,18 +487,19 @@ fn finish_metrics(
     Ok(())
 }
 
-/// The `run` summary event every `--metrics` file starts with.
-fn run_event(o: &CommonOpts, command: &str, input_bytes: usize, output_bytes: usize) -> JsonValue {
+/// The `run` summary event every `--metrics` file starts with. `engine`
+/// names what ran: `hw` (the cycle model), `turbo` (the software matcher)
+/// or `inflate` (the software decoder), whatever `--engine` said.
+fn run_event(
+    o: &CommonOpts,
+    command: &str,
+    engine: &str,
+    input_bytes: usize,
+    output_bytes: usize,
+) -> JsonValue {
     obj([
         ("command", command.into()),
-        (
-            "engine",
-            match o.engine {
-                Engine::Hw => "hw",
-                Engine::Turbo => "turbo",
-            }
-            .into(),
-        ),
+        ("engine", engine.into()),
         ("parallel", o.parallel.into()),
         ("input_bytes", (input_bytes as u64).into()),
         ("output_bytes", (output_bytes as u64).into()),
@@ -532,7 +543,7 @@ fn cmd_compress(o: &CommonOpts) -> Result<(), String> {
                 o,
                 &MetricsRegistry::new(),
                 vec![
-                    ("run", run_event(o, "compress", data.len(), out.len())),
+                    ("run", run_event(o, "compress", "hw", data.len(), out.len())),
                     ("hw", rep.telemetry_json()),
                 ],
             )?;
@@ -576,7 +587,16 @@ fn cmd_compress(o: &CommonOpts) -> Result<(), String> {
                     o,
                     &reg,
                     vec![
-                        ("run", run_event(o, "compress", data.len(), rep.compressed.len())),
+                        (
+                            "run",
+                            run_event(
+                                o,
+                                "compress",
+                                o.engine.name(),
+                                data.len(),
+                                rep.compressed.len(),
+                            ),
+                        ),
                         ("parallel", tel.to_json()),
                         ("faults", rep.failures.to_json()),
                     ],
@@ -647,7 +667,8 @@ fn cmd_compress(o: &CommonOpts) -> Result<(), String> {
     }
     if wants_obs(o) {
         let reg = MetricsRegistry::new();
-        let mut events = vec![("run", run_event(o, "compress", data.len(), out.len()))];
+        let mut events =
+            vec![("run", run_event(o, "compress", o.engine.name(), data.len(), out.len()))];
         if let Some(rep) = &hw_report {
             events.push(("hw", rep.run.telemetry_json()));
         }
@@ -729,7 +750,9 @@ fn frame_metrics(
     }
     let reg = MetricsRegistry::new();
     record_frames(&reg, events);
-    let mut out = vec![("run", run_event(o, command, input_bytes as usize, output_bytes as usize))];
+    // These paths run the streaming `FrameWriter`, whose matcher is turbo.
+    let run = run_event(o, command, "turbo", input_bytes as usize, output_bytes as usize);
+    let mut out = vec![("run", run)];
     for e in events {
         out.push(("frame", e.to_json()));
     }
@@ -775,8 +798,9 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
         if wants_obs(o) {
             let reg = MetricsRegistry::new();
             record_frames(&reg, &rep.events);
-            let mut events =
-                vec![("run", run_event(o, "frame", rep.input_bytes as usize, rep.framed.len()))];
+            let run =
+                run_event(o, "frame", o.engine.name(), rep.input_bytes as usize, rep.framed.len());
+            let mut events = vec![("run", run)];
             if let Some(counters) = &rep.counters {
                 record_turbo(&reg, counters);
                 events.push(("turbo", counters.to_json()));
@@ -849,7 +873,7 @@ fn cmd_unframe(o: &CommonOpts) -> Result<(), String> {
         finish_metrics(
             o,
             &MetricsRegistry::new(),
-            vec![("run", run_event(o, "unframe", data.len(), out.len()))],
+            vec![("run", run_event(o, "unframe", "inflate", data.len(), out.len()))],
         )?;
     }
     write_output(o.output.as_deref(), &out)
@@ -912,7 +936,7 @@ fn cmd_cat(o: &CommonOpts) -> Result<(), String> {
         eprintln!("cat: {} bytes from range {start}..{end}", out.len());
     }
     if wants_obs(o) {
-        let mut events = vec![("run", run_event(o, "cat", data.len(), out.len()))];
+        let mut events = vec![("run", run_event(o, "cat", "inflate", data.len(), out.len()))];
         if let Some((range, index)) = telemetry {
             events.push(("range", range));
             events.push(("index", index));
@@ -944,7 +968,7 @@ fn cmd_salvage(o: &CommonOpts) -> Result<(), String> {
             o,
             &MetricsRegistry::new(),
             vec![
-                ("run", run_event(o, "salvage", data.len(), result.data.len())),
+                ("run", run_event(o, "salvage", "inflate", data.len(), result.data.len())),
                 ("salvage", r.to_json()),
             ],
         )?;
@@ -1113,7 +1137,7 @@ fn cmd_stats(o: &CommonOpts) -> Result<(), String> {
             o,
             &MetricsRegistry::new(),
             vec![
-                ("run", run_event(o, "stats", data.len(), rep.compressed.len())),
+                ("run", run_event(o, "stats", "hw", data.len(), rep.compressed.len())),
                 ("hw", rep.run.telemetry_json()),
             ],
         )?;
@@ -1213,7 +1237,11 @@ fn cmd_serve(o: &CommonOpts) -> Result<(), String> {
         stats.active_bytes
     );
     if wants_obs(o) {
-        finish_metrics(o, &handle.registry(), vec![("run", run_event(o, "serve", 0, 0))])?;
+        finish_metrics(
+            o,
+            &handle.registry(),
+            vec![("run", run_event(o, "serve", o.engine.name(), 0, 0))],
+        )?;
     }
     Ok(())
 }
@@ -1807,6 +1835,41 @@ mod metrics_tests {
             let has_turbo =
                 events.iter().any(|e| e.get("event").unwrap().as_str() == Some("turbo"));
             assert_eq!(has_turbo, ran == "turbo", "{engine}: turbo counter section");
+        }
+        // The archive commands name what ran, whatever `--engine` says: a
+        // serial frame runs the turbo `FrameWriter`, decoding runs inflate.
+        let archive = dir.path().join("a.lzfc");
+        let (a, i) = (archive.to_str().unwrap(), input.to_str().unwrap());
+        let cases: [(&str, &[&str], &str); 7] = [
+            ("frame", &["frame", "--engine", "hw", "-o", a, i], "turbo"),
+            ("frame", &["frame", "--parallel", "--engine", "hw", "-o", a, i], "hw"),
+            ("frame", &["frame", "--parallel", "--engine", "sw", "-o", a, i], "turbo"),
+            ("frame", &["frame", "-o", a, i], "turbo"),
+            ("unframe", &["unframe", "--engine", "hw", a], "inflate"),
+            ("cat", &["cat", "--range", "100..9000", a], "inflate"),
+            ("salvage", &["salvage", a], "inflate"),
+        ];
+        for (n, (command, cmd, ran)) in cases.into_iter().enumerate() {
+            let (plain, probed) = (dir.path().join("plain.out"), dir.path().join("probed.out"));
+            let jsonl = dir.path().join(format!("{n}.jsonl"));
+            // Archive-writing commands write `a.lzfc` itself.
+            let out_args = |out: &std::path::Path| {
+                let mut args = strs(cmd);
+                if !args.contains(&"-o".to_string()) {
+                    args.splice(1..1, strs(&["-o", out.to_str().unwrap()]));
+                }
+                args
+            };
+            run(out_args(&plain)).unwrap();
+            let before = std::fs::read(if command == "frame" { &archive } else { &plain }).unwrap();
+            let mut args = out_args(&probed);
+            args.splice(1..1, strs(&["--metrics", jsonl.to_str().unwrap()]));
+            run(args.clone()).unwrap();
+            let after = std::fs::read(if command == "frame" { &archive } else { &probed }).unwrap();
+            assert_eq!(before, after, "--metrics changed the output of {args:?}");
+            let events = parse_jsonl(&std::fs::read_to_string(&jsonl).unwrap()).unwrap();
+            assert_eq!(events[0].get("command").unwrap().as_str(), Some(command), "{args:?}");
+            assert_eq!(events[0].get("engine").unwrap().as_str(), Some(ran), "{args:?}");
         }
     }
 

@@ -193,6 +193,14 @@ impl<'a> BitReader<'a> {
         self.bitcount
     }
 
+    /// How many input bytes are not yet loaded into the buffer. While at
+    /// least 8 are, a [`Self::refill_word`] loads a whole word, and all 64
+    /// bits of [`Self::bits`] are stream bits.
+    #[inline]
+    pub(crate) fn rest_len(&self) -> usize {
+        self.rest.len()
+    }
+
     /// Drop `n` bits that a [`Self::peek`] reported as present.
     #[inline]
     pub fn consume(&mut self, n: u32) {

@@ -517,7 +517,7 @@ impl BlockCodes {
     /// canonical walk when the table cannot resolve it.
     #[inline(always)]
     fn litlen(&self, br: &BitReader<'_>) -> Result<u32, InflateError> {
-        let entry = self.lit_table[(br.bits() & ((1 << FAST_BITS) - 1)) as usize];
+        let entry = self.lit_table[fast_index(br.bits())];
         if is_buffered(entry, br.buffered()) {
             return Ok(entry);
         }
@@ -531,7 +531,7 @@ impl BlockCodes {
     /// The distance entry `bits` start with (`avail` of them present).
     #[inline(always)]
     fn distance(&self, bits: u64, avail: u32) -> Result<u32, InflateError> {
-        let entry = self.dist_table[(bits & ((1 << FAST_BITS) - 1)) as usize];
+        let entry = self.dist_table[fast_index(bits)];
         if is_buffered(entry, avail) {
             return Ok(entry);
         }
@@ -564,12 +564,22 @@ fn inflate_compressed(
     result
 }
 
-/// The resolved-entry loop. Each pass refills to at least 56 bits (or
-/// every bit left), which covers two literals of at most [`FAST_BITS`]
-/// bits, or one whole match: 15 code + 5 extra + 15 code + 13 extra = 48
-/// bits. Every symbol checks its bits against what is buffered, so the
-/// loop runs to the very end of the input and each error comes from the
-/// same symbol, in the same order, as a bit-at-a-time decoder's.
+/// The table index of the next [`FAST_BITS`] bits.
+#[inline(always)]
+fn fast_index(bits: u64) -> usize {
+    (bits & ((1 << FAST_BITS) - 1)) as usize
+}
+
+/// The resolved-entry loop, in two spans: the [`main_span`] while
+/// [`main_span_fits`], and a checked pass for the rest, after which the
+/// main span's condition is tested again.
+///
+/// The checked pass refills to at least 56 bits (or every bit left),
+/// which covers two literals, or one whole match: 15 code + 5 extra + 15
+/// code + 13 extra = 48 bits. Every symbol checks its bits against what is
+/// buffered, and every write its room, so it runs to the very end of the
+/// input and the cap, and each error comes from the same symbol, in the
+/// same order, as a bit-at-a-time decoder's.
 #[inline(always)]
 fn decode_symbols(
     br: &mut BitReader<'_>,
@@ -577,17 +587,20 @@ fn decode_symbols(
     codes: &BlockCodes,
 ) -> Result<(), InflateError> {
     loop {
+        if main_span_fits(br, win) {
+            main_span(br, win, codes)?;
+        }
         // Look up before the refill, which only adds bits above the
         // buffered ones: an entry whose code fits in them is exact, and
         // the lookup does not wait for the refill's load.
         let (bits, buffered) = (br.bits(), br.buffered());
         br.refill_word();
-        let entry = codes.lit_table[(bits & ((1 << FAST_BITS) - 1)) as usize];
+        let entry = codes.lit_table[fast_index(bits)];
         if is_buffered_literal(entry, buffered) {
             win.literal((entry >> 16) as u8)?;
             br.consume(bits_len(entry));
             let (bits, buffered) = (bits >> bits_len(entry), buffered - bits_len(entry));
-            let entry = codes.lit_table[(bits & ((1 << FAST_BITS) - 1)) as usize];
+            let entry = codes.lit_table[fast_index(bits)];
             if is_buffered_literal(entry, buffered) {
                 win.literal((entry >> 16) as u8)?;
                 br.consume(bits_len(entry));
@@ -624,6 +637,86 @@ fn decode_symbols(
     }
 }
 
+/// Input bytes the main span needs ahead of each pass: its refill is a
+/// word load while 8 are left, and 16 leave margin.
+const SPAN_INPUT: usize = 16;
+
+/// Room the main span needs past `at` for each pass: a literal, a whole
+/// match and the [`SLACK`] its last 16-byte chunk may run into.
+const SPAN_ROOM: usize = 1 + MAX_MATCH as usize + SLACK;
+
+/// The main span's condition (see [`decode_symbols`]). The room never
+/// grows past `cap + SLACK`, so a pass never passes the cap: this, not
+/// the chunk overrun, makes [`SPAN_ROOM`] tight.
+#[inline(always)]
+fn main_span_fits(br: &BitReader<'_>, win: &Window) -> bool {
+    br.rest_len() >= SPAN_INPUT && win.at + SPAN_ROOM <= win.buf.len()
+}
+
+/// The main span of [`decode_symbols`]: passes with no bit or room
+/// checks while [`main_span_fits`].
+///
+/// A pass decodes two literals, a literal and a match, or a match. Its
+/// refill is a word load, after which all 64 bits of the buffer are
+/// stream bits and at least 56 are counted, and it takes at most 48 of
+/// them: a literal of at most [`FAST_BITS`] bits, a resolved length (10
+/// code + 5 extra) and distance (10 + 13). So the next pass's first
+/// lookup, made before its refill, sees at least 16 stream bits and is
+/// exact. So is the first pass's: a block's window starts with no room,
+/// so the main span only ever follows a checked pass, whose refill was a
+/// word load too and which took at most 48 bits.
+///
+/// A match still checks its distance. On an end-of-block or `SLOW` entry
+/// the span returns before that symbol is consumed, so the checked pass
+/// raises every other error. It stays out of line: inlined, it measured
+/// slower on range reads and moved the compress side's code placement
+/// (DESIGN §3.1).
+#[inline(never)]
+fn main_span(
+    br: &mut BitReader<'_>,
+    win: &mut Window,
+    codes: &BlockCodes,
+) -> Result<(), InflateError> {
+    loop {
+        let bits = br.bits();
+        br.refill_word();
+        let mut entry = codes.lit_table[fast_index(bits)];
+        if entry & KIND == LITERAL {
+            win.put((entry >> 16) as u8);
+            br.consume(bits_len(entry));
+            // After the refill: a match may follow the literal.
+            entry = codes.lit_table[fast_index(br.bits())];
+            if entry & KIND == LITERAL {
+                win.put((entry >> 16) as u8);
+                br.consume(bits_len(entry));
+                if !main_span_fits(br, win) {
+                    return Ok(());
+                }
+                continue;
+            }
+        }
+        if entry & KIND != BASE {
+            return Ok(());
+        }
+        let bits = br.bits();
+        let used = bits_len(entry);
+        let dentry = codes.dist_table[fast_index(bits >> used)];
+        if dentry & KIND == SLOW {
+            return Ok(());
+        }
+        let len = full_value(entry, bits);
+        let dist = full_value(dentry, bits >> used);
+        br.consume(used + bits_len(dentry));
+        if dist > win.at {
+            return Err(InflateError::DistanceTooFar);
+        }
+        win.copy(dist, len);
+        if !main_span_fits(br, win) {
+            return Ok(());
+        }
+    }
+}
+
 /// The decode loop's output: `buf[..at]` is decoded, `buf[at..]` is room
 /// for the next writes, zero-filled as it grows. Held by value, so byte
 /// stores cannot alias its fields and they stay in registers.
@@ -650,14 +743,18 @@ impl Window {
         if self.at + SLACK >= self.buf.len() {
             self.make_room(1)?;
         }
-        self.buf[self.at] = byte;
-        self.at += 1;
+        self.put(byte);
         Ok(())
     }
 
-    /// Append `len` bytes copied from `dist` back. A copy in 16- or 8-byte
-    /// chunks reads a chunk only once it is fully written (`dist` at least
-    /// the chunk size); shorter distances go byte by byte.
+    /// Append `byte` to room the caller has checked.
+    #[inline(always)]
+    fn put(&mut self, byte: u8) {
+        self.buf[self.at] = byte;
+        self.at += 1;
+    }
+
+    /// Append `len` bytes copied from `dist` back, making room first.
     #[inline(always)]
     fn copy_match(&mut self, dist: usize, len: usize) -> Result<(), InflateError> {
         if dist > self.at {
@@ -666,6 +763,16 @@ impl Window {
         if self.at + len + SLACK > self.buf.len() {
             self.make_room(len)?;
         }
+        self.copy(dist, len);
+        Ok(())
+    }
+
+    /// Append `len` bytes copied from `dist` back (at most `at`) to room
+    /// the caller has checked: `len + SLACK` bytes. A copy in 16- or
+    /// 8-byte chunks reads a chunk only once it is fully written (`dist`
+    /// at least the chunk size); shorter distances go byte by byte.
+    #[inline(always)]
+    fn copy(&mut self, dist: usize, len: usize) {
         let end = self.at + len;
         let buf = &mut self.buf[..];
         let mut at = self.at;
@@ -687,7 +794,6 @@ impl Window {
             }
         }
         self.at = end;
-        Ok(())
     }
 
     /// Make room for `n` more bytes past `at` and [`SLACK`] after them, or

@@ -1163,6 +1163,191 @@ fn inflate_stream_fed_in_small_pieces_matches_the_reference() {
 }
 
 // ---------------------------------------------------------------------
+// Span boundaries: the decode loop's main span runs without bit or room
+// checks while 16 input bytes and a whole match of room lie ahead; the
+// checked pass takes over at either edge, at an end-of-block and at any
+// symbol the table cannot resolve.
+// ---------------------------------------------------------------------
+
+/// Room the main span needs ahead of a pass: a literal, a whole match and
+/// the 16 bytes its last copy chunk may run past it.
+const SPAN_ROOM: usize = 1 + MAX_MATCH as usize + 16;
+
+/// Literals after a planted symbol. A block's window first grows to 4096
+/// bytes or 4 bytes per input byte, whichever is less, so a short stream
+/// never has the main span's room: the tail gives it input and room.
+const SPAN_TAIL: usize = 300;
+
+fn literals(rng: &mut XorShift64, n: usize) -> Vec<Token> {
+    (0..n).map(|_| Token::Literal(rng.next_u8())).collect()
+}
+
+#[test]
+fn main_span_hands_over_at_every_cut_of_the_last_40_bytes() {
+    let mut rng = XorShift64::new(0xDEF1_0019);
+    for case in 0..12 {
+        let tokens = uniform_tokens(&mut rng, 40 + 17 * case);
+        let (lit, dist) = (long_code_lengths(&mut rng, 286), long_code_lengths(&mut rng, 30));
+        let mut w = BitWriter::new();
+        write_dynamic_block(&mut w, &tokens, &lit, &dist, true);
+        let streams =
+            [("fixed", one_block(&tokens, BlockKind::FixedHuffman)), ("long codes", w.finish())];
+        for (kind, stream) in streams {
+            for cut in stream.len().saturating_sub(40)..=stream.len() {
+                assert_inflate_parity(
+                    &stream[..cut],
+                    u64::MAX,
+                    &format!("{kind} {case}, cut {cut}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn main_span_room_holds_a_max_match_at_every_room_near_its_bound() {
+    let mut rng = XorShift64::new(0xDEF1_001A);
+    let lead = literals(&mut rng, 8_192);
+    let tail = literals(&mut rng, 40);
+    // Before a window growth: a block's window grows to 4096 bytes, then
+    // doubles. The tail keeps input ahead, so the match is the main span's.
+    for grows_at in [4_096, 8_192] {
+        for room in SPAN_ROOM - 20..=SPAN_ROOM + 20 {
+            let at = grows_at - room;
+            for dist in [1, 9, 16, 3_000] {
+                let mut tokens = lead[..at].to_vec();
+                tokens.push(Token::Match { dist, len: MAX_MATCH });
+                tokens.extend_from_slice(&tail);
+                for kind in [BlockKind::FixedHuffman, BlockKind::DynamicHuffman] {
+                    let what = format!("match at {at}, room {room}, dist {dist}, {kind:?}");
+                    let stream = one_block(&tokens, kind);
+                    assert_eq!(inflate(&stream).unwrap(), expand(&tokens), "{what}");
+                    assert_inflate_parity(&stream, u64::MAX, &what);
+                }
+            }
+        }
+    }
+    // Before the cap: the window stops at cap + 16. The output ends with
+    // the match, and empty blocks after it keep input ahead. Odd and even
+    // literal runs put the last literal in the match's pass or not.
+    for at in [1_000, 1_001, 5_000, 5_001] {
+        for dist in [1, 16] {
+            let mut tokens = lead[..at].to_vec();
+            tokens.push(Token::Match { dist, len: MAX_MATCH });
+            let mut enc = DeflateEncoder::new();
+            enc.write_block(&tokens, BlockKind::FixedHuffman, false);
+            (0..40).for_each(|i| enc.write_block(&[], BlockKind::FixedHuffman, i == 39));
+            let stream = enc.finish();
+            for room in SPAN_ROOM - 20..=SPAN_ROOM + 20 {
+                let cap = (at + room - 16) as u64;
+                assert_inflate_parity(
+                    &stream,
+                    cap,
+                    &format!("match at {at}, dist {dist}, cap {cap}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn main_span_passes_of_48_bits_leave_the_next_lookups_exact() {
+    let mut rng = XorShift64::new(0xDEF1_001E);
+    // Every code 10 bits: a literal then a match with 5 length and 13
+    // distance extra bits take 48 bits, the most one pass takes, and the
+    // next pass's two literals follow.
+    let (lit, dist) = (vec![10u8; 286], vec![10u8; 30]);
+    let mut tokens = vec![Token::Literal(rng.next_u8())];
+    tokens.extend((0..128).map(|_| Token::Match { dist: 1, len: MAX_MATCH }));
+    for _ in 0..200 {
+        tokens.push(Token::Literal(rng.next_u8()));
+        let far =
+            Token::Match { dist: rng.range_u32(24_577, 32_768), len: rng.range_u32(227, 257) };
+        tokens.push(far);
+        tokens.extend(literals(&mut rng, 2));
+    }
+    let mut w = BitWriter::new();
+    write_dynamic_block(&mut w, &tokens, &lit, &dist, true);
+    let stream = w.finish();
+    assert_eq!(inflate(&stream).unwrap(), expand(&tokens));
+    assert_inflate_parity(&stream, u64::MAX, "48-bit passes");
+}
+
+#[test]
+fn reserved_symbols_inside_the_main_span_are_bad_symbols() {
+    let mut rng = XorShift64::new(0xDEF1_001B);
+    let lit = Codebook::from_lengths(&fixed_litlen_lengths());
+    let dist = Codebook::from_lengths(&fixed_dist_lengths());
+    for lead in 0..24 {
+        for after_match in [false, true] {
+            for planted in [286, 287, 1_030, 1_031] {
+                let mut w = BitWriter::new();
+                w.write_bits(1, 1);
+                w.write_bits(0b01, 2);
+                (0..lead).for_each(|_| lit.encode(&mut w, usize::from(rng.next_u8())));
+                if after_match {
+                    lit.encode(&mut w, usize::from(rng.next_u8()));
+                    lit.encode(&mut w, 264); // length 10
+                    dist.encode(&mut w, 0); // distance 1
+                }
+                if planted < 1_000 {
+                    lit.encode(&mut w, planted);
+                } else {
+                    // A length code, then reserved distance 30 or 31.
+                    lit.encode(&mut w, 257);
+                    dist.encode(&mut w, planted - 1_000);
+                }
+                let planted_end = w.bit_len().div_ceil(8) as usize;
+                (0..SPAN_TAIL).for_each(|_| lit.encode(&mut w, usize::from(rng.next_u8())));
+                lit.encode(&mut w, END_OF_BLOCK);
+                let stream = w.finish();
+                let what = format!("symbol {planted} after {lead} literals, match {after_match}");
+                assert_eq!(inflate(&stream), Err(InflateError::BadSymbol), "{what}");
+                for cut in 0..=planted_end + 20 {
+                    assert_inflate_parity(&stream[..cut], u64::MAX, &format!("{what}, cut {cut}"));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn distance_too_far_inside_the_main_span() {
+    let mut rng = XorShift64::new(0xDEF1_001C);
+    for n in [1usize, 2, 3, 7, 8, 15, 16, 17, 31, 100, 4_000] {
+        let lead = literals(&mut rng, n);
+        let tail = literals(&mut rng, SPAN_TAIL);
+        for len in [3, 20, MAX_MATCH] {
+            // The match reaches one byte before the output. In two blocks,
+            // the first block's output counts too.
+            let far = Token::Match { dist: n as u32 + 1, len };
+            let mut tokens = lead.clone();
+            tokens.push(far);
+            tokens.extend_from_slice(&tail);
+            let mut split = DeflateEncoder::new();
+            split.write_block(&lead, BlockKind::FixedHuffman, false);
+            split.write_block(&tokens[n..], BlockKind::DynamicHuffman, true);
+            let streams = [
+                ("fixed", one_block(&tokens, BlockKind::FixedHuffman)),
+                ("dynamic", one_block(&tokens, BlockKind::DynamicHuffman)),
+                ("two blocks", split.finish()),
+            ];
+            for (kind, stream) in streams {
+                let what = format!("dist {} after {n}, len {len}, {kind}", n + 1);
+                assert_eq!(inflate(&stream), Err(InflateError::DistanceTooFar), "{what}");
+                // The distance is checked before the cap.
+                for cap in [n as u64, n as u64 + 1, u64::MAX] {
+                    assert_inflate_parity(&stream, cap, &format!("{what}, cap {cap}"));
+                }
+                for cut in (0..stream.len()).step_by(7) {
+                    assert_inflate_parity(&stream[..cut], u64::MAX, &format!("{what}, cut {cut}"));
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Head decodes: the one inflater stopped after `n` bytes.
 // ---------------------------------------------------------------------
 
@@ -1322,6 +1507,31 @@ fn head_decode_gives_the_full_decoders_error_at_every_truncation() {
     for (what, stream) in streams {
         for cut in 0..stream.len() {
             assert_head_parity(&stream[..cut], false, &format!("{what}, cut {cut}"));
+        }
+    }
+}
+
+#[test]
+fn head_decode_stops_inside_the_main_span_at_every_length() {
+    let mut rng = XorShift64::new(0xDEF1_001D);
+    let data = generate(Corpus::Wiki, 11, 24_000);
+    let tokens = TurboEngine::new().compress(&data, &LzssParams::paper_fast());
+    let (lit, dist) = (long_code_lengths(&mut rng, 286), long_code_lengths(&mut rng, 30));
+    let mut w = BitWriter::new();
+    write_dynamic_block(&mut w, &tokens, &lit, &dist, true);
+    let streams = [
+        ("fixed", one_block(&tokens, BlockKind::FixedHuffman)),
+        ("dynamic", one_block(&tokens, BlockKind::DynamicHuffman)),
+        ("long codes", w.finish()),
+    ];
+    for (kind, stream) in streams {
+        let (result, out, bits) = ref_inflate_partial(&stream, &Limits::none());
+        assert_eq!((result, &out), (Ok(()), &data), "{kind}");
+        let z = zlib_wrap(&stream, bits, Some(&data), false);
+        // Far from both ends of the input: every stop is the main span's
+        // hand-over to the checked pass at the head's cap.
+        for n in 10_000..10_600 {
+            assert_eq!(zlib_inflate_head(&z, n).as_deref(), Ok(&data[..n]), "{kind}, head {n}");
         }
     }
 }
