@@ -20,8 +20,10 @@
 //! journal is durable (no token promised → orphan GC), crashes at the
 //! frame-durability and promote sites (token promised → resume), a
 //! `SIGKILL` while the client is credit-starved mid-download (compress
-//! and decompress), and a crash followed by deliberate journal corruption
-//! (typed refusal). Each round ends with a graceful drain and the leak
+//! and decompress), a crash followed by deliberate journal corruption
+//! (typed refusal), and a crash after the first frame's sync, which may
+//! come before the journal is durable (resume if the token was announced,
+//! orphan GC if not). Each round ends with a graceful drain and the leak
 //! checks.
 //!
 //! ```text
@@ -202,6 +204,35 @@ fn check_no_leaks(root: &Path, violations: &mut Vec<String>, round: &str) {
     }
 }
 
+/// After a crash that announced no token: restart with a short orphan TTL,
+/// require the sweep to empty the state dir, then require a fresh compress
+/// to match the reference.
+fn sweep_orphans_and_recompress(
+    bin: &Path,
+    root: &Path,
+    data: &[u8],
+    reference: &[u8],
+    violations: &mut Vec<String>,
+    round: &str,
+) {
+    let srv = spawn_server(bin, root, "orphans.log", None, 300);
+    sleep(Duration::from_millis(1500));
+    let sessions = root.join("state").join("sessions");
+    let orphans = fs::read_dir(&sessions).map(|rd| rd.flatten().count()).unwrap_or(0);
+    if orphans != 0 {
+        violations.push(format!("{round}: {orphans} orphan sessions survived the sweep"));
+    }
+    let mut c = connect(&srv.addr, 1 << 20);
+    match c.compress(data, 0, 0) {
+        Ok(bytes) if bytes == reference => {}
+        Ok(_) => violations.push(format!("{round}: post-recovery compress diverged")),
+        Err(e) => violations.push(format!("{round}: post-recovery compress failed: {e}")),
+    }
+    drop(c);
+    drain_and_check(srv, violations, round);
+    check_no_leaks(root, violations, round);
+}
+
 /// Drive a compress request by hand with a small fixed credit window and
 /// no replenishment, collecting the session token and whatever result
 /// bytes the window lets through — the "mid-transfer" state the SIGKILL
@@ -277,22 +308,14 @@ fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
         }
     }
     srv.wait();
-    let srv = spawn_server(bin, &root, "r1b.log", None, 300);
-    sleep(Duration::from_millis(1500));
-    let sessions = root.join("state").join("sessions");
-    let orphans = fs::read_dir(&sessions).map(|rd| rd.flatten().count()).unwrap_or(0);
-    if orphans != 0 {
-        violations.push(format!("seed {seed} r1: {orphans} orphan sessions survived the sweep"));
-    }
-    let mut c = connect(&srv.addr, 1 << 20);
-    match c.compress(&data, 0, 0) {
-        Ok(bytes) if bytes == reference => {}
-        Ok(_) => violations.push(format!("seed {seed} r1: post-recovery compress diverged")),
-        Err(e) => violations.push(format!("seed {seed} r1: post-recovery compress failed: {e}")),
-    }
-    drop(c);
-    drain_and_check(srv, violations, &format!("seed {seed} r1"));
-    check_no_leaks(&root, violations, &format!("seed {seed} r1"));
+    sweep_orphans_and_recompress(
+        bin,
+        &root,
+        &data,
+        &reference,
+        violations,
+        &format!("seed {seed} r1"),
+    );
 
     // Rounds 2 and 3 — abort mid-stream (frame durability) and at the
     // promote rename: the token was announced, so resume must reproduce
@@ -425,6 +448,42 @@ fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
         check_no_leaks(&root, violations, &format!("seed {seed} r6"));
     } else {
         violations.push(format!("seed {seed} r6: no token to corrupt against"));
+    }
+
+    // Round 7 — crash after the first frame's sync. The journal syncs
+    // beside the job, so that frame can be durable before the journal is
+    // and before the token is announced. Announced: resume must reproduce
+    // the reference. Not announced: the session is torn or an orphan, and
+    // the sweep must remove it.
+    let mut srv = spawn_server(bin, &root, "r7a.log", Some((SERVER_FRAME_DURABLE, 1)), 600_000);
+    let mut c = connect(&srv.addr, 1 << 20);
+    if c.compress(&data, 0, 0).is_ok() {
+        violations.push(format!("seed {seed} r7: compress survived an armed abort"));
+        srv.kill();
+    } else {
+        let token = c.session_token();
+        let prefix = c.take_partial();
+        srv.wait();
+        let round = format!(
+            "seed {seed} r7 (token {})",
+            if token.is_some() { "announced" } else { "not announced" }
+        );
+        println!("crashstorm: {round}: the first frame's sync preceded the crash");
+        match token {
+            Some(token) => {
+                let srv = spawn_server(bin, &root, "r7b.log", None, 600_000);
+                let mut c = connect(&srv.addr, 1 << 20);
+                match c.resume(token, &prefix, 0) {
+                    Ok(bytes) if bytes == reference => {}
+                    Ok(_) => violations.push(format!("{round}: resumed bytes diverged")),
+                    Err(e) => violations.push(format!("{round}: resume failed: {e}")),
+                }
+                drop(c);
+                drain_and_check(srv, violations, &round);
+                check_no_leaks(&root, violations, &round);
+            }
+            None => sweep_orphans_and_recompress(bin, &root, &data, &reference, violations, &round),
+        }
     }
 
     let _ = fs::remove_dir_all(&root);

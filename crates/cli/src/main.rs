@@ -26,8 +26,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use lzfpga_container::{
-    open_indexed_with, salvage, scan_partial, unframe, FrameConfig, FrameWriter, FramedSummary,
-    DEFAULT_CACHE_BYTES,
+    open_indexed_with, salvage, scan_partial, unframe, DurableFile, FrameConfig, FrameWriter,
+    FramedSummary, DEFAULT_CACHE_BYTES,
 };
 use lzfpga_core::pipeline::{compress_to_zlib, turbo_compress_to_zlib};
 use lzfpga_core::{DecompConfig, HwConfig, HwDecompressor, HwState};
@@ -403,23 +403,6 @@ fn write_output(path: Option<&str>, data: &[u8]) -> Result<(), String> {
             std::io::stdout().write_all(data).map_err(|e| format!("writing stdout: {e}"))
         }
         Some(p) => atomic_write(p, data),
-    }
-}
-
-/// File wrapper whose `flush` is a durability point. [`FrameWriter`] flushes
-/// its sink once per emitted frame, so wrapping the staging file in this
-/// makes every completed frame reach the disk before the next one starts —
-/// the invariant `resume` depends on.
-struct SyncingFile(std::fs::File);
-
-impl Write for SyncingFile {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.0.flush()?;
-        self.0.sync_data()
     }
 }
 
@@ -825,15 +808,16 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
             pump_frames(src, w)?.1
         }
         Some(dest) => {
-            // Stage into `<dest>.part`, one durable frame at a time, and
-            // rename only once the trailer is down: a crash at any point
-            // leaves a prefix `resume` can pick up.
+            // Stage into `<dest>.part`, one durable frame at a time (each
+            // frame syncs while the next compresses), and rename only once
+            // the trailer is down: a crash at any point leaves a prefix
+            // `resume` can pick up.
             let part = format!("{dest}.part");
             let file = std::fs::File::create(&part).map_err(|e| format!("creating {part}: {e}"))?;
-            let w = FrameWriter::new(SyncingFile(file), frame_cfg, params)
+            let w = FrameWriter::new(DurableFile::new(file), frame_cfg, params)
                 .map_err(|e| format!("frame config: {e}"))?;
             let (sink, summary) = pump_frames(src, w)?;
-            sink.0.sync_all().map_err(|e| format!("syncing {part}: {e}"))?;
+            sink.finish().map_err(|e| format!("syncing {part}: {e}"))?;
             promote_part(&part, dest)?;
             summary
         }
@@ -1025,10 +1009,15 @@ fn cmd_resume(o: &CommonOpts) -> Result<(), String> {
         collect_events: wants_obs(o) || o.trace_events.is_some(),
         ..FrameConfig::default()
     };
-    let w = FrameWriter::resume(SyncingFile(file), frame_cfg, hw_config(o).as_lzss_params(), &scan)
-        .map_err(|e| format!("resume: {e}"))?;
+    let w = FrameWriter::resume(
+        DurableFile::new(file),
+        frame_cfg,
+        hw_config(o).as_lzss_params(),
+        &scan,
+    )
+    .map_err(|e| format!("resume: {e}"))?;
     let (sink, summary) = pump_frames(src, w)?;
-    sink.0.sync_all().map_err(|e| format!("syncing {part}: {e}"))?;
+    sink.finish().map_err(|e| format!("syncing {part}: {e}"))?;
     if o.stats {
         eprintln!(
             "resumed: kept {} frames ({} bytes), finished at {} frames / {} input bytes",
@@ -1240,7 +1229,9 @@ fn cmd_serve(o: &CommonOpts) -> Result<(), String> {
         finish_metrics(
             o,
             &handle.registry(),
-            vec![("run", run_event(o, "serve", o.engine.name(), 0, 0))],
+            // The daemon's compress jobs run the turbo `FrameWriter`
+            // whatever `--engine` says.
+            vec![("run", run_event(o, "serve", "turbo", 0, 0))],
         )?;
     }
     Ok(())

@@ -1,0 +1,334 @@
+//! [`DurableFile`]: the one staging-file sink behind every durable
+//! compress path — the CLI's `frame -o` and `resume`, and the server's
+//! journaled compress sessions.
+//!
+//! [`crate::FrameWriter`] flushes its sink once per emitted frame. Here a
+//! flush hands that frame's `sync_data` to a background syncer thread and
+//! returns at once; the next write, flush or finish waits for it first.
+//! So every frame is still synced before the next one is written, and
+//! what overlaps the disk is the compress of the next frame — the
+//! software form of the paper's background filling, where the second BRAM
+//! port fills while the match FSM works (DESIGN §9.5).
+//!
+//! At most one sync is in flight. A failed sync (or a failed hook) comes
+//! back from the next write, flush or finish, and every call after it
+//! fails too, so nothing can be written or promoted past a frame that is
+//! not known to be durable.
+//!
+//! A sync is run by whichever side claims it first. When the writer needs
+//! it before the syncer thread has woken up — a single-frame stream
+//! writes its trailer right after its only frame — the writer runs it
+//! itself, so having nothing to overlap costs no thread hand-off. Syncer
+//! threads outlive their sinks in an idle list, so a sink's syncs cost no
+//! thread spawn either; the list holds at most as many threads as sinks
+//! were ever alive at once.
+
+use std::fs::File;
+use std::io::{self, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+
+fn no_hook() -> io::Result<()> {
+    Ok(())
+}
+
+/// One frame's `sync_data`.
+#[derive(Debug)]
+struct SyncJob {
+    file: Arc<File>,
+    claimed: AtomicBool,
+    result: Mutex<Option<io::Result<()>>>,
+    done: Condvar,
+}
+
+impl SyncJob {
+    /// Run the sync unless the other side already claimed it.
+    fn run_if_unclaimed(&self) -> Option<io::Result<()>> {
+        (!self.claimed.swap(true, Ordering::AcqRel)).then(|| self.file.sync_data())
+    }
+
+    /// The sync's outcome, running it here if the syncer has not started.
+    fn wait(&self) -> io::Result<()> {
+        if let Some(synced) = self.run_if_unclaimed() {
+            return synced;
+        }
+        let mut result = self.result.lock().expect("sync result lock");
+        loop {
+            match result.take() {
+                Some(synced) => return synced,
+                None => result = self.done.wait(result).expect("sync result lock"),
+            }
+        }
+    }
+}
+
+type Syncer = Sender<Arc<SyncJob>>;
+
+/// Syncer threads no sink holds, waiting for the next one.
+static IDLE_SYNCERS: Mutex<Vec<Syncer>> = Mutex::new(Vec::new());
+
+/// An idle syncer, or a new one; `None` if no thread could be started
+/// (the writer then runs its syncs itself). A syncer thread is never
+/// joined: idle or attached to a sink, it lives until the process exits.
+fn take_syncer() -> Option<Syncer> {
+    if let Some(syncer) = IDLE_SYNCERS.lock().expect("idle syncers lock").pop() {
+        return Some(syncer);
+    }
+    let (syncer, jobs) = channel::<Arc<SyncJob>>();
+    let spawned = std::thread::Builder::new().name("lzfpga-fsync".to_string()).spawn(move || {
+        for job in jobs {
+            if let Some(synced) = job.run_if_unclaimed() {
+                // Every update to the slot is a whole store, so a poisoned
+                // lock still holds a valid value: never panic while the
+                // writer may be waiting.
+                *job.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(synced);
+                job.done.notify_one();
+            }
+        }
+    });
+    spawned.ok().map(|_| syncer)
+}
+
+/// A staging file whose every flush is a durability point, synced in the
+/// background while the caller computes the next frame.
+///
+/// `after_sync` runs on the writing thread once per flush, right after
+/// that flush's sync has returned and before anything else reaches the
+/// file; an error from it counts as a failed sync. The server arms its
+/// `server.frame.durable` crash site there.
+#[derive(Debug)]
+pub struct DurableFile<H = fn() -> io::Result<()>> {
+    file: Arc<File>,
+    syncer: Option<Syncer>,
+    in_flight: Option<Arc<SyncJob>>,
+    failed: bool,
+    after_sync: H,
+}
+
+impl DurableFile {
+    /// A sink over `file` (positioned where the next frame goes) with no
+    /// hook.
+    pub fn new(file: File) -> Self {
+        DurableFile::with_hook(file, no_hook)
+    }
+}
+
+impl<H: FnMut() -> io::Result<()>> DurableFile<H> {
+    /// A sink over `file` that runs `after_sync` after every sync returns.
+    pub fn with_hook(file: File, after_sync: H) -> Self {
+        DurableFile {
+            file: Arc::new(file),
+            syncer: None,
+            in_flight: None,
+            failed: false,
+            after_sync,
+        }
+    }
+
+    /// Wait for the sync in flight, if any, then run the hook.
+    fn settle(&mut self) -> io::Result<()> {
+        if self.failed {
+            return Err(io::Error::other("an earlier frame sync failed; the staged file is stale"));
+        }
+        if let Some(job) = self.in_flight.take() {
+            if let Err(e) = job.wait().and_then(|()| (self.after_sync)()) {
+                self.failed = true;
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Wait for the sync in flight, then `sync_all` the file: the finished
+    /// stream, metadata included, is durable when this returns.
+    ///
+    /// # Errors
+    /// The in-flight sync's or hook's error, or the final sync's.
+    pub fn finish(mut self) -> io::Result<()> {
+        self.settle()?;
+        self.file.sync_all()
+    }
+}
+
+impl<H: FnMut() -> io::Result<()>> Write for DurableFile<H> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.settle()?;
+        (&*self.file).write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.settle()?;
+        let job = Arc::new(SyncJob {
+            file: Arc::clone(&self.file),
+            claimed: AtomicBool::new(false),
+            result: Mutex::new(None),
+            done: Condvar::new(),
+        });
+        if self.syncer.is_none() {
+            self.syncer = take_syncer();
+        }
+        // Unsent (no syncer), the job stays unclaimed and `settle` runs it.
+        if self.syncer.as_ref().is_some_and(|s| s.send(Arc::clone(&job)).is_err()) {
+            self.syncer = None;
+        }
+        self.in_flight = Some(job);
+        Ok(())
+    }
+}
+
+impl<H> Drop for DurableFile<H> {
+    fn drop(&mut self) {
+        // An abandoned stream's last sync may still run; nothing waits on
+        // it, and its syncer goes back to the idle list either way.
+        if let (Some(syncer), Ok(mut idle)) = (self.syncer.take(), IDLE_SYNCERS.lock()) {
+            idle.push(syncer);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{scan_partial, FrameConfig, FrameWriter};
+    use lzfpga_lzss::LzssParams;
+    use lzfpga_workloads::{generate, Corpus};
+    use std::path::PathBuf;
+
+    const FRAME: usize = 8 * 1024;
+
+    struct TempFile(PathBuf);
+
+    impl TempFile {
+        fn new(tag: &str) -> TempFile {
+            let nanos = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos();
+            TempFile(
+                std::env::temp_dir()
+                    .join(format!("lzfpga-durable-{tag}-{}-{nanos:x}", std::process::id())),
+            )
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn cfg() -> FrameConfig {
+        FrameConfig { frame_bytes: FRAME, ..FrameConfig::default() }
+    }
+
+    fn in_memory(data: &[u8]) -> Vec<u8> {
+        let mut w = FrameWriter::new(Vec::new(), cfg(), LzssParams::paper_fast()).unwrap();
+        w.write_all(data).unwrap();
+        w.finish().unwrap().0
+    }
+
+    #[test]
+    fn staged_bytes_equal_the_in_memory_stream() {
+        // 0, 1, 2 and 17 whole frames, and 2 frames plus a partial tail.
+        for len in [0, FRAME, 2 * FRAME, 17 * FRAME, 2 * FRAME + 1234] {
+            let data = generate(Corpus::Mixed, len as u64, len);
+            let tmp = TempFile::new("same");
+            let mut syncs = 0u32;
+            let sink = DurableFile::with_hook(File::create(&tmp.0).unwrap(), || {
+                syncs += 1;
+                Ok(())
+            });
+            let mut w = FrameWriter::new(sink, cfg(), LzssParams::paper_fast()).unwrap();
+            // Dribble the input so frames complete mid-write too.
+            for chunk in data.chunks(3000) {
+                w.write_all(chunk).unwrap();
+            }
+            let (sink, summary) = w.finish().unwrap();
+            sink.finish().unwrap();
+            assert_eq!(std::fs::read(&tmp.0).unwrap(), in_memory(&data), "{len} bytes");
+            // One sync per frame plus one for the trailer, each followed
+            // by exactly one hook call.
+            assert_eq!(syncs, summary.frames + 1, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn a_failed_sync_stops_the_stream_at_the_last_durable_frame() {
+        let data = generate(Corpus::Wiki, 9, 6 * FRAME);
+        for fail_on in 1..=7u32 {
+            let tmp = TempFile::new("fail");
+            let mut hits = 0u32;
+            let sink = DurableFile::with_hook(File::create(&tmp.0).unwrap(), || {
+                hits += 1;
+                if hits == fail_on {
+                    Err(io::Error::other("injected"))
+                } else {
+                    Ok(())
+                }
+            });
+            let mut w = FrameWriter::new(sink, cfg(), LzssParams::paper_fast()).unwrap();
+            let written = w.write_all(&data);
+            let outcome = match written {
+                Ok(()) => w.finish().and_then(|(sink, _)| sink.finish()),
+                Err(e) => Err(e),
+            };
+            assert!(outcome.is_err(), "hook failure {fail_on} was swallowed");
+            // Nothing reached the file after the failed sync: the staged
+            // prefix is exactly the frames whose syncs succeeded, plus the
+            // one whose sync failed (its bytes were written, not proven).
+            let scan = scan_partial(&std::fs::read(&tmp.0).unwrap());
+            if fail_on <= 6 {
+                assert_eq!(scan.frames, fail_on, "hook failure {fail_on}");
+                assert!(!scan.complete);
+            } else {
+                assert!(scan.complete, "the trailer was written before its sync failed");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sync_runs_once_whichever_side_claims_it() {
+        let tmp = TempFile::new("claim");
+        let job = || SyncJob {
+            file: Arc::new(File::create(&tmp.0).unwrap()),
+            claimed: AtomicBool::new(false),
+            result: Mutex::new(None),
+            done: Condvar::new(),
+        };
+        // Unclaimed: the writer runs it, and a late syncer finds nothing.
+        let unclaimed = job();
+        assert!(unclaimed.wait().is_ok());
+        assert!(unclaimed.run_if_unclaimed().is_none(), "a claimed sync ran twice");
+        // Claimed by a syncer: the writer waits for its outcome.
+        let claimed = Arc::new(job());
+        let syncer = {
+            let claimed = Arc::clone(&claimed);
+            std::thread::spawn(move || {
+                let synced = claimed.run_if_unclaimed().expect("first claim");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                *claimed.result.lock().unwrap() = Some(synced);
+                claimed.done.notify_one();
+            })
+        };
+        while !claimed.claimed.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        assert!(claimed.wait().is_ok());
+        syncer.join().unwrap();
+    }
+
+    #[test]
+    fn every_call_after_a_failure_fails() {
+        let tmp = TempFile::new("sticky");
+        let mut sink =
+            DurableFile::with_hook(File::create(&tmp.0).unwrap(), || Err(io::Error::other("no")));
+        sink.write_all(b"frame").unwrap();
+        sink.flush().unwrap();
+        assert!(sink.write(b"next").is_err(), "write after a failed sync");
+        assert!(sink.flush().is_err(), "flush after a failed sync");
+        assert!(sink.write(b"again").is_err(), "the failure is sticky");
+        assert!(sink.finish().is_err(), "finish after a failed sync");
+        assert_eq!(std::fs::read(&tmp.0).unwrap(), b"frame");
+    }
+}

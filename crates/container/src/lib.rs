@@ -21,6 +21,9 @@
 //!   `io::Write`, emits a flushed frame every N bytes in O(frame) memory,
 //!   and [`scan_partial`] + [`FrameWriter::resume`] continue an
 //!   interrupted stream from its last durable frame.
+//! * **[`DurableFile`]** — the staging-file sink of every durable compress
+//!   path: each frame's sync runs in the background while the next frame
+//!   compresses, and is waited for before the next frame is written.
 //!
 //! Frames are compressed independently (fresh dictionary per frame), so a
 //! chunk-parallel compressor can produce frames concurrently and a
@@ -30,12 +33,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod durable;
 pub mod format;
 pub mod index;
 pub mod range;
 pub mod salvage;
 pub mod writer;
 
+pub use durable::DurableFile;
 pub use format::{
     encode_data_header, encode_index_header, encode_trailer, find_sync, parse_record, Codec,
     FrameSpan, HeaderError, Record, FLAG_INDEX, FLAG_TRAILER, HEADER_LEN, MAX_FRAME_BYTES, SYNC,

@@ -5,8 +5,9 @@
 //! reaches the configured frame size it compresses that slice into a
 //! complete frame (header + payload), writes it, and *flushes* the inner
 //! writer — so a frame that has been emitted is durable under whatever
-//! durability the inner writer's `flush` provides (the CLI wraps a `File`
-//! whose `flush` is `sync_data`). A process killed mid-stream therefore
+//! durability the inner writer's `flush` provides (the durable paths hand
+//! it a [`crate::DurableFile`], whose flush starts the frame's `sync_data`
+//! and whose next write waits for it). A process killed mid-stream therefore
 //! leaves a strict prefix of valid frames on disk, which [`scan_partial`]
 //! validates and [`FrameWriter::resume`] continues from.
 //!

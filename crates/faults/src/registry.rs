@@ -13,8 +13,9 @@
 /// synced, before the session directory entry itself is made durable.
 pub const SERVER_JOURNAL_APPEND: &str = "server.journal.append";
 
-/// Site name: crash inside the durable frame sink's flush, after the
-/// frame's bytes reach the file and `sync_data` returns.
+/// Site name: crash after a staged frame's background `sync_data` returns,
+/// before the next frame is written. The session's journal may still be
+/// syncing beside it.
 pub const SERVER_FRAME_DURABLE: &str = "server.frame.durable";
 
 /// Site name: crash after the finished container is synced, immediately
@@ -42,8 +43,9 @@ pub const CRASH_SITES: &[CrashSite] = &[
     },
     CrashSite {
         name: SERVER_FRAME_DURABLE,
-        stage: "per-frame durable flush of the staged container",
-        may_lose: "frames after the last durable flush (resume re-compresses them)",
+        stage: "staged frame's background sync returned, before the next frame is written",
+        may_lose: "frames after the last durable sync (resume re-compresses them); the whole \
+                   session if its token was not yet announced",
     },
     CrashSite {
         name: SERVER_SESSION_PROMOTE,

@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -1075,9 +1075,12 @@ fn run_job(
     conn.wake.notify_all();
 }
 
-/// Run a journaled compress/decompress session: journal first, announce
-/// the token, then do the work against the session directory. A typed
-/// failure is final, so the session is removed rather than left resumable.
+/// Run a journaled compress/decompress session. The journal syncs on its
+/// own thread while this one computes the result (DESIGN §14.1): the token
+/// is announced only once the journal is durable, and the journal thread
+/// is joined before this returns, so no result byte is queued ahead of the
+/// token. A journal failure drops whatever the job produced. A session
+/// that will not deliver is removed here rather than left resumable.
 #[allow(clippy::too_many_arguments)]
 fn durable_job(
     shared: &Arc<Shared>,
@@ -1093,27 +1096,47 @@ fn durable_job(
 ) -> Result<Vec<u8>, JobFail> {
     let faults = &*shared.faults;
     let tenant = conn.state.lock().expect("conn state").tenant.clone();
-    let (token, dir) = session_store
-        .begin(op, &tenant, frame_bytes as u32, max_result, data, faults)
-        .map_err(|e| JobFail::new(RejectCode::Internal, format!("session journal: {e}")))?;
-    announce_session(conn, req, token);
-    let result = match op {
-        SessionOp::Compress => store::durable_compress(
-            &dir,
-            data,
-            frame_bytes as u32,
-            shared.config.hw.as_lzss_params(),
-            ctl,
-            faults,
-            ledger,
-        ),
-        SessionOp::Decompress => decompress_job(data, max_result, ctl, ledger),
+    let journal_fail =
+        |e: std::io::Error| JobFail::new(RejectCode::Internal, format!("session journal: {e}"));
+    let (token, dir) = session_store.create().map_err(journal_fail)?;
+    let (journaled, result) = std::thread::scope(|s| {
+        let journal = s.spawn(|| {
+            session_store
+                .journal(token, &dir, op, &tenant, frame_bytes as u32, max_result, data, faults)
+                .map(|()| announce_session(conn, req, token))
+        });
+        let result = catch_unwind(AssertUnwindSafe(|| match op {
+            SessionOp::Compress => store::durable_compress(
+                &dir,
+                data,
+                frame_bytes as u32,
+                shared.config.hw.as_lzss_params(),
+                ctl,
+                faults,
+                ledger,
+            ),
+            SessionOp::Decompress => decompress_job(data, max_result, ctl, ledger),
+        }));
+        (journal.join(), result)
+    });
+    let announced = match journaled {
+        Ok(Ok(announced)) => announced,
+        Ok(Err(e)) => {
+            session_store.finish(token);
+            return Err(journal_fail(e));
+        }
+        Err(panic) => {
+            session_store.finish(token);
+            resume_unwind(panic);
+        }
     };
-    if result.is_err() {
+    // Nothing else ends the session of a job that will not deliver, or of
+    // a request the connection tore down before the token was announced.
+    if !announced || !matches!(result, Ok(Ok(_))) {
         session_store.finish(token);
         clear_session(conn, req);
     }
-    result
+    result.unwrap_or_else(|panic| resume_unwind(panic))
 }
 
 /// Claim and replay a journaled session after a restart.
@@ -1144,14 +1167,20 @@ fn resume_job(
 }
 
 /// Record the durable session token on the request and tell the client.
-fn announce_session(conn: &ConnShared, req: u64, token: u64) {
+/// Returns whether the request was still there to take it.
+fn announce_session(conn: &ConnShared, req: u64, token: u64) -> bool {
     let mut st = conn.state.lock().expect("conn state");
-    if let Some(rs) = st.requests.get_mut(&req) {
-        rs.session = Some(token);
-    }
+    let recorded = match st.requests.get_mut(&req) {
+        Some(rs) => {
+            rs.session = Some(token);
+            true
+        }
+        None => false,
+    };
     st.queue.push_back(Response::Session { req, token });
     drop(st);
     conn.wake.notify_all();
+    recorded
 }
 
 /// Forget a request's session token (its directory is already gone).
@@ -1339,6 +1368,7 @@ fn writer_loop(shared: &Arc<Shared>, conn: &Arc<ConnShared>, stream: TcpStream, 
 mod tests {
     use super::*;
     use crate::client::{Client, ClientError};
+    use lzfpga_faults::registry::SERVER_JOURNAL_APPEND;
     use lzfpga_faults::{FailPlan, FailRule};
     use lzfpga_obs::validate_span_tree;
     use lzfpga_parallel::{compress_frames_parallel, EngineKind, ParallelConfig};
@@ -1488,6 +1518,200 @@ mod tests {
         assert!(stats.panics_contained >= 2, "got {}", stats.panics_contained);
         assert_eq!(stats.requests_done, 1);
         assert_eq!(stats.active_streams, 0);
+    }
+
+    struct StateDir(std::path::PathBuf);
+
+    impl StateDir {
+        fn new(tag: &str) -> StateDir {
+            let nanos = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos();
+            StateDir(
+                std::env::temp_dir()
+                    .join(format!("lzfpga-server-{tag}-{}-{nanos:x}", std::process::id())),
+            )
+        }
+    }
+
+    impl Drop for StateDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn durable_server(state: &StateDir, plan: FailPlan) -> ServerHandle {
+        Server::new(ServerConfig {
+            workers: 1,
+            state_dir: Some(state.0.clone()),
+            ..ServerConfig::default()
+        })
+        .with_faults(Arc::new(plan))
+        .start()
+        .expect("durable server starts")
+    }
+
+    /// What one request saw, in arrival order: `'S'` session, `'D'` data,
+    /// `'F'` done, `'E'` error.
+    fn drive(client: &mut Client, request: &Request) -> (String, Vec<u8>, Option<JobFail>) {
+        client.send(request).expect("send");
+        let (mut seen, mut bytes) = (String::new(), Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(Instant::now() < deadline, "no final response; saw {seen}");
+            match client.recv() {
+                Ok(Response::Session { .. }) => seen.push('S'),
+                Ok(Response::Data { bytes: b, .. }) => {
+                    seen.push('D');
+                    bytes.extend_from_slice(&b);
+                    let n = b.len() as u64;
+                    client.send(&Request::Credit { req: 1, bytes: n }).expect("credit");
+                }
+                Ok(Response::Done { .. }) => return (seen + "F", bytes, None),
+                Ok(Response::Error { code, detail, .. }) => {
+                    return (seen + "E", bytes, Some(JobFail::new(code, detail)))
+                }
+                Err(ClientError::TimedOut) => {}
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+    }
+
+    fn wait_for_session_dirs(store: &SessionStore, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while store.session_dirs() != n {
+            assert!(
+                Instant::now() < deadline,
+                "{} session directories, want {n}",
+                store.session_dirs()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn journal_error_fails_typed_and_never_announces() {
+        let state = StateDir::new("journal-error");
+        let plan = FailPlan::new(3).rule(FailRule::new(SERVER_JOURNAL_APPEND).errors());
+        let handle = durable_server(&state, plan);
+        let store = handle.session_store().expect("durable server has a store");
+        let mut client = Client::connect(handle.addr(), "acme", 1 << 20).expect("connect");
+        let data = sample(200_000);
+        let request = Request::Compress { req: 1, deadline_ms: 0, frame_bytes: 0, data };
+        let (seen, bytes, fail) = drive(&mut client, &request);
+        assert_eq!(seen, "E", "no session token and no result byte may precede the error");
+        assert!(bytes.is_empty());
+        let fail = fail.expect("typed error");
+        assert_eq!(fail.code, RejectCode::Internal);
+        assert!(fail.detail.starts_with("session journal: "), "detail: {}", fail.detail);
+        // The job's output was dropped and its directory removed before
+        // the error was queued.
+        assert_eq!(store.session_dirs(), 0, "a failed journal left its directory");
+        // The rule fired once: the same connection journals the next one.
+        let framed = client.compress(&sample(50_000), 0, 0).expect("next request journals");
+        assert_eq!(framed, reference_stream(&sample(50_000), 64 << 10));
+        drop(client);
+        let stats = handle.shutdown(Duration::from_secs(2));
+        assert_eq!(stats.requests_failed, 1);
+        assert_eq!((stats.active_streams, stats.active_bytes), (0, 0), "admission ledger leaked");
+        assert_eq!(store.session_dirs(), 0);
+    }
+
+    #[test]
+    fn delayed_journal_announces_before_the_result() {
+        let data = sample(300_000);
+        let plain = start(ServerConfig { workers: 1, ..ServerConfig::default() });
+        let mut client = Client::connect(plain.addr(), "acme", 1 << 20).expect("connect");
+        let framed = client.compress(&data, 0, 0).expect("store-less compress");
+        plain.shutdown(Duration::from_secs(2));
+
+        let state = StateDir::new("journal-delay");
+        let plan =
+            FailPlan::new(5).rule(FailRule::new(SERVER_JOURNAL_APPEND).times(2).delays_ms(20));
+        let handle = durable_server(&state, plan);
+        let store = handle.session_store().expect("durable server has a store");
+        let mut client = Client::connect(handle.addr(), "acme", 1 << 20).expect("connect");
+        let requests = [
+            (
+                Request::Compress { req: 1, deadline_ms: 0, frame_bytes: 0, data: data.clone() },
+                &framed,
+            ),
+            (
+                Request::Decompress {
+                    req: 1,
+                    deadline_ms: 0,
+                    max_result: 1 << 20,
+                    data: framed.clone(),
+                },
+                &data,
+            ),
+        ];
+        for (request, want) in &requests {
+            let (seen, bytes, fail) = drive(&mut client, request);
+            assert!(fail.is_none(), "{fail:?}");
+            assert!(
+                seen.starts_with('S') && seen.ends_with('F'),
+                "token first, then the result: {seen}"
+            );
+            assert_eq!(seen.matches('S').count(), 1, "{seen}");
+            assert_eq!(&bytes, *want, "the durable bytes equal the store-less server's");
+            wait_for_session_dirs(&store, 0);
+        }
+        drop(client);
+        let stats = handle.shutdown(Duration::from_secs(2));
+        assert_eq!(stats.requests_done, 2);
+        assert_eq!((stats.active_streams, stats.active_bytes), (0, 0));
+    }
+
+    #[test]
+    fn a_request_ended_while_its_journal_syncs_leaks_no_directory() {
+        let state = StateDir::new("journal-cancel");
+        let plan =
+            FailPlan::new(9).rule(FailRule::new(SERVER_JOURNAL_APPEND).times(2).delays_ms(300));
+        let handle = durable_server(&state, plan);
+        let store = handle.session_store().expect("durable server has a store");
+        let data = sample(2 << 20);
+        // Cancelled once its directory exists, so while the journal is
+        // delayed: the job stops typed (or, had it beaten the cancel,
+        // delivers) and the session is removed.
+        let mut client = Client::connect(handle.addr(), "acme", 1 << 20).expect("connect");
+        client
+            .send(&Request::Compress { req: 1, deadline_ms: 0, frame_bytes: 0, data: data.clone() })
+            .expect("send");
+        wait_for_session_dirs(&store, 1);
+        client.send(&Request::Cancel { req: 1 }).expect("cancel");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(Instant::now() < deadline, "the cancelled request never ended");
+            match client.recv() {
+                Ok(Response::Error { code, .. }) => {
+                    assert_eq!(code, RejectCode::Cancelled);
+                    break;
+                }
+                Ok(Response::Done { .. }) => break,
+                Ok(Response::Data { bytes, .. }) => {
+                    let n = bytes.len() as u64;
+                    client.send(&Request::Credit { req: 1, bytes: n }).expect("credit");
+                }
+                Ok(_) | Err(ClientError::TimedOut) => {}
+                Err(e) => panic!("transport failed: {e}"),
+            }
+        }
+        wait_for_session_dirs(&store, 0);
+        // The connection dropped while the journal is delayed: by the time
+        // the journal announces, the request is gone, so the job itself
+        // must remove the session.
+        let mut client = Client::connect(handle.addr(), "acme", 1 << 20).expect("connect");
+        client
+            .send(&Request::Compress { req: 1, deadline_ms: 0, frame_bytes: 0, data })
+            .expect("send");
+        wait_for_session_dirs(&store, 1);
+        drop(client);
+        wait_for_session_dirs(&store, 0);
+        let stats = handle.shutdown(Duration::from_secs(5));
+        assert_eq!((stats.active_streams, stats.active_bytes), (0, 0));
+        assert_eq!(store.session_dirs(), 0);
     }
 
     #[test]

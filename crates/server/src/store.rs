@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use lzfpga_container::{scan_partial, FrameConfig, FrameWriter};
+use lzfpga_container::{scan_partial, DurableFile, FrameConfig, FrameWriter};
 use lzfpga_deflate::crc32::crc32;
 use lzfpga_faults::registry::{
     SERVER_FRAME_DURABLE, SERVER_JOURNAL_APPEND, SERVER_SESSION_PROMOTE,
@@ -248,13 +248,77 @@ impl SessionStore {
         self.sessions_dir.join(format!("s{token:016x}"))
     }
 
-    /// Journal a new durable session: write and sync `input.bin`, then the
-    /// CRC-protected journal record, then make both directory entries
-    /// durable. Only after this returns may the session token be announced.
+    /// Make a new session's token and its empty directory. Nothing is
+    /// durable yet and the token must not be announced:
+    /// [`SessionStore::journal`] does both halves of that.
+    ///
+    /// # Errors
+    /// Filesystem errors creating the directory.
+    pub fn create(&self) -> io::Result<(u64, PathBuf)> {
+        loop {
+            let token = self.next.fetch_add(1, Ordering::Relaxed);
+            let dir = self.dir_for(token);
+            match fs::create_dir(&dir) {
+                Ok(()) => return Ok((token, dir)),
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Journal the session [`SessionStore::create`] made: write and sync
+    /// `input.bin`, then the CRC-protected journal record, then make both
+    /// directory entries durable. Only after this returns may the session
+    /// token be announced.
     ///
     /// # Errors
     /// Filesystem errors, or the injected error of an armed
-    /// `server.journal.append` failpoint. On error the half-built session
+    /// `server.journal.append` failpoint. On error the directory stays for
+    /// the caller to remove ([`SessionStore::finish`]): a job running
+    /// beside the journal may still be staging into it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn journal(
+        &self,
+        token: u64,
+        dir: &Path,
+        op: SessionOp,
+        tenant: &str,
+        frame_bytes: u32,
+        max_result: u64,
+        data: &[u8],
+        faults: &dyn Failpoints,
+    ) -> io::Result<()> {
+        let mut input = File::create(dir.join(INPUT_FILE))?;
+        input.write_all(data)?;
+        input.sync_all()?;
+        let journal = Journal {
+            token,
+            op,
+            tenant: tenant.to_string(),
+            frame_bytes,
+            content_len: data.len() as u64,
+            content_crc: crc32(data),
+            max_result,
+        };
+        let mut jf = File::create(dir.join(JOURNAL_FILE))?;
+        jf.write_all(&journal.encode())?;
+        jf.sync_all()?;
+        // Crash site: journal written and synced, directory entries not yet
+        // durable. A power cut here may lose the whole session — the client
+        // holds no token yet, so nothing is promised.
+        if faults.check(SERVER_JOURNAL_APPEND) {
+            return Err(io::Error::other(InjectedFault { site: SERVER_JOURNAL_APPEND }));
+        }
+        fsync_dir(dir)?;
+        fsync_dir(&self.sessions_dir)
+    }
+
+    /// Journal a new durable session: [`SessionStore::create`], then
+    /// [`SessionStore::journal`]. Only after this returns may the session
+    /// token be announced.
+    ///
+    /// # Errors
+    /// As [`SessionStore::journal`]; on error the half-built session
     /// directory is removed.
     pub fn begin(
         &self,
@@ -265,43 +329,8 @@ impl SessionStore {
         data: &[u8],
         faults: &dyn Failpoints,
     ) -> io::Result<(u64, PathBuf)> {
-        let (token, dir) = loop {
-            let token = self.next.fetch_add(1, Ordering::Relaxed);
-            let dir = self.dir_for(token);
-            match fs::create_dir(&dir) {
-                Ok(()) => break (token, dir),
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
-                Err(e) => return Err(e),
-            }
-        };
-        let result = (|| {
-            let mut input = File::create(dir.join(INPUT_FILE))?;
-            input.write_all(data)?;
-            input.sync_all()?;
-            let journal = Journal {
-                token,
-                op,
-                tenant: tenant.to_string(),
-                frame_bytes,
-                content_len: data.len() as u64,
-                content_crc: crc32(data),
-                max_result,
-            };
-            let mut jf = File::create(dir.join(JOURNAL_FILE))?;
-            jf.write_all(&journal.encode())?;
-            jf.sync_all()?;
-            // Crash site: journal written and synced, directory entries
-            // not yet durable. A power cut here may lose the whole
-            // session — the client holds no token yet, so nothing is
-            // promised.
-            if faults.check(SERVER_JOURNAL_APPEND) {
-                return Err(io::Error::other(InjectedFault { site: SERVER_JOURNAL_APPEND }));
-            }
-            fsync_dir(&dir)?;
-            fsync_dir(&self.sessions_dir)?;
-            Ok(())
-        })();
-        match result {
+        let (token, dir) = self.create()?;
+        match self.journal(token, &dir, op, tenant, frame_bytes, max_result, data, faults) {
             Ok(()) => Ok((token, dir)),
             Err(e) => {
                 let _ = fs::remove_dir_all(&dir);
@@ -438,34 +467,42 @@ impl SessionStore {
     }
 }
 
-/// The staged container sink: every flush is a durable checkpoint
-/// (`sync_data`), and a copy of the appended bytes is kept so the served
-/// response needs no re-read of the file. `FrameWriter` flushes after
-/// every emitted frame, which makes each frame a crash-consistent unit.
-struct DurableSink<'a> {
-    file: File,
-    appended: Vec<u8>,
-    faults: &'a dyn Failpoints,
+/// The staged container's sink plus a copy of every byte it took, so the
+/// served response needs no re-read of the file.
+struct Copied<W> {
+    out: W,
+    bytes: Vec<u8>,
 }
 
-impl Write for DurableSink<'_> {
+impl<W: Write> Write for Copied<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.file.write_all(buf)?;
-        self.appended.extend_from_slice(buf);
-        Ok(buf.len())
+        let n = self.out.write(buf)?;
+        self.bytes.extend_from_slice(&buf[..n]);
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.file.flush()?;
-        self.file.sync_data()?;
+        self.out.flush()
+    }
+}
+
+/// The session's `out.part` as a [`DurableFile`]: every frame syncs in the
+/// background while the next one compresses, and the frame-durability
+/// crash site runs after each sync returns.
+fn staging_sink(
+    file: File,
+    faults: &dyn Failpoints,
+) -> Copied<DurableFile<impl FnMut() -> io::Result<()> + '_>> {
+    let after_sync = move || {
         // Crash site: the frame's bytes are durable; everything after the
-        // last completed flush is legitimately lost and re-compressed on
+        // last completed sync is legitimately lost and re-compressed on
         // resume.
-        if self.faults.check(SERVER_FRAME_DURABLE) {
+        if faults.check(SERVER_FRAME_DURABLE) {
             return Err(io::Error::other(InjectedFault { site: SERVER_FRAME_DURABLE }));
         }
         Ok(())
-    }
+    };
+    Copied { out: DurableFile::with_hook(file, after_sync), bytes: Vec::new() }
 }
 
 fn io_fail(e: io::Error) -> JobFail {
@@ -480,11 +517,10 @@ fn frame_config(frame_bytes: u32) -> FrameConfig {
     FrameConfig { frame_bytes: frame_bytes as usize, ..FrameConfig::default() }
 }
 
-/// Sync the finished container, cross the promote crash site, rename
-/// `out.part` → `out`, and fsync the directory so the rename survives
-/// power loss.
-fn promote(dir: &Path, file: &File, faults: &dyn Failpoints) -> io::Result<()> {
-    file.sync_all()?;
+/// With the finished container already synced under its staging name,
+/// cross the promote crash site, rename `out.part` → `out`, and fsync the
+/// directory so the rename survives power loss.
+fn promote(dir: &Path, faults: &dyn Failpoints) -> io::Result<()> {
     // Crash site: the complete container is durable under its staging
     // name; only the rename can be lost, and resume re-plays it.
     if faults.check(SERVER_SESSION_PROMOTE) {
@@ -513,8 +549,7 @@ pub fn durable_compress(
     ledger: &mut JobLedger,
 ) -> Result<Vec<u8>, JobFail> {
     let file = File::create(dir.join(PART_FILE)).map_err(io_fail)?;
-    let sink = DurableSink { file, appended: Vec::new(), faults };
-    let mut w = FrameWriter::new(sink, frame_config(frame_bytes), params)
+    let mut w = FrameWriter::new(staging_sink(file, faults), frame_config(frame_bytes), params)
         .map_err(|e| JobFail::new(RejectCode::Internal, e.to_string()))?;
     for chunk in data.chunks(frame_bytes as usize) {
         ctl.checkpoint()?;
@@ -523,8 +558,9 @@ pub fn durable_compress(
     ctl.checkpoint()?;
     let (sink, summary) = w.finish().map_err(io_fail)?;
     ledger.frames += u64::from(summary.frames);
-    promote(dir, &sink.file, faults).map_err(io_fail)?;
-    Ok(sink.appended)
+    sink.out.finish().map_err(io_fail)?;
+    promote(dir, faults).map_err(io_fail)?;
+    Ok(sink.bytes)
 }
 
 fn read_verified_input(rec: &RecoveredSession) -> Result<Vec<u8>, JobFail> {
@@ -608,7 +644,8 @@ fn recover_compress(
         }
         let file = OpenOptions::new().write(true).open(&part_path).map_err(io_fail)?;
         file.set_len(scan.valid_bytes).map_err(io_fail)?;
-        promote(&rec.dir, &file, faults).map_err(io_fail)?;
+        file.sync_all().map_err(io_fail)?;
+        promote(&rec.dir, faults).map_err(io_fail)?;
         prefix.truncate(scan.valid_bytes as usize);
         ledger.frames += u64::from(scan.frames);
         return Ok(prefix);
@@ -623,7 +660,7 @@ fn recover_compress(
     let mut file = OpenOptions::new().read(true).write(true).open(&part_path).map_err(io_fail)?;
     file.set_len(scan.valid_bytes).map_err(io_fail)?;
     file.seek(SeekFrom::End(0)).map_err(io_fail)?;
-    let sink = DurableSink { file, appended: Vec::new(), faults };
+    let sink = staging_sink(file, faults);
     let mut w = FrameWriter::resume(sink, frame_config(journal.frame_bytes), params, &scan)
         .map_err(|e| unresumable(e.to_string()))?;
     for chunk in input[scan.uncompressed_bytes as usize..].chunks(journal.frame_bytes as usize) {
@@ -635,9 +672,10 @@ fn recover_compress(
     // `summary.frames` counts the whole stream: the resumed writer's seq
     // starts at the prefix's frame count.
     ledger.frames += u64::from(summary.frames);
-    promote(&rec.dir, &sink.file, faults).map_err(io_fail)?;
+    sink.out.finish().map_err(io_fail)?;
+    promote(&rec.dir, faults).map_err(io_fail)?;
     prefix.truncate(scan.valid_bytes as usize);
-    prefix.extend_from_slice(&sink.appended);
+    prefix.extend_from_slice(&sink.bytes);
     Ok(prefix)
 }
 
@@ -745,36 +783,10 @@ mod tests {
 
     #[test]
     fn recovery_resumes_a_torn_stage_byte_identical() {
-        let tmp = TempDir::new("resume");
-        let store = SessionStore::open(&tmp.0).unwrap();
         let data = sample(400_000);
         let adm = Admission::new(QuotaConfig::default());
         let ctl = test_ctl(&adm);
         let hw = lzfpga_core::HwConfig::paper_fast();
-        let (token, dir) =
-            store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
-        // Injected error at the third durable flush plays a crash: the
-        // staged file holds a torn prefix.
-        let plan = FailPlan::new(1).rule(FailRule::new(SERVER_FRAME_DURABLE).on_hit(3));
-        let err = durable_compress(
-            &dir,
-            &data,
-            65536,
-            hw.as_lzss_params(),
-            &ctl,
-            &plan,
-            &mut JobLedger::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, RejectCode::Internal);
-        assert!(dir.join(PART_FILE).is_file());
-        // Simulate the restart: recover, claim, and replay.
-        let report = store.recover(&adm);
-        assert_eq!(report, RecoveryReport { recovered: 1, unresumable: 0, refused: 0 });
-        let rec = store.claim(token, "acme").unwrap();
-        let mut ledger = JobLedger::default();
-        let resumed =
-            recover_session(&rec, hw.as_lzss_params(), &ctl, &NoFaults, &mut ledger).unwrap();
         let fresh = crate::jobs::compress_job(
             &data,
             65536,
@@ -784,9 +796,49 @@ mod tests {
             &mut JobLedger::default(),
         )
         .unwrap();
-        assert_eq!(resumed, fresh, "resume after a torn stage must be byte-identical");
-        store.finish(token);
-        assert_eq!(store.session_dirs(), 0);
+        // 400 000 bytes at 64 KiB: six full frames and a tail, so hits 1-7
+        // follow the frame syncs and hit 8 the trailer's.
+        for hit in [1, 3, 7, 8] {
+            let tmp = TempDir::new("resume");
+            let store = SessionStore::open(&tmp.0).unwrap();
+            let (token, dir) =
+                store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
+            // An injected error after the background sync of hit `hit`
+            // plays a crash: it comes back from the next write (or the
+            // final sync), and nothing is written or promoted after it.
+            let plan = FailPlan::new(1).rule(FailRule::new(SERVER_FRAME_DURABLE).on_hit(hit));
+            let err = durable_compress(
+                &dir,
+                &data,
+                65536,
+                hw.as_lzss_params(),
+                &ctl,
+                &plan,
+                &mut JobLedger::default(),
+            )
+            .unwrap_err();
+            assert_eq!(err.code, RejectCode::Internal, "hit {hit}");
+            assert_eq!(plan.fired_count(), 1, "hit {hit}");
+            assert!(!dir.join(OUT_FILE).exists(), "hit {hit}: promoted after a failed sync");
+            let staged = scan_partial(&fs::read(dir.join(PART_FILE)).unwrap());
+            if hit < 8 {
+                assert_eq!(staged.frames, hit as u32, "hit {hit}: frames after the failed sync");
+                assert!(!staged.complete, "hit {hit}");
+            } else {
+                assert!(staged.complete, "the trailer's sync is the last one");
+            }
+            // Simulate the restart: recover, claim, and replay.
+            let report = store.recover(&adm);
+            assert_eq!(report, RecoveryReport { recovered: 1, unresumable: 0, refused: 0 });
+            let rec = store.claim(token, "acme").unwrap();
+            let mut ledger = JobLedger::default();
+            let resumed =
+                recover_session(&rec, hw.as_lzss_params(), &ctl, &NoFaults, &mut ledger).unwrap();
+            assert_eq!(resumed, fresh, "hit {hit}: resume after a torn stage must be identical");
+            assert_eq!(fs::read(dir.join(OUT_FILE)).unwrap(), fresh, "hit {hit}");
+            store.finish(token);
+            assert_eq!(store.session_dirs(), 0);
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ BIN=target/release/lzfpga
 "$BIN" gen mixed 400000 --seed 11 -o "$WORK/input.bin"
 
 echo "== serve: starting daemon on $ADDR =="
-"$BIN" serve --addr "$ADDR" --allow-shutdown --drain-ms 3000 &
+"$BIN" serve --addr "$ADDR" --allow-shutdown --drain-ms 3000 --metrics "$WORK/serve.jsonl" &
 SERVE_PID=$!
 
 echo "== client: compress roundtrip =="
@@ -58,4 +58,12 @@ else
   echo "late request was refused during the drain (typed) — acceptable"
 fi
 wait "$SERVE_PID"
+
+# The daemon's compress jobs run the turbo FrameWriter, and its --metrics
+# run event must say so whatever --engine defaults to.
+grep -q '"engine":"turbo"' "$WORK/serve.jsonl" || {
+  echo "serve --metrics run event does not name the turbo engine:"
+  head -n 1 "$WORK/serve.jsonl"
+  exit 1
+}
 echo "server_smoke: all checks passed"
