@@ -17,13 +17,14 @@
 //!    0 streams / 0 bytes in flight.
 //!
 //! The schedule per seed: a clean reference run, a crash before the
-//! journal is durable (no token promised → orphan GC), crashes at the
-//! frame-durability and promote sites (token promised → resume), a
-//! `SIGKILL` while the client is credit-starved mid-download (compress
-//! and decompress), a crash followed by deliberate journal corruption
-//! (typed refusal), and a crash after the first frame's sync, which may
-//! come before the journal is durable (resume if the token was announced,
-//! orphan GC if not). Each round ends with a graceful drain and the leak
+//! journal is durable (no token promised → orphan GC), a crash with the
+//! compress result computed and its token announced but nothing
+//! delivered (resume recomputes), the same crash followed by a second one
+//! while the resume is served, a `SIGKILL` while the client is
+//! credit-starved mid-download (compress and decompress: recompute, then
+//! replay from the acknowledged offset), a crash followed by deliberate
+//! journal corruption (typed refusal), and a crash with a decompress
+//! result ready. Each round ends with a graceful drain and the leak
 //! checks.
 //!
 //! ```text
@@ -39,15 +40,12 @@ use std::process::{Child, Command, Stdio};
 use std::thread::sleep;
 use std::time::{Duration, Instant};
 
-use lzfpga_faults::registry::{
-    SERVER_FRAME_DURABLE, SERVER_JOURNAL_APPEND, SERVER_SESSION_PROMOTE,
-};
+use lzfpga_faults::registry::{SERVER_JOURNAL_APPEND, SERVER_RESULT_READY};
 use lzfpga_faults::{CRASH_HIT_ENV, CRASH_SITE_ENV};
 use lzfpga_server::{Client, ClientError, RejectCode, Request, Response};
 
-/// 1 MiB of word-ish data: enough frames (16 at the 64 KiB serve frame
-/// size) that a mid-stream crash site always has a durable prefix to
-/// leave behind.
+/// 1 MiB of word-ish data: 16 frames at the 64 KiB serve frame size, so
+/// a credit-starved download stops mid-stream.
 const DATA_LEN: usize = 1 << 20;
 
 fn corpus(seed: u64) -> Vec<u8> {
@@ -267,8 +265,100 @@ fn starved_request(addr: &str, request: &Request, req_id: u64) -> (Option<u64>, 
     (token, prefix)
 }
 
+/// The token of the one session directory a crash left in the state dir.
+fn session_on_disk(root: &Path) -> Option<u64> {
+    let rd = fs::read_dir(root.join("state").join("sessions")).ok()?;
+    let tokens: Vec<u64> = rd
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name().into_string().ok()?;
+            u64::from_str_radix(name.strip_prefix('s')?, 16).ok()
+        })
+        .collect();
+    match tokens[..] {
+        [token] => Some(token),
+        _ => None,
+    }
+}
+
+/// Run `op` against a server armed to abort at the result-ready site and
+/// return the session's token. The site sits after the token is queued
+/// and before any result byte, so the client must hold no result bytes;
+/// the token comes from the client when its `Session` message beat the
+/// abort onto the wire, else from the one session directory the crash
+/// left behind (the server announced it either way).
+fn crash_at_result_ready(
+    bin: &Path,
+    root: &Path,
+    log_name: &str,
+    op: impl FnOnce(&mut Client) -> Result<Vec<u8>, ClientError>,
+    violations: &mut Vec<String>,
+    round: &str,
+) -> Option<u64> {
+    let mut srv = spawn_server(bin, root, log_name, Some((SERVER_RESULT_READY, 1)), 600_000);
+    let mut c = connect(&srv.addr, 1 << 20);
+    match op(&mut c) {
+        Ok(_) => {
+            violations.push(format!("{round}: request survived an armed abort"));
+            srv.kill();
+            return None;
+        }
+        Err(ClientError::Io(_) | ClientError::Proto(_) | ClientError::TimedOut) => {}
+        Err(e) => violations.push(format!("{round}: expected a transport death, got {e}")),
+    }
+    srv.wait();
+    let prefix = c.take_partial();
+    if !prefix.is_empty() {
+        violations.push(format!(
+            "{round}: {} result bytes delivered before the result-ready site",
+            prefix.len()
+        ));
+    }
+    match (c.session_token(), session_on_disk(root)) {
+        (Some(wire), Some(disk)) if wire != disk => {
+            violations.push(format!("{round}: announced token {wire:x}, on disk {disk:x}"));
+            None
+        }
+        (Some(token), _) => Some(token),
+        (None, Some(token)) => {
+            println!(
+                "crashstorm: {round}: no token reached the client; read it from the state dir"
+            );
+            Some(token)
+        }
+        (None, None) => {
+            violations.push(format!("{round}: no session survived the crash"));
+            None
+        }
+    }
+}
+
+/// Restart the server, resume `token` from `prefix`, require `expected`,
+/// then drain and check for leaks.
+#[allow(clippy::too_many_arguments)]
+fn resume_round(
+    bin: &Path,
+    root: &Path,
+    log_name: &str,
+    token: u64,
+    prefix: &[u8],
+    expected: &[u8],
+    violations: &mut Vec<String>,
+    round: &str,
+) {
+    let srv = spawn_server(bin, root, log_name, None, 600_000);
+    let mut c = connect(&srv.addr, 1 << 20);
+    match c.resume(token, prefix, 0) {
+        Ok(bytes) if bytes == expected => {}
+        Ok(_) => violations.push(format!("{round}: resumed bytes diverged")),
+        Err(e) => violations.push(format!("{round}: resume failed: {e}")),
+    }
+    drop(c);
+    drain_and_check(srv, violations, round);
+    check_no_leaks(root, violations, round);
+}
+
 /// One full schedule against one seed. Returns accumulated violations.
-#[allow(clippy::too_many_lines)]
 fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
     let root =
         std::env::temp_dir().join(format!("lzfpga-crashstorm-{}-{seed}", std::process::id()));
@@ -317,48 +407,34 @@ fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
         &format!("seed {seed} r1"),
     );
 
-    // Rounds 2 and 3 — abort mid-stream (frame durability) and at the
-    // promote rename: the token was announced, so resume must reproduce
-    // the reference bytes exactly.
-    for (round, site, hit) in
-        [("r2", SERVER_FRAME_DURABLE, 10u64), ("r3", SERVER_SESSION_PROMOTE, 1)]
+    // Round 2 — abort with the compress result computed and its token
+    // announced, nothing delivered: resume must recompute the reference.
+    let round = format!("seed {seed} r2");
+    let compress = |c: &mut Client| c.compress(&data, 0, 0);
+    if let Some(token) = crash_at_result_ready(bin, &root, "r2a.log", compress, violations, &round)
     {
-        let mut srv =
-            spawn_server(bin, &root, &format!("{round}a.log"), Some((site, hit)), 600_000);
-        let mut c = connect(&srv.addr, 1 << 20);
-        let err = match c.compress(&data, 0, 0) {
-            Ok(_) => {
-                violations.push(format!("seed {seed} {round}: compress survived an armed abort"));
-                srv.kill();
-                continue;
-            }
-            Err(e) => e,
-        };
-        if !matches!(err, ClientError::Io(_) | ClientError::Proto(_) | ClientError::TimedOut) {
-            violations.push(format!("seed {seed} {round}: expected transport death, got {err}"));
+        resume_round(bin, &root, "r2b.log", token, &[], &reference, violations, &round);
+    }
+
+    // Round 3 — the same crash, then a second one at the same site while
+    // the restarted server serves the resume: the claimed session is still
+    // on disk, so the next restart resumes it again.
+    let round = format!("seed {seed} r3");
+    let compress = |c: &mut Client| c.compress(&data, 0, 0);
+    if let Some(token) = crash_at_result_ready(bin, &root, "r3a.log", compress, violations, &round)
+    {
+        let resume = |c: &mut Client| c.resume(token, &[], 0);
+        let again = crash_at_result_ready(bin, &root, "r3b.log", resume, violations, &round);
+        if again.is_some_and(|t| t != token) {
+            violations.push(format!("{round}: the resume crash left another session"));
         }
-        let Some(token) = c.session_token() else {
-            violations.push(format!("seed {seed} {round}: no session token before the crash"));
-            srv.kill();
-            continue;
-        };
-        let prefix = c.take_partial();
-        srv.wait();
-        let srv = spawn_server(bin, &root, &format!("{round}b.log"), None, 600_000);
-        let mut c = connect(&srv.addr, 1 << 20);
-        match c.resume(token, &prefix, 0) {
-            Ok(bytes) if bytes == reference => {}
-            Ok(_) => violations.push(format!("seed {seed} {round}: resumed bytes diverged")),
-            Err(e) => violations.push(format!("seed {seed} {round}: resume failed: {e}")),
-        }
-        drop(c);
-        drain_and_check(srv, violations, &format!("seed {seed} {round}"));
-        check_no_leaks(&root, violations, &format!("seed {seed} {round}"));
+        resume_round(bin, &root, "r3c.log", token, &[], &reference, violations, &round);
     }
 
     // Rounds 4 and 5 — SIGKILL while the client is credit-starved
     // mid-download: compress, then decompress. The partial prefix the
-    // client already holds must splice seamlessly into the resumed tail.
+    // client already holds must splice seamlessly into the recomputed
+    // tail.
     let starved: [(&str, Request, &[u8]); 2] = [
         (
             "r4",
@@ -385,31 +461,18 @@ fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
             continue;
         };
         srv.kill();
-        let srv = spawn_server(bin, &root, &format!("{round}b.log"), None, 600_000);
-        let mut c = connect(&srv.addr, 1 << 20);
-        match c.resume(token, &prefix, 0) {
-            Ok(bytes) if bytes == *expected => {}
-            Ok(_) => violations.push(format!("seed {seed} {round}: resumed bytes diverged")),
-            Err(e) => violations.push(format!("seed {seed} {round}: resume failed: {e}")),
-        }
-        drop(c);
-        drain_and_check(srv, violations, &format!("seed {seed} {round}"));
-        check_no_leaks(&root, violations, &format!("seed {seed} {round}"));
+        let log = format!("{round}b.log");
+        let round = format!("seed {seed} {round}");
+        resume_round(bin, &root, &log, token, &prefix, expected, violations, &round);
     }
 
-    // Round 6 — crash mid-stream, then corrupt the journal before the
-    // restart: recovery must refuse with a typed error, never serve bytes.
-    let mut srv = spawn_server(bin, &root, "r6a.log", Some((SERVER_FRAME_DURABLE, 10)), 600_000);
-    let mut c = connect(&srv.addr, 1 << 20);
-    let token = match c.compress(&data, 0, 0) {
-        Ok(_) => {
-            violations.push(format!("seed {seed} r6: compress survived an armed abort"));
-            None
-        }
-        Err(_) => c.session_token(),
-    };
-    srv.wait();
-    if let Some(token) = token {
+    // Round 6 — crash with the result ready, then corrupt the journal
+    // before the restart: recovery must refuse with a typed error, never
+    // serve bytes.
+    let round = format!("seed {seed} r6");
+    let compress = |c: &mut Client| c.compress(&data, 0, 0);
+    if let Some(token) = crash_at_result_ready(bin, &root, "r6a.log", compress, violations, &round)
+    {
         let mut corrupted = false;
         if let Ok(rd) = fs::read_dir(root.join("state").join("sessions")) {
             for entry in rd.flatten() {
@@ -424,66 +487,37 @@ fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
             }
         }
         if !corrupted {
-            violations.push(format!("seed {seed} r6: no journal on disk to corrupt"));
+            violations.push(format!("{round}: no journal on disk to corrupt"));
         }
         let srv = spawn_server(bin, &root, "r6b.log", None, 600_000);
         let mut c = connect(&srv.addr, 1 << 20);
         match c.resume(token, &[], 0) {
             Err(ClientError::Request { code: RejectCode::Unresumable, .. }) => {}
-            Err(e) => violations.push(format!(
-                "seed {seed} r6: corrupt journal should be typed unresumable, got {e}"
-            )),
-            Ok(_) => violations
-                .push(format!("seed {seed} r6: corrupt journal served bytes — never acceptable")),
+            Err(e) => violations
+                .push(format!("{round}: corrupt journal should be typed unresumable, got {e}")),
+            Ok(_) => {
+                violations
+                    .push(format!("{round}: corrupt journal served bytes — never acceptable"));
+            }
         }
         match c.compress(&data, 0, 0) {
             Ok(bytes) if bytes == reference => {}
-            Ok(_) => violations.push(format!("seed {seed} r6: post-corruption compress diverged")),
-            Err(e) => {
-                violations.push(format!("seed {seed} r6: post-corruption compress failed: {e}"));
-            }
+            Ok(_) => violations.push(format!("{round}: post-corruption compress diverged")),
+            Err(e) => violations.push(format!("{round}: post-corruption compress failed: {e}")),
         }
         drop(c);
-        drain_and_check(srv, violations, &format!("seed {seed} r6"));
-        check_no_leaks(&root, violations, &format!("seed {seed} r6"));
-    } else {
-        violations.push(format!("seed {seed} r6: no token to corrupt against"));
+        drain_and_check(srv, violations, &round);
+        check_no_leaks(&root, violations, &round);
     }
 
-    // Round 7 — crash after the first frame's sync. The journal syncs
-    // beside the job, so that frame can be durable before the journal is
-    // and before the token is announced. Announced: resume must reproduce
-    // the reference. Not announced: the session is torn or an orphan, and
-    // the sweep must remove it.
-    let mut srv = spawn_server(bin, &root, "r7a.log", Some((SERVER_FRAME_DURABLE, 1)), 600_000);
-    let mut c = connect(&srv.addr, 1 << 20);
-    if c.compress(&data, 0, 0).is_ok() {
-        violations.push(format!("seed {seed} r7: compress survived an armed abort"));
-        srv.kill();
-    } else {
-        let token = c.session_token();
-        let prefix = c.take_partial();
-        srv.wait();
-        let round = format!(
-            "seed {seed} r7 (token {})",
-            if token.is_some() { "announced" } else { "not announced" }
-        );
-        println!("crashstorm: {round}: the first frame's sync preceded the crash");
-        match token {
-            Some(token) => {
-                let srv = spawn_server(bin, &root, "r7b.log", None, 600_000);
-                let mut c = connect(&srv.addr, 1 << 20);
-                match c.resume(token, &prefix, 0) {
-                    Ok(bytes) if bytes == reference => {}
-                    Ok(_) => violations.push(format!("{round}: resumed bytes diverged")),
-                    Err(e) => violations.push(format!("{round}: resume failed: {e}")),
-                }
-                drop(c);
-                drain_and_check(srv, violations, &round);
-                check_no_leaks(&root, violations, &round);
-            }
-            None => sweep_orphans_and_recompress(bin, &root, &data, &reference, violations, &round),
-        }
+    // Round 7 — abort with a decompress result ready: decompress sessions
+    // recompute from their journaled input the same way.
+    let round = format!("seed {seed} r7");
+    let decompress = |c: &mut Client| c.decompress(&reference, 4 << 20, 0);
+    if let Some(token) =
+        crash_at_result_ready(bin, &root, "r7a.log", decompress, violations, &round)
+    {
+        resume_round(bin, &root, "r7b.log", token, &[], &data, violations, &round);
     }
 
     let _ = fs::remove_dir_all(&root);

@@ -406,9 +406,9 @@ fn write_output(path: Option<&str>, data: &[u8]) -> Result<(), String> {
     }
 }
 
-/// Promote a finished `.part` staging file to its final name, then fsync
+/// Rename a finished `.part` staging file to its final name, then fsync
 /// the directory so the rename survives power loss.
-fn promote_part(part: &str, dest: &str) -> Result<(), String> {
+fn rename_part_into_place(part: &str, dest: &str) -> Result<(), String> {
     std::fs::rename(part, dest).map_err(|e| format!("renaming {part} -> {dest}: {e}"))?;
     fsync_parent(dest).map_err(|e| format!("syncing directory of {dest}: {e}"))
 }
@@ -818,7 +818,7 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
                 .map_err(|e| format!("frame config: {e}"))?;
             let (sink, summary) = pump_frames(src, w)?;
             sink.finish().map_err(|e| format!("syncing {part}: {e}"))?;
-            promote_part(&part, dest)?;
+            rename_part_into_place(&part, dest)?;
             summary
         }
     };
@@ -974,7 +974,7 @@ fn cmd_resume(o: &CommonOpts) -> Result<(), String> {
         if o.stats {
             eprintln!("resume: {part} is already complete ({} frames); renaming", scan.frames);
         }
-        return promote_part(&part, dest);
+        return rename_part_into_place(&part, dest);
     }
     let mut src = std::fs::File::open(input).map_err(|e| format!("reading {input}: {e}"))?;
     // The durable prefix must be a prefix of *this* input: stream the bytes
@@ -1025,7 +1025,7 @@ fn cmd_resume(o: &CommonOpts) -> Result<(), String> {
         );
     }
     frame_metrics(o, "resume", summary.input_bytes, summary.output_bytes, &summary.events)?;
-    promote_part(&part, dest)
+    rename_part_into_place(&part, dest)
 }
 
 /// True when the input looks like a JSONL metrics stream (the first

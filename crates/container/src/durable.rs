@@ -1,6 +1,5 @@
-//! [`DurableFile`]: the one staging-file sink behind every durable
-//! compress path — the CLI's `frame -o` and `resume`, and the server's
-//! journaled compress sessions.
+//! [`DurableFile`]: the staging-file sink behind the CLI's durable
+//! compress paths, `frame -o` and `resume`.
 //!
 //! [`crate::FrameWriter`] flushes its sink once per emitted frame. Here a
 //! flush hands that frame's `sync_data` to a background syncer thread and
@@ -93,10 +92,10 @@ fn take_syncer() -> Option<Syncer> {
 /// A staging file whose every flush is a durability point, synced in the
 /// background while the caller computes the next frame.
 ///
-/// `after_sync` runs on the writing thread once per flush, right after
-/// that flush's sync has returned and before anything else reaches the
-/// file; an error from it counts as a failed sync. The server arms its
-/// `server.frame.durable` crash site there.
+/// `after_sync` (set only by the tests) runs on the writing thread once
+/// per flush, right after that flush's sync has returned and before
+/// anything else reaches the file; an error from it counts as a failed
+/// sync.
 #[derive(Debug)]
 pub struct DurableFile<H = fn() -> io::Result<()>> {
     file: Arc<File>,
@@ -116,7 +115,7 @@ impl DurableFile {
 
 impl<H: FnMut() -> io::Result<()>> DurableFile<H> {
     /// A sink over `file` that runs `after_sync` after every sync returns.
-    pub fn with_hook(file: File, after_sync: H) -> Self {
+    fn with_hook(file: File, after_sync: H) -> Self {
         DurableFile {
             file: Arc::new(file),
             syncer: None,

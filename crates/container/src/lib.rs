@@ -21,9 +21,10 @@
 //!   `io::Write`, emits a flushed frame every N bytes in O(frame) memory,
 //!   and [`scan_partial`] + [`FrameWriter::resume`] continue an
 //!   interrupted stream from its last durable frame.
-//! * **[`DurableFile`]** — the staging-file sink of every durable compress
-//!   path: each frame's sync runs in the background while the next frame
-//!   compresses, and is waited for before the next frame is written.
+//! * **[`DurableFile`]** — the staging-file sink of the CLI's durable
+//!   compress paths (`frame -o`, `resume`): each frame's sync runs in the
+//!   background while the next frame compresses, and is waited for before
+//!   the next frame is written.
 //!
 //! Frames are compressed independently (fresh dictionary per frame), so a
 //! chunk-parallel compressor can produce frames concurrently and a

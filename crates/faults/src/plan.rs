@@ -371,12 +371,12 @@ mod tests {
     fn crash_plan_arms_the_right_site_and_hit() {
         // Only `fire` here, never `check`: performing a Crash aborts the
         // test runner. The subprocess drill (`crashstorm`) covers that.
-        let plan = FailPlan::crash_at("server.frame.durable", 3);
-        assert_eq!(plan.fire("server.frame.durable"), None);
+        let plan = FailPlan::crash_at("server.result.ready", 3);
+        assert_eq!(plan.fire("server.result.ready"), None);
         assert_eq!(plan.fire("server.journal.append"), None, "other sites stay inert");
-        assert_eq!(plan.fire("server.frame.durable"), None);
-        assert_eq!(plan.fire("server.frame.durable"), Some(FaultAction::Crash));
-        assert_eq!(plan.fire("server.frame.durable"), None, "fires once");
+        assert_eq!(plan.fire("server.result.ready"), None);
+        assert_eq!(plan.fire("server.result.ready"), Some(FaultAction::Crash));
+        assert_eq!(plan.fire("server.result.ready"), None, "fires once");
     }
 
     #[test]

@@ -13,14 +13,11 @@
 /// synced, before the session directory entry itself is made durable.
 pub const SERVER_JOURNAL_APPEND: &str = "server.journal.append";
 
-/// Site name: crash after a staged frame's background `sync_data` returns,
-/// before the next frame is written. The session's journal may still be
-/// syncing beside it.
-pub const SERVER_FRAME_DURABLE: &str = "server.frame.durable";
-
-/// Site name: crash after the finished container is synced, immediately
-/// before the `out.part` → `out` rename.
-pub const SERVER_SESSION_PROMOTE: &str = "server.session.promote";
+/// Site name: crash after a journaled session's result is computed and its
+/// journal is durable, before the first result byte is queued. A fresh
+/// session crosses it after its token was announced; a resume crosses it
+/// after the recompute, before the resumed request is re-announced.
+pub const SERVER_RESULT_READY: &str = "server.result.ready";
 
 /// One armable crash site: its name plus the recovery contract the
 /// documentation states for it.
@@ -42,15 +39,10 @@ pub const CRASH_SITES: &[CrashSite] = &[
         may_lose: "the whole session (journal may not survive; client holds no token yet)",
     },
     CrashSite {
-        name: SERVER_FRAME_DURABLE,
-        stage: "staged frame's background sync returned, before the next frame is written",
-        may_lose: "frames after the last durable sync (resume re-compresses them); the whole \
-                   session if its token was not yet announced",
-    },
-    CrashSite {
-        name: SERVER_SESSION_PROMOTE,
-        stage: "finished container synced, before the out.part rename",
-        may_lose: "only the rename (resume finds a complete prefix and promotes it)",
+        name: SERVER_RESULT_READY,
+        stage: "result computed and journal durable, before the first result byte is queued",
+        may_lose: "nothing the client holds (resume recomputes from the journaled input); the \
+                   whole session if its token was not yet announced",
     },
 ];
 

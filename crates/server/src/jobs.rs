@@ -24,7 +24,7 @@ use lzfpga_core::HwConfig;
 use lzfpga_deflate::crc32::Crc32;
 use lzfpga_deflate::FixedZlibSink;
 use lzfpga_faults::{Failpoints, FailureReport, FaultAction, FaultEvent};
-use lzfpga_lzss::TurboEngine;
+use lzfpga_lzss::{LzssParams, TurboEngine};
 use lzfpga_parallel::exec::{ladder, Rung};
 
 use crate::proto::RejectCode;
@@ -160,8 +160,20 @@ pub fn compress_job(
     faults: &dyn Failpoints,
     ledger: &mut JobLedger,
 ) -> Result<Vec<u8>, JobFail> {
+    compress_stream(data, frame_bytes, &hw.as_lzss_params(), ctl, faults, ledger)
+}
+
+/// [`compress_job`] under explicit engine parameters: the one compress
+/// body behind fresh, journaled and resumed requests alike.
+pub(crate) fn compress_stream(
+    data: &[u8],
+    frame_bytes: usize,
+    params: &LzssParams,
+    ctl: &RequestCtl,
+    faults: &dyn Failpoints,
+    ledger: &mut JobLedger,
+) -> Result<Vec<u8>, JobFail> {
     debug_assert!((4096..=MAX_FRAME_BYTES).contains(&frame_bytes));
-    let params = hw.as_lzss_params();
     let faults = FaultsRef(faults);
     let mut turbo = TurboEngine::new();
     let mut layout = StreamLayout::new();
@@ -172,9 +184,9 @@ pub fn compress_job(
             ladder(&faults, "server.chunk", i, &mut ledger.failures, None, |rung| {
                 let mut sink = FixedZlibSink::new(params.window_size);
                 if rung == Rung::Fresh {
-                    TurboEngine::new().compress_into(chunk, &params, &mut sink);
+                    TurboEngine::new().compress_into(chunk, params, &mut sink);
                 } else {
-                    turbo.compress_into_faulty(chunk, &params, &mut sink, &faults)?;
+                    turbo.compress_into_faulty(chunk, params, &mut sink, &faults)?;
                 }
                 Ok(payload_from_sink(sink, chunk))
             })

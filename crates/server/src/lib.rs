@@ -25,10 +25,10 @@
 //!   and the graceful drain state machine (stop admitting → finish or
 //!   deadline-cancel in-flight work → flush telemetry).
 //! * **[`store`]** — the crash-durable session store: journaled sessions
-//!   (CRC-protected journal + synced input + per-frame-durable staged
-//!   container), startup recovery via `scan_partial`, resume-after-kill
-//!   byte-identical replay, and orphan garbage collection that returns
-//!   every admitted byte.
+//!   (CRC-protected journal of op, tenant and engine parameters + synced
+//!   input), startup recovery, resume-after-kill by a byte-identical
+//!   recompute from the verified input, and orphan garbage collection
+//!   that returns every admitted byte.
 //! * **[`client`]** — a small blocking client used by `lzfpga client`,
 //!   the tests, and the `faultstorm --server` drill.
 //! * **[`metrics`]** — per-stream/per-tenant counters exported through

@@ -36,7 +36,8 @@ use std::time::{Duration, Instant};
 
 use lzfpga_core::HwConfig;
 use lzfpga_deflate::crc32::Crc32;
-use lzfpga_faults::{Failpoints, NoFaults};
+use lzfpga_faults::registry::SERVER_RESULT_READY;
+use lzfpga_faults::{Failpoints, InjectedFault, NoFaults};
 use lzfpga_obs::MetricsRegistry;
 use lzfpga_telemetry::TraceEvent;
 
@@ -162,7 +163,8 @@ impl Server {
         let admission = Admission::new(self.config.quota);
         let (session_store, recovery) = match &self.config.state_dir {
             Some(dir) => {
-                let store = Arc::new(SessionStore::open(dir)?);
+                let store =
+                    Arc::new(SessionStore::open(dir)?.with_params(self.config.hw.as_lzss_params()));
                 let report = store.recover(&admission);
                 (Some(store), report)
             }
@@ -1076,11 +1078,12 @@ fn run_job(
 }
 
 /// Run a journaled compress/decompress session. The journal syncs on its
-/// own thread while this one computes the result (DESIGN §14.1): the token
-/// is announced only once the journal is durable, and the journal thread
-/// is joined before this returns, so no result byte is queued ahead of the
-/// token. A journal failure drops whatever the job produced. A session
-/// that will not deliver is removed here rather than left resumable.
+/// own thread while this one computes the result in memory (DESIGN §14.1):
+/// the token is announced only once the journal is durable, and the
+/// journal thread is joined before this returns, so no result byte is
+/// queued ahead of the token. A journal failure drops whatever the job
+/// produced. A session that will not deliver is removed here rather than
+/// left resumable.
 #[allow(clippy::too_many_arguments)]
 fn durable_job(
     shared: &Arc<Shared>,
@@ -1130,6 +1133,10 @@ fn durable_job(
             resume_unwind(panic);
         }
     };
+    let result = match result {
+        Ok(Ok(bytes)) => catch_unwind(AssertUnwindSafe(|| result_ready(faults).map(|()| bytes))),
+        failed => failed,
+    };
     // Nothing else ends the session of a job that will not deliver, or of
     // a request the connection tore down before the token was announced.
     if !announced || !matches!(result, Ok(Ok(_))) {
@@ -1139,7 +1146,23 @@ fn durable_job(
     result.unwrap_or_else(|panic| resume_unwind(panic))
 }
 
-/// Claim and replay a journaled session after a restart.
+/// The crash site between a journaled session's computed result and its
+/// delivery: the journal is durable and the client holds the token, and
+/// no result byte is queued yet.
+fn result_ready(faults: &dyn Failpoints) -> Result<(), JobFail> {
+    if faults.check(SERVER_RESULT_READY) {
+        return Err(JobFail::new(
+            RejectCode::Internal,
+            InjectedFault { site: SERVER_RESULT_READY }.to_string(),
+        ));
+    }
+    Ok(())
+}
+
+/// Claim a journaled session after a restart and recompute its result.
+/// The request is announced only once the result is ready; a recovery that
+/// fails, or a request torn down before the announce, can never deliver,
+/// so its session is removed here.
 fn resume_job(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
@@ -1154,16 +1177,17 @@ fn resume_job(
     let faults = &*shared.faults;
     let tenant = conn.state.lock().expect("conn state").tenant.clone();
     let rec = session_store.claim(token, &tenant)?;
-    announce_session(conn, req, token);
-    let result =
-        store::recover_session(&rec, shared.config.hw.as_lzss_params(), ctl, faults, ledger);
-    if result.is_err() {
-        // A failed recovery can never succeed later; reclaim the disk and
-        // the re-admitted quota charge now.
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let params = shared.config.hw.as_lzss_params();
+        let bytes = store::recover_session(&rec, params, ctl, faults, ledger)?;
+        result_ready(faults)?;
+        Ok(bytes)
+    }));
+    if !(matches!(result, Ok(Ok(_))) && announce_session(conn, req, token)) {
+        // Reclaim the disk now; the re-admitted quota charge goes with `rec`.
         session_store.finish(token);
-        clear_session(conn, req);
     }
-    result
+    result.unwrap_or_else(|panic| resume_unwind(panic))
 }
 
 /// Record the durable session token on the request and tell the client.
@@ -1712,6 +1736,30 @@ mod tests {
         let stats = handle.shutdown(Duration::from_secs(5));
         assert_eq!((stats.active_streams, stats.active_bytes), (0, 0));
         assert_eq!(store.session_dirs(), 0);
+    }
+
+    #[test]
+    fn a_resume_torn_down_before_its_announce_leaks_nothing() {
+        let state = StateDir::new("resume-torn");
+        let data = sample(200_000);
+        let token = SessionStore::open(&state.0)
+            .and_then(|s| s.begin(SessionOp::Compress, "acme", 64 << 10, 0, &data, &NoFaults))
+            .expect("journal a session")
+            .0;
+        // The resume recomputes, then waits at the result-ready site before
+        // its announce; the connection is gone by the time it announces.
+        let plan = FailPlan::new(13).rule(FailRule::new(SERVER_RESULT_READY).delays_ms(400));
+        let handle = durable_server(&state, plan);
+        assert_eq!(handle.recovery().recovered, 1);
+        let store = handle.session_store().expect("durable server has a store");
+        let mut client = Client::connect(handle.addr(), "acme", 1 << 20).expect("connect");
+        client.send(&Request::Resume { req: 1, deadline_ms: 0, token, acked: 0 }).expect("send");
+        std::thread::sleep(Duration::from_millis(150));
+        drop(client);
+        wait_for_session_dirs(&store, 0);
+        let stats = handle.shutdown(Duration::from_secs(5));
+        assert_eq!((stats.active_streams, stats.active_bytes), (0, 0), "admission ledger leaked");
+        assert_eq!(store.pending(), 0);
     }
 
     #[test]

@@ -8,59 +8,55 @@
 //! <state-dir>/sessions/s<token:016x>/
 //!     input.bin   the request payload, synced before the journal
 //!     journal     CRC-protected record of op + tenant + params + content CRC
-//!     out.part    the staged container (per-frame durable flush)
-//!     out         the finished container (promoted by rename + dir fsync)
 //! ```
 //!
-//! The write path is ordered so every crash point has a recovery story
-//! (DESIGN §14): input before journal, journal before the session is
-//! announced ([`crate::proto::Response::Session`]), every frame synced
-//! before the next is written, the finished container synced before the
-//! rename, the rename made durable by fsyncing the directory. The three
-//! registered crash sites ([`lzfpga_faults::registry`]) sit exactly at
-//! those edges so the `crashstorm` drill can kill the process at each one.
+//! Nothing else is written: both ops are deterministic for a given input
+//! and journaled parameters, so a resume recomputes the result from the
+//! verified input instead of reading back a staged one (DESIGN §14). The
+//! write path is ordered so every crash point has a recovery story: input
+//! before journal, journal before the session is announced
+//! ([`crate::proto::Response::Session`]). The registered crash sites
+//! ([`lzfpga_faults::registry`]) sit at those edges so the `crashstorm`
+//! drill can kill the process at each one.
 //!
 //! On startup [`SessionStore::recover`] walks the state directory: a
 //! session whose journal fails verification is garbage-collected; a valid
 //! one is re-admitted against its tenant's quota (so recovered work is
 //! never free) and parked until [`Request::Resume`] claims it or the
 //! orphan TTL sweeps it. Recovery re-verifies the journaled input CRC and
-//! the staged prefix ([`scan_partial`]) before serving a single byte —
-//! a damaged session is a typed [`RejectCode::Unresumable`], never wrong
+//! the engine parameters before serving a single byte — a damaged or
+//! mismatched session is a typed [`RejectCode::Unresumable`], never wrong
 //! bytes.
 //!
 //! [`Request::Resume`]: crate::proto::Request::Resume
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs::{self, File};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use lzfpga_container::{scan_partial, DurableFile, FrameConfig, FrameWriter};
+use lzfpga_container::MAX_FRAME_BYTES;
 use lzfpga_deflate::crc32::crc32;
-use lzfpga_faults::registry::{
-    SERVER_FRAME_DURABLE, SERVER_JOURNAL_APPEND, SERVER_SESSION_PROMOTE,
-};
+use lzfpga_faults::registry::SERVER_JOURNAL_APPEND;
 use lzfpga_faults::{Failpoints, InjectedFault};
-use lzfpga_lzss::LzssParams;
+use lzfpga_lzss::{CompressionLevel, HashFn, LzssParams};
 
-use crate::jobs::{decompress_job, JobFail, JobLedger, RequestCtl};
+use crate::jobs::{compress_stream, decompress_job, JobFail, JobLedger, RequestCtl};
 use crate::proto::RejectCode;
 use crate::quota::{Admission, Charge};
 
 const JOURNAL_MAGIC: [u8; 4] = *b"LZSJ";
-const JOURNAL_VERSION: u16 = 1;
+/// Version 2 added the engine parameters; a version-1 journal (written by
+/// a build that staged its compress output) is refused as unresumable.
+const JOURNAL_VERSION: u16 = 2;
 const JOURNAL_FILE: &str = "journal";
 const INPUT_FILE: &str = "input.bin";
-const PART_FILE: &str = "out.part";
-const OUT_FILE: &str = "out";
 
 /// Open a directory and fsync it, making a just-created/renamed/removed
-/// entry durable. Renaming a file is not crash-durable until its parent
-/// directory is synced — the rename-durability half of this PR.
+/// entry durable.
 ///
 /// # Errors
 /// The underlying open/sync failure.
@@ -68,13 +64,14 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// What kind of work a durable session journals.
+/// What kind of work a durable session journals. Both are recomputed from
+/// `input.bin` on resume — each is deterministic for its journaled
+/// parameters, so nothing but the input is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionOp {
-    /// An LZFC compress request (frames staged through `out.part`).
+    /// An LZFC compress request.
     Compress,
-    /// A strict decompress request (recomputed from `input.bin` on
-    /// resume — decoding is deterministic, so nothing is staged).
+    /// A strict decompress request.
     Decompress,
 }
 
@@ -93,6 +90,52 @@ impl SessionOp {
             _ => None,
         }
     }
+}
+
+/// Encoded size of the engine parameters in a journal record.
+const PARAMS_LEN: usize = 4 + 4 + 1 + 4 + 4 + 1 + 1 + 4;
+
+/// `window u32 | hash_bits u32 | hash kind u8 | hash width u32 | hash
+/// shift u32 | level u8 | chain set u8 | chain u32`, big-endian.
+fn encode_params(p: &LzssParams, out: &mut Vec<u8>) {
+    let (kind, width, shift) = match p.hash_fn {
+        HashFn::ZlibRolling { bits, shift } => (1u8, bits, shift),
+        HashFn::Multiplicative { bits } => (2, bits, 0),
+    };
+    let level = match p.level {
+        CompressionLevel::Min => 1u8,
+        CompressionLevel::Medium => 2,
+        CompressionLevel::Max => 3,
+    };
+    out.extend_from_slice(&p.window_size.to_be_bytes());
+    out.extend_from_slice(&p.hash_bits.to_be_bytes());
+    out.push(kind);
+    out.extend_from_slice(&width.to_be_bytes());
+    out.extend_from_slice(&shift.to_be_bytes());
+    out.push(level);
+    out.push(u8::from(p.chain_limit.is_some()));
+    out.extend_from_slice(&p.chain_limit.unwrap_or(0).to_be_bytes());
+}
+
+fn decode_params(b: &[u8]) -> Result<LzssParams, &'static str> {
+    let u32be = |at: usize| u32::from_be_bytes(b[at..at + 4].try_into().expect("4 bytes"));
+    let hash_fn = match b[8] {
+        1 => HashFn::ZlibRolling { bits: u32be(9), shift: u32be(13) },
+        2 => HashFn::Multiplicative { bits: u32be(9) },
+        _ => return Err("unknown journal hash function"),
+    };
+    let level = match b[17] {
+        1 => CompressionLevel::Min,
+        2 => CompressionLevel::Medium,
+        3 => CompressionLevel::Max,
+        _ => return Err("unknown journal compression level"),
+    };
+    let chain_limit = match b[18] {
+        0 => None,
+        1 => Some(u32be(19)),
+        _ => return Err("bad journal chain-limit flag"),
+    };
+    Ok(LzssParams { window_size: u32be(0), hash_bits: u32be(4), hash_fn, level, chain_limit })
 }
 
 /// The journal record written once per session, before the session token
@@ -114,11 +157,14 @@ pub struct Journal {
     pub content_crc: u32,
     /// The decompress op's declared result budget.
     pub max_result: u64,
+    /// The engine parameters a compress result depends on; a resume under
+    /// any others is refused.
+    pub params: LzssParams,
 }
 
 impl Journal {
     fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(48 + self.tenant.len());
+        let mut p = Vec::with_capacity(48 + PARAMS_LEN + self.tenant.len());
         p.extend_from_slice(&JOURNAL_MAGIC);
         p.extend_from_slice(&JOURNAL_VERSION.to_be_bytes());
         p.push(self.op.as_u8());
@@ -128,6 +174,7 @@ impl Journal {
         p.extend_from_slice(&self.content_len.to_be_bytes());
         p.extend_from_slice(&self.content_crc.to_be_bytes());
         p.extend_from_slice(&self.max_result.to_be_bytes());
+        encode_params(&self.params, &mut p);
         let tenant = self.tenant.as_bytes();
         let tlen = tenant.len().min(u16::MAX as usize);
         p.extend_from_slice(&(tlen as u16).to_be_bytes());
@@ -139,9 +186,11 @@ impl Journal {
 
     fn decode(bytes: &[u8]) -> Result<Journal, &'static str> {
         // magic(4) ver(2) op(1) rsv(1) token(8) fb(4) len(8) crc(4)
-        // max_result(8) tlen(2) tenant(..) crc(4)
-        const FIXED: usize = 4 + 2 + 1 + 1 + 8 + 4 + 8 + 4 + 8 + 2;
-        if bytes.len() < FIXED + 4 {
+        // max_result(8) params(PARAMS_LEN) tlen(2) tenant(..) crc(4)
+        const PARAMS_AT: usize = 40;
+        const TLEN_AT: usize = PARAMS_AT + PARAMS_LEN;
+        const FIXED: usize = TLEN_AT + 2;
+        if bytes.len() < 4 + 2 + 4 {
             return Err("journal record truncated");
         }
         let (body, tail) = bytes.split_at(bytes.len() - 4);
@@ -155,6 +204,9 @@ impl Journal {
         if u16::from_be_bytes([body[4], body[5]]) != JOURNAL_VERSION {
             return Err("unknown journal version");
         }
+        if body.len() < FIXED {
+            return Err("journal record truncated");
+        }
         let op = SessionOp::from_u8(body[6]).ok_or("unknown journal op")?;
         let u64be = |at: usize| u64::from_be_bytes(body[at..at + 8].try_into().expect("8 bytes"));
         let u32be = |at: usize| u32::from_be_bytes(body[at..at + 4].try_into().expect("4 bytes"));
@@ -163,17 +215,18 @@ impl Journal {
         let content_len = u64be(20);
         let content_crc = u32be(28);
         let max_result = u64be(32);
-        let tlen = u16::from_be_bytes([body[40], body[41]]) as usize;
+        let params = decode_params(&body[PARAMS_AT..TLEN_AT])?;
+        let tlen = u16::from_be_bytes([body[TLEN_AT], body[TLEN_AT + 1]]) as usize;
         if body.len() != FIXED + tlen {
             return Err("journal length mismatch");
         }
-        let tenant = std::str::from_utf8(&body[42..42 + tlen])
+        let tenant = std::str::from_utf8(&body[FIXED..FIXED + tlen])
             .map_err(|_| "journal tenant is not UTF-8")?
             .to_string();
         if tenant.is_empty() {
             return Err("journal tenant is empty");
         }
-        Ok(Journal { token, op, tenant, frame_bytes, content_len, content_crc, max_result })
+        Ok(Journal { token, op, tenant, frame_bytes, content_len, content_crc, max_result, params })
     }
 }
 
@@ -221,10 +274,14 @@ pub struct SessionStore {
     sessions_dir: PathBuf,
     next: AtomicU64,
     recovered: Mutex<HashMap<u64, RecoveredSession>>,
+    params: LzssParams,
 }
 
 impl SessionStore {
-    /// Open (creating if needed) the store rooted at `state_dir`.
+    /// Open (creating if needed) the store rooted at `state_dir`. Its
+    /// journals record the paper's parameters
+    /// ([`LzssParams::paper_fast`], the server default) until
+    /// [`SessionStore::with_params`] says otherwise.
     ///
     /// # Errors
     /// Filesystem errors creating the layout.
@@ -241,7 +298,16 @@ impl SessionStore {
             sessions_dir,
             next: AtomicU64::new(seed | 1),
             recovered: Mutex::new(HashMap::new()),
+            params: LzssParams::paper_fast(),
         })
+    }
+
+    /// Journal `params` as the engine parameters of every new session: the
+    /// ones the server computes its compress results with.
+    #[must_use]
+    pub fn with_params(mut self, params: LzssParams) -> SessionStore {
+        self.params = params;
+        self
     }
 
     fn dir_for(&self, token: u64) -> PathBuf {
@@ -274,8 +340,7 @@ impl SessionStore {
     /// # Errors
     /// Filesystem errors, or the injected error of an armed
     /// `server.journal.append` failpoint. On error the directory stays for
-    /// the caller to remove ([`SessionStore::finish`]): a job running
-    /// beside the journal may still be staging into it.
+    /// the caller to remove ([`SessionStore::finish`]).
     #[allow(clippy::too_many_arguments)]
     pub fn journal(
         &self,
@@ -299,6 +364,7 @@ impl SessionStore {
             content_len: data.len() as u64,
             content_crc: crc32(data),
             max_result,
+            params: self.params,
         };
         let mut jf = File::create(dir.join(JOURNAL_FILE))?;
         jf.write_all(&journal.encode())?;
@@ -467,80 +533,21 @@ impl SessionStore {
     }
 }
 
-/// The staged container's sink plus a copy of every byte it took, so the
-/// served response needs no re-read of the file.
-struct Copied<W> {
-    out: W,
-    bytes: Vec<u8>,
-}
-
-impl<W: Write> Write for Copied<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.out.write(buf)?;
-        self.bytes.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// The session's `out.part` as a [`DurableFile`]: every frame syncs in the
-/// background while the next one compresses, and the frame-durability
-/// crash site runs after each sync returns.
-fn staging_sink(
-    file: File,
-    faults: &dyn Failpoints,
-) -> Copied<DurableFile<impl FnMut() -> io::Result<()> + '_>> {
-    let after_sync = move || {
-        // Crash site: the frame's bytes are durable; everything after the
-        // last completed sync is legitimately lost and re-compressed on
-        // resume.
-        if faults.check(SERVER_FRAME_DURABLE) {
-            return Err(io::Error::other(InjectedFault { site: SERVER_FRAME_DURABLE }));
-        }
-        Ok(())
-    };
-    Copied { out: DurableFile::with_hook(file, after_sync), bytes: Vec::new() }
-}
-
-fn io_fail(e: io::Error) -> JobFail {
-    JobFail::new(RejectCode::Internal, format!("durable session io: {e}"))
-}
-
 fn unresumable(detail: impl Into<String>) -> JobFail {
     JobFail::new(RejectCode::Unresumable, detail.into())
 }
 
-fn frame_config(frame_bytes: u32) -> FrameConfig {
-    FrameConfig { frame_bytes: frame_bytes as usize, ..FrameConfig::default() }
-}
-
-/// With the finished container already synced under its staging name,
-/// cross the promote crash site, rename `out.part` → `out`, and fsync the
-/// directory so the rename survives power loss.
-fn promote(dir: &Path, faults: &dyn Failpoints) -> io::Result<()> {
-    // Crash site: the complete container is durable under its staging
-    // name; only the rename can be lost, and resume re-plays it.
-    if faults.check(SERVER_SESSION_PROMOTE) {
-        return Err(io::Error::other(InjectedFault { site: SERVER_SESSION_PROMOTE }));
-    }
-    fs::rename(dir.join(PART_FILE), dir.join(OUT_FILE))?;
-    fsync_dir(dir)
-}
-
-/// Compress `data` into the session's staged container with per-frame
-/// durable flushes, then promote it. Returns the full container bytes —
-/// byte-identical to [`crate::jobs::compress_job`] for the same input and
-/// frame size, because both route through the shared codec decision.
+/// Compute a journaled compress session's result in memory. Its bytes are
+/// [`crate::jobs::compress_job`]'s (and so `FrameWriter`'s) for the same
+/// input, frame size and parameters: the session directory `_dir` holds
+/// only the input and the journal, and a resume recomputes through this
+/// same call.
 ///
 /// # Errors
-/// Typed cancellation stops, filesystem failures as
-/// [`RejectCode::Internal`], or injected faults at the durable-flush and
-/// promote crash sites.
+/// Typed cancellation stops, or [`RejectCode::Internal`] when a frame
+/// exhausts the degradation ladder.
 pub fn durable_compress(
-    dir: &Path,
+    _dir: &Path,
     data: &[u8],
     frame_bytes: u32,
     params: LzssParams,
@@ -548,19 +555,7 @@ pub fn durable_compress(
     faults: &dyn Failpoints,
     ledger: &mut JobLedger,
 ) -> Result<Vec<u8>, JobFail> {
-    let file = File::create(dir.join(PART_FILE)).map_err(io_fail)?;
-    let mut w = FrameWriter::new(staging_sink(file, faults), frame_config(frame_bytes), params)
-        .map_err(|e| JobFail::new(RejectCode::Internal, e.to_string()))?;
-    for chunk in data.chunks(frame_bytes as usize) {
-        ctl.checkpoint()?;
-        w.write_all(chunk).map_err(io_fail)?;
-    }
-    ctl.checkpoint()?;
-    let (sink, summary) = w.finish().map_err(io_fail)?;
-    ledger.frames += u64::from(summary.frames);
-    sink.out.finish().map_err(io_fail)?;
-    promote(dir, faults).map_err(io_fail)?;
-    Ok(sink.bytes)
+    compress_stream(data, frame_bytes as usize, &params, ctl, faults, ledger)
 }
 
 fn read_verified_input(rec: &RecoveredSession) -> Result<Vec<u8>, JobFail> {
@@ -572,10 +567,11 @@ fn read_verified_input(rec: &RecoveredSession) -> Result<Vec<u8>, JobFail> {
     Ok(input)
 }
 
-/// Re-produce a claimed session's full result after a crash, continuing
-/// from whatever durable prefix survived. The output is byte-identical to
-/// the uninterrupted run; anything that cannot be proven consistent with
-/// the journal is a typed [`RejectCode::Unresumable`], never wrong bytes.
+/// Re-produce a claimed session's full result after a crash by recomputing
+/// it from the verified input. The output is byte-identical to the
+/// uninterrupted run; a compress session journaled under other engine
+/// parameters than `params`, or an input that fails its journaled CRC, is
+/// a typed [`RejectCode::Unresumable`], never different bytes.
 ///
 /// # Errors
 /// [`RejectCode::Unresumable`] on any verification failure, plus the same
@@ -587,103 +583,33 @@ pub fn recover_session(
     faults: &dyn Failpoints,
     ledger: &mut JobLedger,
 ) -> Result<Vec<u8>, JobFail> {
-    let input = read_verified_input(rec)?;
-    match rec.journal.op {
-        SessionOp::Decompress => decompress_job(&input, rec.journal.max_result, ctl, ledger),
-        SessionOp::Compress => recover_compress(rec, &input, params, ctl, faults, ledger),
-    }
-}
-
-fn recover_compress(
-    rec: &RecoveredSession,
-    input: &[u8],
-    params: LzssParams,
-    ctl: &RequestCtl,
-    faults: &dyn Failpoints,
-    ledger: &mut JobLedger,
-) -> Result<Vec<u8>, JobFail> {
     let journal = &rec.journal;
-    // Fastest path: the container was already promoted; re-verify it
-    // end-to-end before trusting it.
-    if let Ok(bytes) = fs::read(rec.dir.join(OUT_FILE)) {
-        let scan = scan_partial(&bytes);
-        if scan.complete
-            && scan.valid_bytes == bytes.len() as u64
-            && scan.uncompressed_bytes == journal.content_len
-            && scan.prefix_crc() == journal.content_crc
-        {
-            ledger.frames += u64::from(scan.frames);
-            return Ok(bytes);
+    if journal.op == SessionOp::Compress {
+        if journal.params != params {
+            return Err(unresumable(format!(
+                "session was journaled under engine parameters {:?}, this server runs {params:?}",
+                journal.params
+            )));
         }
-        return Err(unresumable("promoted container failed verification"));
-    }
-    let part_path = rec.dir.join(PART_FILE);
-    let mut prefix = match fs::read(&part_path) {
-        Ok(bytes) => bytes,
-        // Crashed before the staging file existed: start over.
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return durable_compress(
-                &rec.dir,
-                input,
-                journal.frame_bytes,
-                params,
-                ctl,
-                faults,
-                ledger,
-            );
+        if !(4096..=MAX_FRAME_BYTES).contains(&(journal.frame_bytes as usize)) {
+            return Err(unresumable("journaled frame size is out of range"));
         }
-        Err(e) => return Err(io_fail(e)),
-    };
-    let scan = scan_partial(&prefix);
-    if scan.complete {
-        // Finished but never promoted: the crash ate only the rename.
-        if scan.uncompressed_bytes != journal.content_len
-            || scan.prefix_crc() != journal.content_crc
-        {
-            return Err(unresumable("staged container disagrees with the journal"));
+    }
+    let input = read_verified_input(rec)?;
+    match journal.op {
+        SessionOp::Decompress => decompress_job(&input, journal.max_result, ctl, ledger),
+        SessionOp::Compress => {
+            durable_compress(&rec.dir, &input, journal.frame_bytes, params, ctl, faults, ledger)
         }
-        let file = OpenOptions::new().write(true).open(&part_path).map_err(io_fail)?;
-        file.set_len(scan.valid_bytes).map_err(io_fail)?;
-        file.sync_all().map_err(io_fail)?;
-        promote(&rec.dir, faults).map_err(io_fail)?;
-        prefix.truncate(scan.valid_bytes as usize);
-        ledger.frames += u64::from(scan.frames);
-        return Ok(prefix);
     }
-    // A true partial: the durable prefix must be a prefix of the journaled
-    // input, frame for frame.
-    if scan.uncompressed_bytes > input.len() as u64
-        || scan.prefix_crc() != crc32(&input[..scan.uncompressed_bytes as usize])
-    {
-        return Err(unresumable("staged prefix disagrees with the journaled input"));
-    }
-    let mut file = OpenOptions::new().read(true).write(true).open(&part_path).map_err(io_fail)?;
-    file.set_len(scan.valid_bytes).map_err(io_fail)?;
-    file.seek(SeekFrom::End(0)).map_err(io_fail)?;
-    let sink = staging_sink(file, faults);
-    let mut w = FrameWriter::resume(sink, frame_config(journal.frame_bytes), params, &scan)
-        .map_err(|e| unresumable(e.to_string()))?;
-    for chunk in input[scan.uncompressed_bytes as usize..].chunks(journal.frame_bytes as usize) {
-        ctl.checkpoint()?;
-        w.write_all(chunk).map_err(io_fail)?;
-    }
-    ctl.checkpoint()?;
-    let (sink, summary) = w.finish().map_err(io_fail)?;
-    // `summary.frames` counts the whole stream: the resumed writer's seq
-    // starts at the prefix's frame count.
-    ledger.frames += u64::from(summary.frames);
-    sink.out.finish().map_err(io_fail)?;
-    promote(&rec.dir, faults).map_err(io_fail)?;
-    prefix.truncate(scan.valid_bytes as usize);
-    prefix.extend_from_slice(&sink.bytes);
-    Ok(prefix)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quota::QuotaConfig;
-    use lzfpga_faults::{FailPlan, FailRule, NoFaults};
+    use lzfpga_core::HwConfig;
+    use lzfpga_faults::NoFaults;
 
     struct TempDir(PathBuf);
 
@@ -713,6 +639,20 @@ mod tests {
         RequestCtl::new(adm.admit_request("t", 1).unwrap(), 0)
     }
 
+    /// Journal `data` as a session, then play a restart: recover the store
+    /// and claim the session back.
+    fn crash_and_claim(
+        store: &SessionStore,
+        adm: &Arc<Admission>,
+        op: SessionOp,
+        frame_bytes: u32,
+        data: &[u8],
+    ) -> RecoveredSession {
+        let (token, _) = store.begin(op, "acme", frame_bytes, 1 << 20, data, &NoFaults).unwrap();
+        assert_eq!(store.recover(adm), RecoveryReport { recovered: 1, unresumable: 0, refused: 0 });
+        store.claim(token, "acme").unwrap()
+    }
+
     #[test]
     fn journal_roundtrips_and_rejects_corruption() {
         let j = Journal {
@@ -723,9 +663,16 @@ mod tests {
             content_len: 1_000_000,
             content_crc: 0x1234_5678,
             max_result: 0,
+            params: LzssParams {
+                hash_fn: HashFn::multiplicative(13),
+                chain_limit: Some(7),
+                ..LzssParams::new(8192, 13, CompressionLevel::Max)
+            },
         };
         let enc = j.encode();
         assert_eq!(Journal::decode(&enc).unwrap(), j);
+        let fast = Journal { params: LzssParams::paper_fast(), ..j.clone() };
+        assert_eq!(Journal::decode(&fast.encode()).unwrap(), fast);
         // Every single-byte corruption and truncation is a typed error.
         for i in 0..enc.len() {
             let mut bad = enc.clone();
@@ -748,97 +695,137 @@ mod tests {
             store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
         assert!(dir.join(JOURNAL_FILE).is_file());
         assert_eq!(fs::read(dir.join(INPUT_FILE)).unwrap(), data);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2, "a session keeps input and journal");
         assert_eq!(store.session_dirs(), 1);
         store.finish(token);
         assert_eq!(store.session_dirs(), 0);
     }
 
     #[test]
-    fn durable_compress_matches_the_fresh_job() {
-        let tmp = TempDir::new("durable");
-        let store = SessionStore::open(&tmp.0).unwrap();
-        let data = sample(300_000);
+    fn a_recovered_compress_session_recomputes_the_fresh_job() {
+        const FRAME: usize = 4096;
         let adm = Admission::new(QuotaConfig::default());
         let ctl = test_ctl(&adm);
-        let hw = lzfpga_core::HwConfig::paper_fast();
-        let (_, dir) =
-            store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
-        let mut ledger = JobLedger::default();
-        let durable =
-            durable_compress(&dir, &data, 65536, hw.as_lzss_params(), &ctl, &NoFaults, &mut ledger)
-                .unwrap();
-        let fresh = crate::jobs::compress_job(
-            &data,
-            65536,
-            &hw,
-            &ctl,
-            &NoFaults,
-            &mut JobLedger::default(),
-        )
-        .unwrap();
-        assert_eq!(durable, fresh, "durable staging must not change the served bytes");
-        assert_eq!(fs::read(dir.join(OUT_FILE)).unwrap(), fresh);
-        assert!(!dir.join(PART_FILE).exists(), "promote consumed the staging file");
-    }
-
-    #[test]
-    fn recovery_resumes_a_torn_stage_byte_identical() {
-        let data = sample(400_000);
-        let adm = Admission::new(QuotaConfig::default());
-        let ctl = test_ctl(&adm);
-        let hw = lzfpga_core::HwConfig::paper_fast();
-        let fresh = crate::jobs::compress_job(
-            &data,
-            65536,
-            &hw,
-            &ctl,
-            &NoFaults,
-            &mut JobLedger::default(),
-        )
-        .unwrap();
-        // 400 000 bytes at 64 KiB: six full frames and a tail, so hits 1-7
-        // follow the frame syncs and hit 8 the trailer's.
-        for hit in [1, 3, 7, 8] {
-            let tmp = TempDir::new("resume");
+        let hw = HwConfig::paper_fast();
+        // 0, 1 and 17 whole frames, and 17 frames plus a partial tail.
+        for len in [0, FRAME, 17 * FRAME, 17 * FRAME + 1234] {
+            let tmp = TempDir::new("recompute");
             let store = SessionStore::open(&tmp.0).unwrap();
-            let (token, dir) =
-                store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
-            // An injected error after the background sync of hit `hit`
-            // plays a crash: it comes back from the next write (or the
-            // final sync), and nothing is written or promoted after it.
-            let plan = FailPlan::new(1).rule(FailRule::new(SERVER_FRAME_DURABLE).on_hit(hit));
-            let err = durable_compress(
-                &dir,
+            let data = sample(len);
+            let fresh = crate::jobs::compress_job(
                 &data,
-                65536,
-                hw.as_lzss_params(),
+                FRAME,
+                &hw,
                 &ctl,
-                &plan,
+                &NoFaults,
                 &mut JobLedger::default(),
             )
-            .unwrap_err();
-            assert_eq!(err.code, RejectCode::Internal, "hit {hit}");
-            assert_eq!(plan.fired_count(), 1, "hit {hit}");
-            assert!(!dir.join(OUT_FILE).exists(), "hit {hit}: promoted after a failed sync");
-            let staged = scan_partial(&fs::read(dir.join(PART_FILE)).unwrap());
-            if hit < 8 {
-                assert_eq!(staged.frames, hit as u32, "hit {hit}: frames after the failed sync");
-                assert!(!staged.complete, "hit {hit}");
-            } else {
-                assert!(staged.complete, "the trailer's sync is the last one");
-            }
-            // Simulate the restart: recover, claim, and replay.
-            let report = store.recover(&adm);
-            assert_eq!(report, RecoveryReport { recovered: 1, unresumable: 0, refused: 0 });
-            let rec = store.claim(token, "acme").unwrap();
+            .unwrap();
+            let mut ledger = JobLedger::default();
+            let served = durable_compress(
+                &tmp.0,
+                &data,
+                FRAME as u32,
+                hw.as_lzss_params(),
+                &ctl,
+                &NoFaults,
+                &mut ledger,
+            )
+            .unwrap();
+            assert_eq!(served, fresh, "{len} bytes: the served bytes are compress_job's");
+            let rec = crash_and_claim(&store, &adm, SessionOp::Compress, FRAME as u32, &data);
             let mut ledger = JobLedger::default();
             let resumed =
                 recover_session(&rec, hw.as_lzss_params(), &ctl, &NoFaults, &mut ledger).unwrap();
-            assert_eq!(resumed, fresh, "hit {hit}: resume after a torn stage must be identical");
-            assert_eq!(fs::read(dir.join(OUT_FILE)).unwrap(), fresh, "hit {hit}");
-            store.finish(token);
+            assert_eq!(resumed, fresh, "{len} bytes: the resume recomputes the fresh bytes");
+            assert_eq!(ledger.frames, len.div_ceil(FRAME) as u64, "{len} bytes");
+            store.finish(rec.journal.token);
             assert_eq!(store.session_dirs(), 0);
         }
+    }
+
+    #[test]
+    fn a_resume_under_other_params_is_unresumable() {
+        let tmp = TempDir::new("params");
+        let store = SessionStore::open(&tmp.0).unwrap();
+        let adm = Admission::new(QuotaConfig::default());
+        let ctl = test_ctl(&adm);
+        let data = sample(50_000);
+        let rec = crash_and_claim(&store, &adm, SessionOp::Compress, 65536, &data);
+        assert_eq!(rec.journal.params, LzssParams::paper_fast(), "the store's default");
+        let other = HwConfig::new(8192, 13).as_lzss_params();
+        let err =
+            recover_session(&rec, other, &ctl, &NoFaults, &mut JobLedger::default()).unwrap_err();
+        assert_eq!(err.code, RejectCode::Unresumable, "{}", err.detail);
+        store.finish(rec.journal.token);
+        // A frame size no request could carry is refused, not run.
+        let rec = crash_and_claim(&store, &adm, SessionOp::Compress, 0, &data);
+        let params = LzssParams::paper_fast();
+        let err = recover_session(&rec, params, &ctl, &NoFaults, &mut JobLedger::default());
+        assert_eq!(err.unwrap_err().code, RejectCode::Unresumable);
+        store.finish(rec.journal.token);
+        // A decompress result does not depend on the engine parameters.
+        let hw = HwConfig::paper_fast();
+        let framed = crate::jobs::compress_job(
+            &data,
+            65536,
+            &hw,
+            &ctl,
+            &NoFaults,
+            &mut JobLedger::default(),
+        )
+        .unwrap();
+        let rec = crash_and_claim(&store, &adm, SessionOp::Decompress, 0, &framed);
+        let plain = recover_session(&rec, other, &ctl, &NoFaults, &mut JobLedger::default());
+        assert_eq!(plain.unwrap(), data);
+        store.finish(rec.journal.token);
+        // A store journals the parameters it is given.
+        let tmp = TempDir::new("params-other");
+        let store = SessionStore::open(&tmp.0).unwrap().with_params(other);
+        let rec = crash_and_claim(&store, &adm, SessionOp::Compress, 65536, &data);
+        assert_eq!(rec.journal.params, other);
+        let resumed = recover_session(&rec, other, &ctl, &NoFaults, &mut JobLedger::default());
+        let fresh = crate::jobs::compress_job(
+            &data,
+            65536,
+            &HwConfig::new(8192, 13),
+            &ctl,
+            &NoFaults,
+            &mut JobLedger::default(),
+        );
+        assert_eq!(resumed.unwrap(), fresh.unwrap());
+    }
+
+    #[test]
+    fn a_version_1_journal_is_swept_unresumable() {
+        let tmp = TempDir::new("v1");
+        let store = SessionStore::open(&tmp.0).unwrap();
+        let data = sample(20_000);
+        let (token, dir) =
+            store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
+        // The version-1 record: no engine parameters, otherwise the same
+        // fields, under a valid CRC.
+        let mut v1 = Vec::new();
+        v1.extend_from_slice(&JOURNAL_MAGIC);
+        v1.extend_from_slice(&1u16.to_be_bytes());
+        v1.extend_from_slice(&[SessionOp::Compress.as_u8(), 0]);
+        v1.extend_from_slice(&token.to_be_bytes());
+        v1.extend_from_slice(&65536u32.to_be_bytes());
+        v1.extend_from_slice(&(data.len() as u64).to_be_bytes());
+        v1.extend_from_slice(&crc32(&data).to_be_bytes());
+        v1.extend_from_slice(&0u64.to_be_bytes());
+        v1.extend_from_slice(&4u16.to_be_bytes());
+        v1.extend_from_slice(b"acme");
+        let crc = crc32(&v1);
+        v1.extend_from_slice(&crc.to_be_bytes());
+        assert_eq!(Journal::decode(&v1), Err("unknown journal version"));
+        fs::write(dir.join(JOURNAL_FILE), &v1).unwrap();
+        let adm = Admission::new(QuotaConfig::default());
+        let report = store.recover(&adm);
+        assert_eq!(report, RecoveryReport { recovered: 0, unresumable: 1, refused: 0 });
+        assert_eq!(store.session_dirs(), 0, "the version-1 session is garbage-collected");
+        assert_eq!(adm.active_bytes(), 0);
+        assert_eq!(store.claim(token, "acme").unwrap_err().code, RejectCode::Unresumable);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Crash-durability smoke: run the crashstorm drill against the real
 # `lzfpga serve` binary on one seed. The drill aborts the daemon at each
-# armed crash site (journal append, per-frame durable flush, promote
-# rename), SIGKILLs it while a credit-starved transfer is parked
-# mid-stream, restarts it on the same state directory, resumes with the
-# surviving session token, and asserts: zero wrong bytes, zero leaked
+# armed crash site (journal append; result ready with the token
+# announced, on a fresh request and again during its resume), SIGKILLs
+# it while a credit-starved transfer is parked mid-stream, restarts it
+# on the same state directory, resumes with the surviving session token
+# (the server recomputes from the journaled input and replays from the
+# acknowledged offset), and asserts: zero wrong bytes, zero leaked
 # session directories or .part files, admission ledgers at zero after
 # the final drain, and a typed `unresumable` refusal for a corrupted
 # journal. Everything runs offline on the loopback interface.

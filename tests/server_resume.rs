@@ -5,23 +5,26 @@
 //! 1. a durable server announces a session token, serves bytes identical
 //!    to the in-memory path, and drains its session directories and quota
 //!    to zero once delivery completes;
-//! 2. a session torn mid-frame by a crash is recovered at startup and a
-//!    `Resume` with its token reproduces the fresh stream byte-for-byte;
+//! 2. a session crashed between its computed result and its first result
+//!    byte is recovered at startup, and a `Resume` with its token
+//!    recomputes the fresh stream byte-for-byte;
 //! 3. a corrupt journal is refused with the typed `Unresumable` code and
 //!    charges nothing against the tenant's quota;
 //! 4. orphaned sessions past their TTL return both their disk and their
 //!    admitted bytes.
 
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lzfpga::container::{FrameConfig, FrameWriter};
+use lzfpga::faults::registry::SERVER_RESULT_READY;
 use lzfpga::faults::{FailPlan, FailRule, NoFaults};
 use lzfpga::hw::HwConfig;
 use lzfpga::server::{
-    Admission, Client, ClientError, JobLedger, QuotaConfig, RejectCode, RequestCtl, Server,
-    ServerConfig, SessionOp, SessionStore,
+    Client, ClientError, RejectCode, Request, Response, Server, ServerConfig, SessionOp,
+    SessionStore,
 };
 use lzfpga::workloads::{generate, Corpus};
 
@@ -58,43 +61,44 @@ fn reference_stream(data: &[u8]) -> Vec<u8> {
     w.finish().expect("frame finish").0
 }
 
-fn start_durable_server(state_dir: &std::path::Path, ttl_ms: u64) -> lzfpga::server::ServerHandle {
-    Server::new(ServerConfig {
+fn durable_config(state_dir: &Path, ttl_ms: u64) -> ServerConfig {
+    ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         frame_bytes: FRAME_BYTES,
         state_dir: Some(state_dir.to_path_buf()),
         resume_ttl_ms: ttl_ms,
         ..ServerConfig::default()
-    })
-    .start()
-    .expect("bind resume-test server")
+    }
 }
 
-/// Park a torn compress session in `state_dir`: journal + input durable,
-/// staging container cut off by an injected fault mid-frame. Returns the
-/// token a crashed server would already have announced to its client.
-fn fabricate_torn_session(state_dir: &std::path::Path, data: &[u8]) -> u64 {
+fn start_durable_server(state_dir: &Path, ttl_ms: u64) -> lzfpga::server::ServerHandle {
+    Server::new(durable_config(state_dir, ttl_ms)).start().expect("bind resume-test server")
+}
+
+/// Park a journaled compress session in `state_dir`, as a server that
+/// crashed after announcing its token leaves it: input and journal
+/// durable, nothing else. Returns the token.
+fn fabricate_session(state_dir: &Path, data: &[u8]) -> u64 {
     let store = SessionStore::open(state_dir).expect("open store");
     let (token, dir) = store
         .begin(SessionOp::Compress, TENANT, FRAME_BYTES as u32, 0, data, &NoFaults)
         .expect("begin session");
-    let admission = Admission::new(QuotaConfig::default());
-    let ctl = RequestCtl::new(admission.admit_request(TENANT, 1).unwrap(), 0);
-    let plan = FailPlan::new(7).rule(FailRule::new("server.frame.durable").on_hit(2).errors());
-    let mut ledger = JobLedger::default();
-    let torn = lzfpga::server::store::durable_compress(
-        &dir,
-        data,
-        FRAME_BYTES as u32,
-        HwConfig::paper_fast().as_lzss_params(),
-        &ctl,
-        &plan,
-        &mut ledger,
-    );
-    assert!(torn.is_err(), "injected durable-flush fault must tear the job");
-    assert!(dir.join("journal").is_file(), "journal must survive the tear");
+    assert!(dir.join("journal").is_file(), "journal is durable");
     token
+}
+
+/// Copy every session directory (flat files only) under `from` to `to`.
+fn copy_sessions(from: &Path, to: &Path) {
+    for entry in std::fs::read_dir(from.join("sessions")).unwrap() {
+        let src = entry.unwrap().path();
+        let dst = to.join("sessions").join(src.file_name().unwrap());
+        std::fs::create_dir_all(&dst).unwrap();
+        for file in std::fs::read_dir(&src).unwrap() {
+            let file = file.unwrap().path();
+            std::fs::copy(&file, dst.join(file.file_name().unwrap())).unwrap();
+        }
+    }
 }
 
 fn wait_for_drained_sessions(store: &SessionStore) {
@@ -132,23 +136,51 @@ fn durable_roundtrip_announces_token_and_drains_to_zero() {
 }
 
 #[test]
-fn torn_session_recovers_and_resumes_byte_identically() {
-    let tmp = TempDir::new("torn");
+fn crashed_session_recovers_and_resumes_byte_identically() {
+    let live = TempDir::new("live");
+    let crashed = TempDir::new("crashed");
     let data = generate(Corpus::LogLines, 73, 120 * 1024);
     let reference = reference_stream(&data);
-    let token = fabricate_torn_session(&tmp.0, &data);
 
-    // "Restart" onto the same state directory: the torn session must be
+    // The live server holds its result at the result-ready site. Nothing
+    // is written after the journal, so the state dir copied while it
+    // waits is exactly what a crash at that site leaves on disk.
+    let plan = FailPlan::new(7).rule(FailRule::new(SERVER_RESULT_READY).delays_ms(500));
+    let handle = Server::new(durable_config(&live.0, 600_000))
+        .with_faults(Arc::new(plan))
+        .start()
+        .expect("bind live server");
+    let mut client = Client::connect(handle.addr(), TENANT, 1 << 22).expect("connect");
+    client
+        .send(&Request::Compress { req: 1, deadline_ms: 0, frame_bytes: 0, data: data.clone() })
+        .expect("send");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let token = loop {
+        assert!(Instant::now() < deadline, "no session token");
+        match client.recv() {
+            Ok(Response::Session { token, .. }) => break token,
+            Err(ClientError::TimedOut) => {}
+            other => panic!("expected the session token first, got {other:?}"),
+        }
+    };
+    copy_sessions(&live.0, &crashed.0);
+    drop(client);
+    handle.shutdown(Duration::from_secs(5));
+
+    // "Restart" onto the crashed state directory: the session must be
     // parked for resume, and the token must replay the full stream.
-    let handle = start_durable_server(&tmp.0, 600_000);
+    let handle = start_durable_server(&crashed.0, 600_000);
     let recovery = handle.recovery();
-    assert_eq!(recovery.recovered, 1, "torn session not parked for resume");
+    assert_eq!(recovery.recovered, 1, "crashed session not parked for resume");
     assert_eq!(recovery.unresumable, 0);
     assert_eq!(recovery.refused, 0);
 
     let store = handle.session_store().expect("store");
     let mut client = Client::connect(handle.addr(), TENANT, 1 << 22).expect("connect");
-    let resumed = client.resume(token, &[], 0).expect("resume after tear");
+    // Nothing was delivered before the crash; acknowledging the first
+    // 1000 reference bytes anyway checks that the replay starts at
+    // `acked`, mid-frame.
+    let resumed = client.resume(token, &reference[..1000], 0).expect("resume after the crash");
     assert_eq!(resumed, reference, "resumed stream diverged from the fresh stream");
 
     // A second claim of the same token is refused: the promise is
@@ -168,7 +200,7 @@ fn torn_session_recovers_and_resumes_byte_identically() {
 fn corrupt_journal_is_unresumable_and_charges_nothing() {
     let tmp = TempDir::new("corrupt");
     let data = generate(Corpus::JsonTelemetry, 79, 64 * 1024);
-    let token = fabricate_torn_session(&tmp.0, &data);
+    let token = fabricate_session(&tmp.0, &data);
 
     // Flip one byte inside the journal's token field: the CRC must catch
     // it and the whole session must be garbage-collected at startup.
@@ -205,7 +237,7 @@ fn corrupt_journal_is_unresumable_and_charges_nothing() {
 fn orphan_sweep_returns_quota_and_disk() {
     let tmp = TempDir::new("orphan");
     let data = generate(Corpus::SensorFrames, 83, 80 * 1024);
-    let token = fabricate_torn_session(&tmp.0, &data);
+    let token = fabricate_session(&tmp.0, &data);
 
     let handle = start_durable_server(&tmp.0, 600_000);
     assert_eq!(handle.recovery().recovered, 1);
