@@ -2078,6 +2078,29 @@ mod metrics_tests {
         // A non-JSONL input still goes to the hardware model path.
         assert!(!looks_like_metrics_jsonl(b"plain old bytes"));
     }
+
+    #[test]
+    fn stats_skips_a_metrics_line_with_a_malformed_histogram() {
+        let dir = TestDir::new();
+        let jsonl = dir.path().join("m.jsonl");
+        let line = |hist: &str| {
+            format!(
+                "{{\"event\":\"metrics\",\"counters\":{{}},\"gauges\":{{}},\
+                 \"histograms\":{{\"lat\":{hist}}}}}\n"
+            )
+        };
+        let text = [
+            line(r#"{"sum":-5,"max":1,"buckets":[[1,1]]}"#),
+            line(r#"{"sum":1,"max":1,"buckets":[[100000,1]]}"#),
+            line(r#"{"sum":2,"max":1,"buckets":[[1,1],[0,1]]}"#),
+        ]
+        .concat();
+        std::fs::write(&jsonl, &text).unwrap();
+        let rendered = render_metrics_stream(&text).unwrap();
+        assert!(rendered.contains("events: 3"), "{rendered}");
+        assert!(!rendered.contains("registry metrics"), "a malformed line merged: {rendered}");
+        run(strs(&["stats", jsonl.to_str().unwrap()])).unwrap();
+    }
 }
 
 #[cfg(test)]

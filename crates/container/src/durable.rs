@@ -2,7 +2,7 @@
 //! compress paths, `frame -o` and `resume`.
 //!
 //! [`crate::FrameWriter`] flushes its sink once per emitted frame. Here a
-//! flush hands that frame's `sync_data` to a background syncer thread and
+//! flush hands that frame's `sync_data` to the sink's syncer thread and
 //! returns at once; the next write, flush or finish waits for it first.
 //! So every frame is still synced before the next one is written, and
 //! what overlaps the disk is the compress of the next frame — the
@@ -12,81 +12,53 @@
 //! At most one sync is in flight. A failed sync (or a failed hook) comes
 //! back from the next write, flush or finish, and every call after it
 //! fails too, so nothing can be written or promoted past a frame that is
-//! not known to be durable.
-//!
-//! A sync is run by whichever side claims it first. When the writer needs
-//! it before the syncer thread has woken up — a single-frame stream
-//! writes its trailer right after its only frame — the writer runs it
-//! itself, so having nothing to overlap costs no thread hand-off. Syncer
-//! threads outlive their sinks in an idle list, so a sink's syncs cost no
-//! thread spawn either; the list holds at most as many threads as sinks
-//! were ever alive at once.
+//! not known to be durable. The syncer thread starts at the first flush
+//! and is joined when the sink is finished or dropped; if it cannot
+//! start, the writer runs each sync itself when it next waits.
 
 use std::fs::File;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 fn no_hook() -> io::Result<()> {
     Ok(())
 }
 
-/// One frame's `sync_data`.
+/// The sink's syncer thread: one `sync_data` per request, outcomes in
+/// order.
 #[derive(Debug)]
-struct SyncJob {
-    file: Arc<File>,
-    claimed: AtomicBool,
-    result: Mutex<Option<io::Result<()>>>,
-    done: Condvar,
+struct Syncer {
+    requests: Sender<()>,
+    outcomes: Receiver<io::Result<()>>,
+    thread: JoinHandle<()>,
 }
 
-impl SyncJob {
-    /// Run the sync unless the other side already claimed it.
-    fn run_if_unclaimed(&self) -> Option<io::Result<()>> {
-        (!self.claimed.swap(true, Ordering::AcqRel)).then(|| self.file.sync_data())
+impl Syncer {
+    /// A syncer for `file`; `None` if no thread could be started.
+    fn start(file: &Arc<File>) -> Option<Syncer> {
+        let (requests, pending) = channel::<()>();
+        let (done, outcomes) = channel();
+        let file = Arc::clone(file);
+        let thread = std::thread::Builder::new()
+            .name("lzfpga-fsync".to_string())
+            .spawn(move || {
+                for () in pending {
+                    if done.send(file.sync_data()).is_err() {
+                        break;
+                    }
+                }
+            })
+            .ok()?;
+        Some(Syncer { requests, outcomes, thread })
     }
 
-    /// The sync's outcome, running it here if the syncer has not started.
-    fn wait(&self) -> io::Result<()> {
-        if let Some(synced) = self.run_if_unclaimed() {
-            return synced;
-        }
-        let mut result = self.result.lock().expect("sync result lock");
-        loop {
-            match result.take() {
-                Some(synced) => return synced,
-                None => result = self.done.wait(result).expect("sync result lock"),
-            }
-        }
+    /// Stop the thread once its last sync has run.
+    fn join(self) {
+        drop(self.requests);
+        let _ = self.thread.join();
     }
-}
-
-type Syncer = Sender<Arc<SyncJob>>;
-
-/// Syncer threads no sink holds, waiting for the next one.
-static IDLE_SYNCERS: Mutex<Vec<Syncer>> = Mutex::new(Vec::new());
-
-/// An idle syncer, or a new one; `None` if no thread could be started
-/// (the writer then runs its syncs itself). A syncer thread is never
-/// joined: idle or attached to a sink, it lives until the process exits.
-fn take_syncer() -> Option<Syncer> {
-    if let Some(syncer) = IDLE_SYNCERS.lock().expect("idle syncers lock").pop() {
-        return Some(syncer);
-    }
-    let (syncer, jobs) = channel::<Arc<SyncJob>>();
-    let spawned = std::thread::Builder::new().name("lzfpga-fsync".to_string()).spawn(move || {
-        for job in jobs {
-            if let Some(synced) = job.run_if_unclaimed() {
-                // Every update to the slot is a whole store, so a poisoned
-                // lock still holds a valid value: never panic while the
-                // writer may be waiting.
-                *job.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(synced);
-                job.done.notify_one();
-            }
-        }
-    });
-    spawned.ok().map(|_| syncer)
 }
 
 /// A staging file whose every flush is a durability point, synced in the
@@ -100,7 +72,8 @@ fn take_syncer() -> Option<Syncer> {
 pub struct DurableFile<H = fn() -> io::Result<()>> {
     file: Arc<File>,
     syncer: Option<Syncer>,
-    in_flight: Option<Arc<SyncJob>>,
+    /// A flush whose sync nobody has waited for yet.
+    in_flight: bool,
     failed: bool,
     after_sync: H,
 }
@@ -119,7 +92,7 @@ impl<H: FnMut() -> io::Result<()>> DurableFile<H> {
         DurableFile {
             file: Arc::new(file),
             syncer: None,
-            in_flight: None,
+            in_flight: false,
             failed: false,
             after_sync,
         }
@@ -130,8 +103,13 @@ impl<H: FnMut() -> io::Result<()>> DurableFile<H> {
         if self.failed {
             return Err(io::Error::other("an earlier frame sync failed; the staged file is stale"));
         }
-        if let Some(job) = self.in_flight.take() {
-            if let Err(e) = job.wait().and_then(|()| (self.after_sync)()) {
+        if std::mem::take(&mut self.in_flight) {
+            // A syncer that died before answering leaves the sync to us.
+            let synced = match self.syncer.as_ref().and_then(|s| s.outcomes.recv().ok()) {
+                Some(synced) => synced,
+                None => self.file.sync_data(),
+            };
+            if let Err(e) = synced.and_then(|()| (self.after_sync)()) {
                 self.failed = true;
                 return Err(e);
             }
@@ -158,30 +136,23 @@ impl<H: FnMut() -> io::Result<()>> Write for DurableFile<H> {
 
     fn flush(&mut self) -> io::Result<()> {
         self.settle()?;
-        let job = Arc::new(SyncJob {
-            file: Arc::clone(&self.file),
-            claimed: AtomicBool::new(false),
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        });
         if self.syncer.is_none() {
-            self.syncer = take_syncer();
+            self.syncer = Syncer::start(&self.file);
         }
-        // Unsent (no syncer), the job stays unclaimed and `settle` runs it.
-        if self.syncer.as_ref().is_some_and(|s| s.send(Arc::clone(&job)).is_err()) {
-            self.syncer = None;
+        // Unsent (no syncer), the sync runs in the next `settle`.
+        if let Some(dead) = self.syncer.take_if(|s| s.requests.send(()).is_err()) {
+            dead.join();
         }
-        self.in_flight = Some(job);
+        self.in_flight = true;
         Ok(())
     }
 }
 
 impl<H> Drop for DurableFile<H> {
     fn drop(&mut self) {
-        // An abandoned stream's last sync may still run; nothing waits on
-        // it, and its syncer goes back to the idle list either way.
-        if let (Some(syncer), Ok(mut idle)) = (self.syncer.take(), IDLE_SYNCERS.lock()) {
-            idle.push(syncer);
+        // An abandoned stream's last sync still runs to its end.
+        if let Some(syncer) = self.syncer.take() {
+            syncer.join();
         }
     }
 }
@@ -284,37 +255,6 @@ mod tests {
                 assert!(scan.complete, "the trailer was written before its sync failed");
             }
         }
-    }
-
-    #[test]
-    fn a_sync_runs_once_whichever_side_claims_it() {
-        let tmp = TempFile::new("claim");
-        let job = || SyncJob {
-            file: Arc::new(File::create(&tmp.0).unwrap()),
-            claimed: AtomicBool::new(false),
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        };
-        // Unclaimed: the writer runs it, and a late syncer finds nothing.
-        let unclaimed = job();
-        assert!(unclaimed.wait().is_ok());
-        assert!(unclaimed.run_if_unclaimed().is_none(), "a claimed sync ran twice");
-        // Claimed by a syncer: the writer waits for its outcome.
-        let claimed = Arc::new(job());
-        let syncer = {
-            let claimed = Arc::clone(&claimed);
-            std::thread::spawn(move || {
-                let synced = claimed.run_if_unclaimed().expect("first claim");
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                *claimed.result.lock().unwrap() = Some(synced);
-                claimed.done.notify_one();
-            })
-        };
-        while !claimed.claimed.load(Ordering::Acquire) {
-            std::thread::yield_now();
-        }
-        assert!(claimed.wait().is_ok());
-        syncer.join().unwrap();
     }
 
     #[test]

@@ -789,11 +789,11 @@ mod tests {
                 assert_eq!(counters.covered_bytes(), data.len() as u64, "{level:?}");
                 assert_eq!(counters.literals + counters.matches, plain.len() as u64);
                 assert_eq!(counters.match_len_hist.count(), counters.matches);
-                assert_eq!(counters.match_len_hist.sum(), counters.match_bytes);
+                assert_eq!(counters.match_len_hist.sum, counters.match_bytes);
                 // A kernel run needs a probe first; a probe needs a search.
                 assert!(counters.probes >= counters.kernel_runs);
-                assert!(counters.probes >= counters.chain_hist.sum());
-                assert_eq!(counters.chain_hist.sum(), counters.probes);
+                assert!(counters.probes >= counters.chain_hist.sum);
+                assert_eq!(counters.chain_hist.sum, counters.probes);
             }
         }
     }

@@ -4,39 +4,10 @@
 
 use std::collections::BTreeMap;
 
-use lzfpga_telemetry::JsonValue;
+use lzfpga_telemetry::{Histogram, JsonValue};
 
 use crate::export::snapshot_from_json;
-use crate::registry::{bucket_index, HistoSnapshot, MetricsSnapshot};
-
-/// Incrementally built histogram (single-threaded aggregation side of
-/// [`HistoSnapshot`]).
-#[derive(Debug, Default, Clone)]
-struct LocalHisto {
-    buckets: BTreeMap<u32, u64>,
-    sum: u64,
-    max: u64,
-}
-
-impl LocalHisto {
-    fn record(&mut self, v: u64) {
-        *self.buckets.entry(bucket_index(v) as u32).or_insert(0) += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.max = self.max.max(v);
-    }
-
-    fn record_us(&mut self, us: f64) {
-        self.record(if us <= 0.0 { 0 } else { us as u64 });
-    }
-
-    fn snapshot(&self) -> HistoSnapshot {
-        HistoSnapshot {
-            sum: self.sum,
-            max: self.max,
-            buckets: self.buckets.iter().map(|(&i, &n)| (i, n)).collect(),
-        }
-    }
-}
+use crate::registry::MetricsSnapshot;
 
 /// Running aggregate over a JSONL metrics stream.
 #[derive(Debug, Default)]
@@ -71,7 +42,7 @@ pub struct StatsAggregate {
     pub index_fallbacks: u64,
     /// Merged registry snapshots (from `metrics` events).
     pub metrics: MetricsSnapshot,
-    frame_latency: LocalHisto,
+    frame_latency: Histogram,
 }
 
 impl StatsAggregate {
@@ -81,8 +52,8 @@ impl StatsAggregate {
     }
 
     /// Per-frame latency (`crc_us + encode_us`) distribution.
-    pub fn frame_latency(&self) -> HistoSnapshot {
-        self.frame_latency.snapshot()
+    pub fn frame_latency(&self) -> &Histogram {
+        &self.frame_latency
     }
 
     /// Aggregate throughput in MB/s: wall-clock when any run reported it,
@@ -233,6 +204,8 @@ fn get_u64(v: &JsonValue, key: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::MetricValue;
+    use lzfpga_telemetry::histogram::bucket_index;
     use lzfpga_telemetry::json::{obj, parse};
 
     fn ev(kind: &str, mut body: JsonValue) -> JsonValue {
@@ -286,5 +259,34 @@ mod tests {
         agg.add_event(&parse(line).unwrap());
         agg.add_event(&parse(line).unwrap());
         assert_eq!(agg.metrics.counter("frames_total"), 10);
+    }
+
+    #[test]
+    fn malformed_histograms_are_not_merged() {
+        use lzfpga_telemetry::histogram::BUCKETS;
+        let line = |hist: &str| {
+            format!(
+                r#"{{"event":"metrics","counters":{{}},"gauges":{{}},"histograms":{{"lat":{hist}}}}}"#
+            )
+        };
+        let bad = [
+            format!(r#"{{"sum":9,"max":9,"buckets":[[{BUCKETS},1]]}}"#),
+            r#"{"sum":9,"max":9,"buckets":[[9,-5]]}"#.to_string(),
+            r#"{"sum":-5,"max":9,"buckets":[[9,1]]}"#.to_string(),
+            r#"{"sum":18,"max":9,"buckets":[[9,1],[9,1]]}"#.to_string(),
+            r#"{"sum":18,"max":9,"buckets":[[9,1],[3,1]]}"#.to_string(),
+        ];
+        let mut agg = StatsAggregate::new();
+        for hist in &bad {
+            agg.add_event(&parse(&line(hist)).unwrap());
+        }
+        assert_eq!(agg.events, bad.len() as u64);
+        assert!(agg.metrics.get("lat").is_none(), "a malformed line merged: {:?}", agg.metrics);
+        assert!(!agg.render().contains("registry metrics"));
+
+        // A well-formed line still merges, with its exact sum.
+        agg.add_event(&parse(&line(r#"{"sum":12,"max":9,"buckets":[[3,1],[9,1]]}"#)).unwrap());
+        let Some(MetricValue::Histogram(h)) = agg.metrics.get("lat") else { panic!("not merged") };
+        assert_eq!((h.count(), h.sum, h.max), (2, 12, 9));
     }
 }

@@ -8,10 +8,11 @@
 //! dependency. The JSONL side round-trips [`MetricsSnapshot`] through the
 //! existing event sink so `lzfpga stats` can aggregate finished runs.
 
+use lzfpga_telemetry::histogram::{bucket_hi, BUCKETS};
 use lzfpga_telemetry::json::obj;
-use lzfpga_telemetry::JsonValue;
+use lzfpga_telemetry::{Histogram, JsonValue};
 
-use crate::registry::{bucket_hi, HistoSnapshot, MetricValue, MetricsSnapshot};
+use crate::registry::{MetricValue, MetricsSnapshot};
 
 /// Map a metric name onto the Prometheus name charset
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
@@ -69,14 +70,15 @@ pub fn prometheus_text(snap: &MetricsSnapshot) -> String {
             }
             MetricValue::Histogram(h) => {
                 out.push_str(&format!("# TYPE {name} histogram\n"));
-                let mut cumulative = 0u64;
-                for &(i, n) in &h.buckets {
-                    cumulative += n;
-                    let le = bucket_hi(i as usize);
+                let (mut cumulative, mut last) = (0u64, None);
+                for (i, n) in h.buckets() {
+                    cumulative = cumulative.saturating_add(n);
+                    last = Some(i);
+                    let le = bucket_hi(i);
                     let le = if le == u64::MAX { "+Inf".to_string() } else { le.to_string() };
                     out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {cumulative}\n"));
                 }
-                if h.buckets.last().is_none_or(|&(i, _)| bucket_hi(i as usize) != u64::MAX) {
+                if last != Some(BUCKETS - 1) {
                     out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
                 }
                 out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count()));
@@ -267,7 +269,7 @@ pub fn snapshot_from_json(v: &JsonValue) -> Option<MetricsSnapshot> {
     }
     if let Some(JsonValue::Object(fields)) = v.get("histograms") {
         for (name, value) in fields {
-            metrics.push((name.clone(), MetricValue::Histogram(HistoSnapshot::from_json(value)?)));
+            metrics.push((name.clone(), MetricValue::Histogram(Histogram::from_json(value)?)));
         }
     }
     metrics.sort_by(|(a, _), (b, _)| a.cmp(b));

@@ -7,6 +7,8 @@
 //! * **[`registry`]** — the lock-free sharded [`MetricsRegistry`]:
 //!   static-site counters, gauges, and log-linear HDR-style histograms
 //!   with mergeable [`MetricsSnapshot`]s and saturating delta computation.
+//!   A histogram snapshots into telemetry's one value type,
+//!   `lzfpga_telemetry::Histogram`, re-exported here as [`HistoSnapshot`].
 //!   Every existing counter family (turbo match-loop counts, parallel
 //!   worker and stitcher stats, container frame and salvage events,
 //!   hw-model stats) re-homes here via [`bridge`] adapters
@@ -35,7 +37,6 @@ pub use export::{
     escape_label_value, parse_prometheus_text, prometheus_text, snapshot_from_json,
     snapshot_to_json, PromSample,
 };
-pub use registry::{
-    Counter, Gauge, Histo, HistoSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
-};
+pub use lzfpga_telemetry::Histogram as HistoSnapshot;
+pub use registry::{Counter, Gauge, Histo, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use trace::{frame_span_tree, validate_span_tree, validate_trace_document, SpanTreeSummary};

@@ -6,11 +6,8 @@
 //! (cold) goes through a `Mutex`-guarded name table; handles are cheap
 //! `Arc` clones that stay valid for the registry's lifetime.
 //!
-//! Distributions use a log-linear (HDR-style) bucketing: values below
-//! [`SUBS`] get exact unit buckets, every octave above is split into
-//! [`SUBS`] linear sub-buckets, giving a bounded relative quantile error
-//! of one sub-bucket (≈6.25%) over the full `u64` range with
-//! [`BUCKETS`] fixed slots and no allocation on the record path.
+//! A [`Histo`] keeps one atomic cell per bucket of the log-linear
+//! [`Histogram`] and snapshots into one; its record path never allocates.
 //!
 //! Snapshots read every cell with relaxed loads. Each cell is monotonic,
 //! so per-field deltas between two snapshots of the same registry never go
@@ -23,53 +20,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use lzfpga_telemetry::json::obj;
-use lzfpga_telemetry::JsonValue;
+use lzfpga_telemetry::histogram::{bucket_index, BUCKETS};
+use lzfpga_telemetry::{Histogram, JsonValue};
 
 /// Concurrency shards per counter (power of two).
 pub const SHARDS: usize = 8;
-
-/// Linear sub-buckets per octave of the log-linear histogram.
-pub const SUBS: usize = 16;
-
-/// Total histogram buckets: `SUBS` unit buckets for `0..SUBS`, then
-/// `SUBS` sub-buckets for each of the 60 remaining octaves of `u64`.
-pub const BUCKETS: usize = SUBS + 60 * SUBS;
-
-/// Bucket index for a sample value.
-#[inline]
-pub fn bucket_index(v: u64) -> usize {
-    if v < SUBS as u64 {
-        v as usize
-    } else {
-        let msb = 63 - v.leading_zeros(); // >= 4
-        let octave = (msb - 3) as usize; // 1-based above the unit range
-        octave * SUBS + ((v >> (msb - 4)) & (SUBS as u64 - 1)) as usize
-    }
-}
-
-/// Smallest value landing in bucket `i` (the quantile estimate we report).
-#[inline]
-pub fn bucket_lo(i: usize) -> u64 {
-    if i < SUBS {
-        i as u64
-    } else {
-        let octave = i / SUBS;
-        let sub = (i % SUBS) as u64;
-        (SUBS as u64 + sub) << (octave - 1)
-    }
-}
-
-/// Largest value landing in bucket `i` (inclusive; used as the Prometheus
-/// `le` bound).
-#[inline]
-pub fn bucket_hi(i: usize) -> u64 {
-    if i + 1 >= BUCKETS {
-        u64::MAX
-    } else {
-        bucket_lo(i + 1) - 1
-    }
-}
 
 fn shard_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -176,113 +131,10 @@ impl Histo {
         self.cells.max.fetch_max(v, Relaxed);
     }
 
-    /// Record a microsecond duration, saturating the fractional part.
+    /// Record a microsecond duration, as [`Histogram::record_us`] does.
     #[inline]
     pub fn record_us(&self, us: f64) {
-        self.record(if us <= 0.0 { 0 } else { us as u64 });
-    }
-}
-
-/// Immutable snapshot of one histogram.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HistoSnapshot {
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Largest sample seen.
-    pub max: u64,
-    /// Sparse `(bucket index, count)` rows, ascending by index.
-    pub buckets: Vec<(u32, u64)>,
-}
-
-impl HistoSnapshot {
-    /// Total samples (derived from the bucket vector, so quantiles computed
-    /// against it are internally consistent even under concurrent writes).
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let count = self.count();
-        if count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / count as f64
-        }
-    }
-
-    /// Lower bound of the bucket holding the `q`-quantile sample
-    /// (`0.0 <= q <= 1.0`); exact to within one log-linear bucket.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for &(i, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return bucket_lo(i as usize);
-            }
-        }
-        bucket_lo(self.buckets.last().map_or(0, |&(i, _)| i as usize))
-    }
-
-    /// Merge another snapshot into this one (bucket-wise add).
-    pub fn merge(&mut self, other: &HistoSnapshot) {
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-        let mut merged: BTreeMap<u32, u64> = self.buckets.iter().copied().collect();
-        for &(i, n) in &other.buckets {
-            *merged.entry(i).or_insert(0) += n;
-        }
-        self.buckets = merged.into_iter().filter(|&(_, n)| n > 0).collect();
-    }
-
-    /// Bucket-wise `self - earlier`, saturating at zero. `max` is carried
-    /// from `self` (a high-water mark has no meaningful delta).
-    pub fn delta(&self, earlier: &HistoSnapshot) -> HistoSnapshot {
-        let old: BTreeMap<u32, u64> = earlier.buckets.iter().copied().collect();
-        let buckets = self
-            .buckets
-            .iter()
-            .map(|&(i, n)| (i, n.saturating_sub(old.get(&i).copied().unwrap_or(0))))
-            .filter(|&(_, n)| n > 0)
-            .collect();
-        HistoSnapshot { sum: self.sum.saturating_sub(earlier.sum), max: self.max, buckets }
-    }
-
-    /// JSON form: `{sum, max, buckets: [[index, count], ...]}`.
-    pub fn to_json(&self) -> JsonValue {
-        obj([
-            ("sum", self.sum.into()),
-            ("max", self.max.into()),
-            (
-                "buckets",
-                JsonValue::Array(
-                    self.buckets
-                        .iter()
-                        .map(|&(i, n)| JsonValue::Array(vec![i.into(), n.into()]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parse the [`HistoSnapshot::to_json`] form.
-    pub fn from_json(v: &JsonValue) -> Option<HistoSnapshot> {
-        let sum = v.get("sum")?.as_i64()? as u64;
-        let max = v.get("max")?.as_i64()? as u64;
-        let mut buckets = Vec::new();
-        for row in v.get("buckets")?.as_array()? {
-            let row = row.as_array()?;
-            if row.len() != 2 {
-                return None;
-            }
-            buckets.push((row[0].as_i64()? as u32, row[1].as_i64()? as u64));
-        }
-        Some(HistoSnapshot { sum, max, buckets })
+        self.record(us as u64);
     }
 }
 
@@ -366,23 +218,11 @@ impl MetricsRegistry {
                 let value = match m {
                     Metric::Counter(c) => MetricValue::Counter(c.value()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.value()),
-                    Metric::Histo(h) => {
-                        let buckets = h
-                            .cells
-                            .buckets
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, c)| {
-                                let n = c.load(Relaxed);
-                                (n > 0).then_some((i as u32, n))
-                            })
-                            .collect();
-                        MetricValue::Histogram(HistoSnapshot {
-                            sum: h.cells.sum.load(Relaxed),
-                            max: h.cells.max.load(Relaxed),
-                            buckets,
-                        })
-                    }
+                    Metric::Histo(h) => MetricValue::Histogram(Histogram::from_parts(
+                        h.cells.sum.load(Relaxed),
+                        h.cells.max.load(Relaxed),
+                        h.cells.buckets.iter().map(|c| c.load(Relaxed)).collect(),
+                    )),
                 };
                 (name.clone(), value)
             })
@@ -429,7 +269,7 @@ pub enum MetricValue {
     /// Last-write-wins gauge.
     Gauge(f64),
     /// Histogram state.
-    Histogram(HistoSnapshot),
+    Histogram(Histogram),
 }
 
 /// A point-in-time reading of every registered metric, sorted by name.
@@ -506,24 +346,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_index_is_monotone_and_inverts() {
-        let mut last = 0usize;
-        for v in (0u64..4096).chain([u64::MAX / 3, u64::MAX - 1, u64::MAX]) {
-            let i = bucket_index(v);
-            assert!(i >= last || v < 4096, "bucket index must be monotone");
-            last = last.max(i);
-            assert!(bucket_lo(i) <= v, "lo({i}) = {} > {v}", bucket_lo(i));
-            assert!(v <= bucket_hi(i), "hi({i}) = {} < {v}", bucket_hi(i));
-        }
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(15), 15);
-        assert_eq!(bucket_index(16), 16);
-        assert_eq!(bucket_index(31), 31);
-        assert_eq!(bucket_index(32), 32);
-        assert!(bucket_index(u64::MAX) < BUCKETS);
-    }
+    use lzfpga_telemetry::json::obj;
 
     #[test]
     fn counters_and_gauges_register_once_and_accumulate() {
@@ -617,7 +440,7 @@ mod tests {
     }
 
     /// Record `samples` into a fresh histogram and snapshot it.
-    fn snap_of(samples: &[u64]) -> HistoSnapshot {
+    fn snap_of(samples: &[u64]) -> Histogram {
         let reg = MetricsRegistry::new();
         let h = reg.histogram("h");
         for &v in samples {
@@ -667,38 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_stay_within_one_bucket_of_exact_on_adversarial_distributions() {
-        let distributions: Vec<Vec<u64>> = vec![
-            vec![7; 1_000], // constant
-            (0..1_000).map(|i| if i < 990 { 1 } else { u64::from(u32::MAX) }).collect(), // bimodal
-            (0..640).map(|i| 1u64 << (i % 40)).collect(), // exact octave boundaries
-            (1..=1_000u64).map(|i| i * i * i).collect(), // heavy cubic tail
-            (0..1_000).map(|i| SUBS as u64 - 1 + i % 3).collect(), // unit/octave seam
-            lcg_samples(9, 2_000), // broad pseudo-random spread
-        ];
-        for samples in distributions {
-            let hs = snap_of(&samples);
-            let mut sorted = samples.clone();
-            sorted.sort_unstable();
-            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-                // Exact quantile under the same rank convention the
-                // histogram uses: the ceil(q*n)-th smallest, rank >= 1.
-                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-                let exact = sorted[rank - 1];
-                let est = hs.quantile(q);
-                let (bi_est, bi_exact) = (bucket_index(est) as i64, bucket_index(exact) as i64);
-                assert!(
-                    (bi_est - bi_exact).abs() <= 1,
-                    "q={q}: estimate {est} (bucket {bi_est}) vs exact {exact} \
-                     (bucket {bi_exact}) over {} samples",
-                    sorted.len()
-                );
-                assert!(est <= exact, "q={q}: the bucket lower bound never overstates");
-            }
-        }
-    }
-
-    #[test]
     fn concurrent_recording_keeps_snapshots_monotone() {
         use std::sync::atomic::AtomicBool;
         let reg = Arc::new(MetricsRegistry::new());
@@ -725,7 +516,7 @@ mod tests {
             // construction; assert the headline counters advance sanely.
             assert!(now.counter("events") >= last.counter("events"));
             let Some(MetricValue::Histogram(dh)) = d.get("lat") else { panic!("missing") };
-            assert!(dh.buckets.iter().all(|&(_, n)| n < u64::MAX / 2), "wrapped delta");
+            assert!(dh.buckets().all(|(_, n)| n < u64::MAX / 2), "wrapped delta");
             last = now;
         }
         stop.store(true, Relaxed);

@@ -990,6 +990,40 @@ mod tests {
     }
 
     #[test]
+    fn worker_counters_merge_into_the_serial_histograms() {
+        use lzfpga_telemetry::histogram::{bucket_hi, bucket_index};
+        let data = generate(Corpus::Mixed, 11, 300_000);
+        let frame = 32 * 1024;
+        let frame_cfg = FrameConfig { frame_bytes: frame, ..FrameConfig::default() };
+        // One serial probed run over the same frames, one engine reused.
+        let params = turbo_cfg(frame, 1).hw.as_lzss_params();
+        let (mut engine, mut serial) = (TurboEngine::new(), TurboCounters::default());
+        for chunk in data.chunks(frame) {
+            engine.compress_into_probed(chunk, &params, &mut Vec::new(), &mut serial);
+        }
+        for workers in [1, 3] {
+            let cfg = ParallelConfig { telemetry: true, ..turbo_cfg(frame, workers) };
+            let rep = compress_frames_parallel(&data, &cfg, &frame_cfg).unwrap();
+            let merged = rep.counters.expect("telemetry collects counters");
+            assert_eq!(merged.chain_hist, serial.chain_hist, "workers = {workers}");
+            assert_eq!(merged.match_len_hist, serial.match_len_hist, "workers = {workers}");
+            let json = merged.to_json();
+            assert_eq!(json.get("chain_len"), serial.to_json().get("chain_len"));
+            assert_eq!(json.get("match_len"), serial.to_json().get("match_len"));
+        }
+        // The report rows sit on the registry's bucket bounds.
+        for key in ["chain_len", "match_len"] {
+            let section = serial.to_json();
+            let rows = section.get(key).unwrap().get("buckets").unwrap().as_array().unwrap();
+            assert!(!rows.is_empty(), "{key}");
+            for row in rows {
+                let top = row.get("lt").unwrap().as_i64().unwrap() as u64 - 1;
+                assert_eq!(bucket_hi(bucket_index(top)), top, "{key} row {row:?}");
+            }
+        }
+    }
+
+    #[test]
     fn telemetry_accounts_for_every_chunk_and_byte() {
         let data = generate(Corpus::Wiki, 8, 400_000);
         let rep = compress_parallel(

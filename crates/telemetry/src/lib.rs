@@ -10,8 +10,12 @@
 //!   [`probe::NoProbe`] monomorphizes every callback to nothing, so the
 //!   uninstrumented build is bit-for-bit the old fast path. The counting
 //!   implementation, [`probe::TurboCounters`], records hash probes,
-//!   chain-walk lengths (as a [`histogram::Histogram`]), kernel runs,
-//!   match/literal mix and bytes-per-probe.
+//!   chain-walk and match lengths, kernel runs, match/literal mix and
+//!   bytes-per-probe.
+//! * **[`histogram`]** — the one histogram value type, log-linear
+//!   [`Histogram`], with its bucket math, merge/delta/quantile and JSON
+//!   forms. `TurboCounters`, the obs registry's snapshots and
+//!   `lzfpga stats` all record into it.
 //! * **[`spans`]** — wall-clock span timing ([`spans::SpanTimer`]) that
 //!   doubles as a chrome://tracing *trace event* recorder: open the emitted
 //!   file in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) to

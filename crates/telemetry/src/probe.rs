@@ -209,8 +209,8 @@ impl TurboCounters {
             ("covered_bytes", self.covered_bytes().into()),
             ("bytes_per_probe", self.bytes_per_probe().into()),
             ("match_ratio", self.match_ratio().into()),
-            ("chain_len", self.chain_hist.to_json()),
-            ("match_len", self.match_len_hist.to_json()),
+            ("chain_len", self.chain_hist.report_json()),
+            ("match_len", self.match_len_hist.report_json()),
         ])
     }
 }
@@ -236,7 +236,7 @@ mod tests {
         assert!((c.bytes_per_probe() - 6.5).abs() < 1e-12);
         assert!((c.match_ratio() - 0.5).abs() < 1e-12);
         assert_eq!(c.chain_hist.count(), 1);
-        assert_eq!(c.match_len_hist.sum(), 12);
+        assert_eq!(c.match_len_hist.sum, 12);
     }
 
     #[test]
