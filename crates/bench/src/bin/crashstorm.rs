@@ -12,7 +12,8 @@
 //!    the uninterrupted run, and a corrupted journal produces a typed
 //!    `unresumable` error, never output;
 //! 2. **zero leaked disk** — after each round drains, the state dir holds
-//!    no session directories and no `.part` staging files;
+//!    no session files (nor anything else under `sessions/`) and no
+//!    `.part` staging files;
 //! 3. **zero leaked quota** — the drained server's final ledger reports
 //!    0 streams / 0 bytes in flight.
 //!
@@ -179,8 +180,8 @@ fn drain_and_check(mut srv: ServerProc, violations: &mut Vec<String>, round: &st
     }
 }
 
-/// After a round fully drains, the state dir must hold no session
-/// directories and no `.part` staging files anywhere.
+/// After a round fully drains, the state dir must hold no session entries
+/// and no `.part` staging files anywhere.
 fn check_no_leaks(root: &Path, violations: &mut Vec<String>, round: &str) {
     let sessions = root.join("state").join("sessions");
     if let Ok(rd) = fs::read_dir(&sessions) {
@@ -265,11 +266,13 @@ fn starved_request(addr: &str, request: &Request, req_id: u64) -> (Option<u64>, 
     (token, prefix)
 }
 
-/// The token of the one session directory a crash left in the state dir.
+/// The token of the one session file a crash left in the state dir, read
+/// from its name (`s<token:016x>`).
 fn session_on_disk(root: &Path) -> Option<u64> {
     let rd = fs::read_dir(root.join("state").join("sessions")).ok()?;
     let tokens: Vec<u64> = rd
         .flatten()
+        .filter(|e| e.file_type().is_ok_and(|t| t.is_file()))
         .filter_map(|e| {
             let name = e.file_name().into_string().ok()?;
             u64::from_str_radix(name.strip_prefix('s')?, 16).ok()
@@ -285,7 +288,7 @@ fn session_on_disk(root: &Path) -> Option<u64> {
 /// return the session's token. The site sits after the token is queued
 /// and before any result byte, so the client must hold no result bytes;
 /// the token comes from the client when its `Session` message beat the
-/// abort onto the wire, else from the one session directory the crash
+/// abort onto the wire, else from the one session file the crash
 /// left behind (the server announced it either way).
 fn crash_at_result_ready(
     bin: &Path,
@@ -467,8 +470,8 @@ fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
     }
 
     // Round 6 — crash with the result ready, then corrupt the journal
-    // before the restart: recovery must refuse with a typed error, never
-    // serve bytes.
+    // record inside the session file before the restart: recovery must
+    // refuse with a typed error, never serve bytes.
     let round = format!("seed {seed} r6");
     let compress = |c: &mut Client| c.compress(&data, 0, 0);
     if let Some(token) = crash_at_result_ready(bin, &root, "r6a.log", compress, violations, &round)
@@ -476,11 +479,13 @@ fn run_seed(bin: &Path, seed: u64, violations: &mut Vec<String>) {
         let mut corrupted = false;
         if let Ok(rd) = fs::read_dir(root.join("state").join("sessions")) {
             for entry in rd.flatten() {
-                let journal = entry.path().join("journal");
-                if let Ok(mut bytes) = fs::read(&journal) {
-                    if let Some(b) = bytes.get_mut(8) {
+                let session = entry.path();
+                if let Ok(mut bytes) = fs::read(&session) {
+                    // The record's token field, after the 4-byte
+                    // record-length prefix.
+                    if let Some(b) = bytes.get_mut(4 + 8) {
                         *b ^= 0x40;
-                        fs::write(&journal, &bytes).expect("rewrite journal");
+                        fs::write(&session, &bytes).expect("rewrite session file");
                         corrupted = true;
                     }
                 }

@@ -18,7 +18,9 @@
 //! soak --minutes 10                      # or until a time budget expires
 //! ```
 //!
-//! Exits non-zero on the first divergence, printing a reproducer command.
+//! Numbers are decimal or `0x`-prefixed hex (`--seed 0xC0FFEE`); an
+//! unparsable one exits 2. Exits 1 on the first divergence, printing a
+//! reproducer command.
 
 use lzfpga_core::pipeline::compress_to_zlib;
 use lzfpga_core::{DecompConfig, HwConfig, HwDecompressor};
@@ -32,32 +34,60 @@ struct Budget {
     deadline: Option<std::time::Instant>,
 }
 
-fn main() {
-    let mut bytes: u64 = 50_000_000;
-    let mut minutes: Option<u64> = None;
-    let mut seed: u64 = 0xC0FFEE;
-    let mut it = std::env::args().skip(1);
+#[derive(Debug, PartialEq, Eq)]
+struct Args {
+    bytes: u64,
+    minutes: Option<u64>,
+    seed: u64,
+}
+
+/// A decimal or `0x`-prefixed hexadecimal integer, as `faultstorm` reads
+/// its seeds.
+fn parse_num(flag: &str, value: Option<String>) -> Result<u64, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    let n = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    };
+    n.ok_or_else(|| format!("{flag} takes an integer, not '{v}'"))
+}
+
+/// Parse the command line; `Ok(None)` asks for the usage line.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<Args>, String> {
+    let mut out = Args { bytes: 50_000_000, minutes: None, seed: 0xC0FFEE };
+    let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--bytes" => bytes = it.next().and_then(|v| v.parse().ok()).unwrap_or(bytes),
-            "--minutes" => minutes = it.next().and_then(|v| v.parse().ok()),
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            "--help" | "-h" => {
-                println!("soak [--bytes N] [--minutes M] [--seed S]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            "--bytes" => out.bytes = parse_num("--bytes", it.next())?,
+            "--minutes" => out.minutes = Some(parse_num("--minutes", it.next())?),
+            "--seed" => out.seed = parse_num("--seed", it.next())?,
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    let budget = Budget {
-        bytes,
-        deadline: minutes
-            .map(|m| std::time::Instant::now() + std::time::Duration::from_secs(m * 60)),
+    Ok(Some(out))
+}
+
+fn main() {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("soak [--bytes N] [--minutes M] [--seed S]");
+            return;
+        }
+        Err(e) => {
+            eprintln!("soak: {e}");
+            std::process::exit(2);
+        }
     };
-    let verified = run_soak(seed, &budget, true);
+    let budget = Budget {
+        bytes: args.bytes,
+        deadline: args.minutes.and_then(|m| {
+            std::time::Instant::now()
+                .checked_add(std::time::Duration::from_secs(m.saturating_mul(60)))
+        }),
+    };
+    let verified = run_soak(args.seed, &budget, true);
     println!("soak complete: {verified} bytes verified across randomized configurations");
 }
 
@@ -98,7 +128,7 @@ fn run_soak(seed: u64, budget: &Budget, verbose: bool) -> u64 {
         let fail = |what: &str| -> ! {
             eprintln!(
                 "DIVERGENCE ({what}) at iteration {iter}: corpus={} size={size} cfg={cfg:?}\n\
-                 reproduce with: soak --seed {seed} (iteration {iter})",
+                 reproduce with: soak --seed {seed:#x} (iteration {iter})",
                 corpus.name()
             );
             std::process::exit(1);
@@ -141,6 +171,20 @@ mod tests {
         let budget = Budget { bytes: 1_500_000, deadline: None };
         let verified = run_soak(42, &budget, false);
         assert!(verified >= 1_500_000);
+    }
+
+    #[test]
+    fn args_take_hex_seeds_and_refuse_garbage() {
+        let parse = |line: &str| parse_args(line.split_whitespace().map(String::from));
+        let args = parse("--seed 0xBEEF --bytes 20000000 --minutes 3").unwrap().unwrap();
+        assert_eq!(args, Args { bytes: 20_000_000, minutes: Some(3), seed: 0xBEEF });
+        assert_eq!(parse("--seed 0XbeEF").unwrap().unwrap().seed, 0xBEEF);
+        assert_eq!(parse("--seed 48879").unwrap().unwrap().seed, 0xBEEF);
+        assert_eq!(parse("").unwrap().unwrap().seed, 0xC0FFEE, "the default seed");
+        assert_eq!(parse("--help").unwrap(), None);
+        for bad in ["--seed BEEF", "--seed 0xZZ", "--seed", "--bytes 2e7", "--minutes -1", "--x"] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]

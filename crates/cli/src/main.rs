@@ -2080,6 +2080,24 @@ mod metrics_tests {
     }
 
     #[test]
+    fn stats_reads_a_histogram_sum_past_2_pow_63() {
+        let dir = TestDir::new();
+        let jsonl = dir.path().join("m.jsonl");
+        let reg = MetricsRegistry::new();
+        for _ in 0..3 {
+            reg.histogram("lat").record(1 << 62);
+        }
+        let mut line = snapshot_to_json(&reg.snapshot());
+        line.push("event", "metrics");
+        let text = line.render() + "\n";
+        assert!(text.contains(&(3u64 << 62).to_string()), "{text}");
+        std::fs::write(&jsonl, &text).unwrap();
+        let rendered = render_metrics_stream(&text).unwrap();
+        assert!(rendered.contains("registry metrics"), "the line merged: {rendered}");
+        run(strs(&["stats", jsonl.to_str().unwrap()])).unwrap();
+    }
+
+    #[test]
     fn stats_skips_a_metrics_line_with_a_malformed_histogram() {
         let dir = TestDir::new();
         let jsonl = dir.path().join("m.jsonl");

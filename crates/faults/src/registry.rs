@@ -10,7 +10,8 @@
 //! [`CRASH_SITE_ENV`]: crate::plan::CRASH_SITE_ENV
 
 /// Site name: crash after the session journal record is written and
-/// synced, before the session directory entry itself is made durable.
+/// synced (with its input, in the one session file), before the file's
+/// directory entry is made durable.
 pub const SERVER_JOURNAL_APPEND: &str = "server.journal.append";
 
 /// Site name: crash after a journaled session's result is computed and its

@@ -89,24 +89,16 @@ impl StatsAggregate {
                 if let Some(cmd) = v.get("command").and_then(JsonValue::as_str) {
                     *self.commands.entry(cmd.to_string()).or_insert(0) += 1;
                 }
-                if let Some(b) = v.get("input_bytes").and_then(JsonValue::as_i64) {
-                    self.input_bytes += b.max(0) as u64;
-                }
-                if let Some(b) = v.get("output_bytes").and_then(JsonValue::as_i64) {
-                    self.output_bytes += b.max(0) as u64;
-                }
+                self.input_bytes += get_u64(v, "input_bytes");
+                self.output_bytes += get_u64(v, "output_bytes");
             }
             "frame" => {
                 self.frames += 1;
                 if let Some(o) = v.get("outcome").and_then(JsonValue::as_str) {
                     *self.frame_outcomes.entry(o.to_string()).or_insert(0) += 1;
                 }
-                if let Some(b) = v.get("uncompressed_bytes").and_then(JsonValue::as_i64) {
-                    self.frame_bytes += b.max(0) as u64;
-                }
-                if let Some(b) = v.get("payload_bytes").and_then(JsonValue::as_i64) {
-                    self.frame_payload_bytes += b.max(0) as u64;
-                }
+                self.frame_bytes += get_u64(v, "uncompressed_bytes");
+                self.frame_payload_bytes += get_u64(v, "payload_bytes");
                 let crc = v.get("crc_us").and_then(JsonValue::as_f64).unwrap_or(0.0);
                 let enc = v.get("encode_us").and_then(JsonValue::as_f64).unwrap_or(0.0);
                 self.frame_latency.record_us(crc + enc);
@@ -198,7 +190,7 @@ impl StatsAggregate {
 }
 
 fn get_u64(v: &JsonValue, key: &str) -> u64 {
-    v.get(key).and_then(JsonValue::as_i64).map_or(0, |n| n.max(0) as u64)
+    v.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -259,6 +251,25 @@ mod tests {
         agg.add_event(&parse(line).unwrap());
         agg.add_event(&parse(line).unwrap());
         assert_eq!(agg.metrics.counter("frames_total"), 10);
+    }
+
+    #[test]
+    fn a_histogram_sum_past_2_pow_63_parses_back_exactly() {
+        use crate::export::snapshot_to_json;
+        use crate::registry::MetricsRegistry;
+        let reg = MetricsRegistry::new();
+        let lat = reg.histogram("lat");
+        for _ in 0..3 {
+            lat.record(1 << 62);
+        }
+        reg.counter("bytes_total").add(u64::MAX);
+        let mut line = snapshot_to_json(&reg.snapshot());
+        line.push("event", "metrics");
+        let mut agg = StatsAggregate::new();
+        agg.add_event(&parse(&line.render()).unwrap());
+        let Some(MetricValue::Histogram(h)) = agg.metrics.get("lat") else { panic!("not merged") };
+        assert_eq!((h.count(), h.sum, h.max), (3, 3 << 62, 1 << 62));
+        assert_eq!(agg.metrics.counter("bytes_total"), u64::MAX);
     }
 
     #[test]

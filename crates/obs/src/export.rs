@@ -259,7 +259,7 @@ pub fn snapshot_from_json(v: &JsonValue) -> Option<MetricsSnapshot> {
     let mut metrics = Vec::new();
     if let Some(JsonValue::Object(fields)) = v.get("counters") {
         for (name, value) in fields {
-            metrics.push((name.clone(), MetricValue::Counter(value.as_i64()?.max(0) as u64)));
+            metrics.push((name.clone(), MetricValue::Counter(value.as_u64()?)));
         }
     }
     if let Some(JsonValue::Object(fields)) = v.get("gauges") {

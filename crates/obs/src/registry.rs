@@ -248,6 +248,7 @@ impl MetricsRegistry {
             let name = format!("{prefix}_{key}");
             match val {
                 JsonValue::Int(i) if *i >= 0 => self.counter(&name).add(*i as u64),
+                JsonValue::UInt(u) => self.counter(&name).add(*u),
                 JsonValue::Int(i) => self.gauge(&name).set(*i as f64),
                 JsonValue::Float(f) => self.gauge(&name).set(*f),
                 JsonValue::Bool(b) => self.gauge(&name).set(f64::from(*b)),

@@ -92,7 +92,7 @@ pub struct ServerConfig {
     /// resumed via [`Request::Resume`].
     pub state_dir: Option<std::path::PathBuf>,
     /// How long a recovered-but-unclaimed session stays resumable before
-    /// the orphan sweep garbage-collects it (directory removed, quota
+    /// the orphan sweep garbage-collects it (session file removed, quota
     /// charge returned).
     pub resume_ttl_ms: u64,
 }
@@ -421,7 +421,7 @@ struct ReqState {
     ordinal: u64,
     frames: u64,
     /// Durable session token, when the request is journaled in the state
-    /// dir; the writer removes the session directory after full delivery.
+    /// dir; the writer removes the session file after full delivery.
     session: Option<u64>,
 }
 
@@ -1101,16 +1101,16 @@ fn durable_job(
     let tenant = conn.state.lock().expect("conn state").tenant.clone();
     let journal_fail =
         |e: std::io::Error| JobFail::new(RejectCode::Internal, format!("session journal: {e}"));
-    let (token, dir) = session_store.create().map_err(journal_fail)?;
+    let (token, path, file) = session_store.create().map_err(journal_fail)?;
     let (journaled, result) = std::thread::scope(|s| {
         let journal = s.spawn(|| {
             session_store
-                .journal(token, &dir, op, &tenant, frame_bytes as u32, max_result, data, faults)
+                .journal(token, &file, op, &tenant, frame_bytes as u32, max_result, data, faults)
                 .map(|()| announce_session(conn, req, token))
         });
         let result = catch_unwind(AssertUnwindSafe(|| match op {
             SessionOp::Compress => store::durable_compress(
-                &dir,
+                &path,
                 data,
                 frame_bytes as u32,
                 shared.config.hw.as_lzss_params(),
@@ -1207,7 +1207,7 @@ fn announce_session(conn: &ConnShared, req: u64, token: u64) -> bool {
     recorded
 }
 
-/// Forget a request's session token (its directory is already gone).
+/// Forget a request's session token (its file is already gone).
 fn clear_session(conn: &ConnShared, req: u64) {
     let mut st = conn.state.lock().expect("conn state");
     if let Some(rs) = st.requests.get_mut(&req) {
@@ -1602,13 +1602,13 @@ mod tests {
         }
     }
 
-    fn wait_for_session_dirs(store: &SessionStore, n: usize) {
+    fn wait_for_sessions_on_disk(store: &SessionStore, n: usize) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while store.session_dirs() != n {
+        while store.sessions_on_disk() != n {
             assert!(
                 Instant::now() < deadline,
-                "{} session directories, want {n}",
-                store.session_dirs()
+                "{} session files, want {n}",
+                store.sessions_on_disk()
             );
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -1629,9 +1629,9 @@ mod tests {
         let fail = fail.expect("typed error");
         assert_eq!(fail.code, RejectCode::Internal);
         assert!(fail.detail.starts_with("session journal: "), "detail: {}", fail.detail);
-        // The job's output was dropped and its directory removed before
+        // The job's output was dropped and its file removed before
         // the error was queued.
-        assert_eq!(store.session_dirs(), 0, "a failed journal left its directory");
+        assert_eq!(store.sessions_on_disk(), 0, "a failed journal left its file");
         // The rule fired once: the same connection journals the next one.
         let framed = client.compress(&sample(50_000), 0, 0).expect("next request journals");
         assert_eq!(framed, reference_stream(&sample(50_000), 64 << 10));
@@ -1639,7 +1639,7 @@ mod tests {
         let stats = handle.shutdown(Duration::from_secs(2));
         assert_eq!(stats.requests_failed, 1);
         assert_eq!((stats.active_streams, stats.active_bytes), (0, 0), "admission ledger leaked");
-        assert_eq!(store.session_dirs(), 0);
+        assert_eq!(store.sessions_on_disk(), 0);
     }
 
     #[test]
@@ -1680,7 +1680,7 @@ mod tests {
             );
             assert_eq!(seen.matches('S').count(), 1, "{seen}");
             assert_eq!(&bytes, *want, "the durable bytes equal the store-less server's");
-            wait_for_session_dirs(&store, 0);
+            wait_for_sessions_on_disk(&store, 0);
         }
         drop(client);
         let stats = handle.shutdown(Duration::from_secs(2));
@@ -1696,14 +1696,14 @@ mod tests {
         let handle = durable_server(&state, plan);
         let store = handle.session_store().expect("durable server has a store");
         let data = sample(2 << 20);
-        // Cancelled once its directory exists, so while the journal is
+        // Cancelled once its file exists, so while the journal is
         // delayed: the job stops typed (or, had it beaten the cancel,
         // delivers) and the session is removed.
         let mut client = Client::connect(handle.addr(), "acme", 1 << 20).expect("connect");
         client
             .send(&Request::Compress { req: 1, deadline_ms: 0, frame_bytes: 0, data: data.clone() })
             .expect("send");
-        wait_for_session_dirs(&store, 1);
+        wait_for_sessions_on_disk(&store, 1);
         client.send(&Request::Cancel { req: 1 }).expect("cancel");
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -1722,7 +1722,7 @@ mod tests {
                 Err(e) => panic!("transport failed: {e}"),
             }
         }
-        wait_for_session_dirs(&store, 0);
+        wait_for_sessions_on_disk(&store, 0);
         // The connection dropped while the journal is delayed: by the time
         // the journal announces, the request is gone, so the job itself
         // must remove the session.
@@ -1730,12 +1730,12 @@ mod tests {
         client
             .send(&Request::Compress { req: 1, deadline_ms: 0, frame_bytes: 0, data })
             .expect("send");
-        wait_for_session_dirs(&store, 1);
+        wait_for_sessions_on_disk(&store, 1);
         drop(client);
-        wait_for_session_dirs(&store, 0);
+        wait_for_sessions_on_disk(&store, 0);
         let stats = handle.shutdown(Duration::from_secs(5));
         assert_eq!((stats.active_streams, stats.active_bytes), (0, 0));
-        assert_eq!(store.session_dirs(), 0);
+        assert_eq!(store.sessions_on_disk(), 0);
     }
 
     #[test]
@@ -1756,7 +1756,7 @@ mod tests {
         client.send(&Request::Resume { req: 1, deadline_ms: 0, token, acked: 0 }).expect("send");
         std::thread::sleep(Duration::from_millis(150));
         drop(client);
-        wait_for_session_dirs(&store, 0);
+        wait_for_sessions_on_disk(&store, 0);
         let stats = handle.shutdown(Duration::from_secs(5));
         assert_eq!((stats.active_streams, stats.active_bytes), (0, 0), "admission ledger leaked");
         assert_eq!(store.pending(), 0);

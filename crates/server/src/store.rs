@@ -2,37 +2,37 @@
 //! `kill -9` and resume byte-identical.
 //!
 //! When the server runs with a state directory, every compress/decompress
-//! request becomes a **session** on disk before any work is acknowledged:
+//! request becomes a **session** on disk, one file, before any work is
+//! acknowledged:
 //!
 //! ```text
-//! <state-dir>/sessions/s<token:016x>/
-//!     input.bin   the request payload, synced before the journal
-//!     journal     CRC-protected record of op + tenant + params + content CRC
+//! <state-dir>/sessions/s<token:016x>:
+//!     record_len u32 | CRC-protected journal record | request payload
 //! ```
 //!
 //! Nothing else is written: both ops are deterministic for a given input
 //! and journaled parameters, so a resume recomputes the result from the
-//! verified input instead of reading back a staged one (DESIGN §14). The
-//! write path is ordered so every crash point has a recovery story: input
-//! before journal, journal before the session is announced
+//! verified input instead of reading back a staged one (DESIGN §14). One
+//! `sync_all` covers record and input, then the directory entry is made
+//! durable, and only then is the session announced
 //! ([`crate::proto::Response::Session`]). The registered crash sites
 //! ([`lzfpga_faults::registry`]) sit at those edges so the `crashstorm`
 //! drill can kill the process at each one.
 //!
 //! On startup [`SessionStore::recover`] walks the state directory: a
-//! session whose journal fails verification is garbage-collected; a valid
-//! one is re-admitted against its tenant's quota (so recovered work is
-//! never free) and parked until [`Request::Resume`] claims it or the
-//! orphan TTL sweeps it. Recovery re-verifies the journaled input CRC and
-//! the engine parameters before serving a single byte — a damaged or
-//! mismatched session is a typed [`RejectCode::Unresumable`], never wrong
-//! bytes.
+//! session file of the wrong length or whose record fails verification
+//! is garbage-collected; a valid one is re-admitted against its tenant's
+//! quota (so recovered work is never free) and parked until
+//! [`Request::Resume`] claims it or the orphan TTL sweeps it. Recovery
+//! re-verifies the journaled input CRC and the engine parameters before
+//! serving a single byte — a damaged or mismatched session is a typed
+//! [`RejectCode::Unresumable`], never wrong bytes.
 //!
 //! [`Request::Resume`]: crate::proto::Request::Resume
 
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::{self, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,11 +49,10 @@ use crate::proto::RejectCode;
 use crate::quota::{Admission, Charge};
 
 const JOURNAL_MAGIC: [u8; 4] = *b"LZSJ";
-/// Version 2 added the engine parameters; a version-1 journal (written by
-/// a build that staged its compress output) is refused as unresumable.
-const JOURNAL_VERSION: u16 = 2;
-const JOURNAL_FILE: &str = "journal";
-const INPUT_FILE: &str = "input.bin";
+/// Version 2 added the engine parameters, version 3 the one-file layout.
+/// Older sessions (v1 staged its compress output, v2 kept a directory per
+/// session) are refused as unresumable.
+const JOURNAL_VERSION: u16 = 3;
 
 /// Open a directory and fsync it, making a just-created/renamed/removed
 /// entry durable.
@@ -65,7 +64,7 @@ pub fn fsync_dir(dir: &Path) -> io::Result<()> {
 }
 
 /// What kind of work a durable session journals. Both are recomputed from
-/// `input.bin` on resume — each is deterministic for its journaled
+/// the journaled input on resume — each is deterministic for its journaled
 /// parameters, so nothing but the input is kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionOp {
@@ -143,7 +142,7 @@ fn decode_params(b: &[u8]) -> Result<LzssParams, &'static str> {
 /// check is treated as if the session never existed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Journal {
-    /// The durable session token (also encodes the directory name).
+    /// The durable session token (also encodes the file name).
     pub token: u64,
     /// What the session does.
     pub op: SessionOp,
@@ -151,9 +150,9 @@ pub struct Journal {
     pub tenant: String,
     /// Frame size the compress op was admitted with.
     pub frame_bytes: u32,
-    /// Exact byte length of `input.bin`.
+    /// Exact byte length of the journaled input.
     pub content_len: u64,
-    /// CRC-32 of `input.bin`, re-verified before resume serves anything.
+    /// CRC-32 of the input, re-verified before resume serves anything.
     pub content_crc: u32,
     /// The decompress op's declared result budget.
     pub max_result: u64,
@@ -247,11 +246,13 @@ pub fn recovery_cost(journal: &Journal) -> u64 {
 pub struct RecoveredSession {
     /// The verified journal record.
     pub journal: Journal,
-    /// The session directory on disk.
-    pub dir: PathBuf,
+    /// The session file on disk.
+    pub path: PathBuf,
+    /// Where the input starts in the file, after the prefix and record.
+    input_at: usize,
     /// Held, never read: the re-admitted quota charge releases when the
     /// session is claimed-and-finished, swept, or the store drops.
-    _charge: Option<Charge>,
+    _charge: Charge,
     since: Instant,
 }
 
@@ -261,7 +262,8 @@ pub struct RecoveryReport {
     /// Sessions with a verified journal, parked for resume.
     pub recovered: usize,
     /// Sessions garbage-collected because their journal failed
-    /// verification (torn, corrupt, or duplicated).
+    /// verification (torn, corrupt, duplicated, of the wrong length, or in
+    /// an older layout).
     pub unresumable: usize,
     /// Verified sessions garbage-collected because their tenant's quota
     /// refused re-admission.
@@ -310,42 +312,42 @@ impl SessionStore {
         self
     }
 
-    fn dir_for(&self, token: u64) -> PathBuf {
+    fn path_for(&self, token: u64) -> PathBuf {
         self.sessions_dir.join(format!("s{token:016x}"))
     }
 
-    /// Make a new session's token and its empty directory. Nothing is
-    /// durable yet and the token must not be announced:
-    /// [`SessionStore::journal`] does both halves of that.
+    /// Make a new session's token and its empty file. Nothing is durable
+    /// yet and the token must not be announced: [`SessionStore::journal`]
+    /// does both halves of that.
     ///
     /// # Errors
-    /// Filesystem errors creating the directory.
-    pub fn create(&self) -> io::Result<(u64, PathBuf)> {
+    /// Filesystem errors creating the file.
+    pub fn create(&self) -> io::Result<(u64, PathBuf, File)> {
         loop {
             let token = self.next.fetch_add(1, Ordering::Relaxed);
-            let dir = self.dir_for(token);
-            match fs::create_dir(&dir) {
-                Ok(()) => return Ok((token, dir)),
+            let path = self.path_for(token);
+            match OpenOptions::new().write(true).create_new(true).open(&path) {
+                Ok(file) => return Ok((token, path, file)),
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
                 Err(e) => return Err(e),
             }
         }
     }
 
-    /// Journal the session [`SessionStore::create`] made: write and sync
-    /// `input.bin`, then the CRC-protected journal record, then make both
-    /// directory entries durable. Only after this returns may the session
-    /// token be announced.
+    /// Journal the session [`SessionStore::create`] made: write the
+    /// length-prefixed, CRC-protected record and the input into `file`,
+    /// sync it once, then make its directory entry durable. Only after
+    /// this returns may the session token be announced.
     ///
     /// # Errors
     /// Filesystem errors, or the injected error of an armed
-    /// `server.journal.append` failpoint. On error the directory stays for
-    /// the caller to remove ([`SessionStore::finish`]).
+    /// `server.journal.append` failpoint. On error the file stays for the
+    /// caller to remove ([`SessionStore::finish`]).
     #[allow(clippy::too_many_arguments)]
     pub fn journal(
         &self,
         token: u64,
-        dir: &Path,
+        mut file: &File,
         op: SessionOp,
         tenant: &str,
         frame_bytes: u32,
@@ -353,10 +355,7 @@ impl SessionStore {
         data: &[u8],
         faults: &dyn Failpoints,
     ) -> io::Result<()> {
-        let mut input = File::create(dir.join(INPUT_FILE))?;
-        input.write_all(data)?;
-        input.sync_all()?;
-        let journal = Journal {
+        let record = Journal {
             token,
             op,
             tenant: tenant.to_string(),
@@ -365,17 +364,17 @@ impl SessionStore {
             content_crc: crc32(data),
             max_result,
             params: self.params,
-        };
-        let mut jf = File::create(dir.join(JOURNAL_FILE))?;
-        jf.write_all(&journal.encode())?;
-        jf.sync_all()?;
-        // Crash site: journal written and synced, directory entries not yet
-        // durable. A power cut here may lose the whole session — the client
-        // holds no token yet, so nothing is promised.
+        }
+        .encode();
+        file.write_all(&[&(record.len() as u32).to_be_bytes()[..], &record].concat())?;
+        file.write_all(data)?;
+        file.sync_all()?;
+        // Crash site: record and input written and synced, the directory
+        // entry not yet durable. A power cut here may lose the whole
+        // session — the client holds no token yet, so nothing is promised.
         if faults.check(SERVER_JOURNAL_APPEND) {
             return Err(io::Error::other(InjectedFault { site: SERVER_JOURNAL_APPEND }));
         }
-        fsync_dir(dir)?;
         fsync_dir(&self.sessions_dir)
     }
 
@@ -384,8 +383,8 @@ impl SessionStore {
     /// token be announced.
     ///
     /// # Errors
-    /// As [`SessionStore::journal`]; on error the half-built session
-    /// directory is removed.
+    /// As [`SessionStore::journal`]; on error the half-built session file
+    /// is removed.
     pub fn begin(
         &self,
         op: SessionOp,
@@ -395,26 +394,25 @@ impl SessionStore {
         data: &[u8],
         faults: &dyn Failpoints,
     ) -> io::Result<(u64, PathBuf)> {
-        let (token, dir) = self.create()?;
-        match self.journal(token, &dir, op, tenant, frame_bytes, max_result, data, faults) {
-            Ok(()) => Ok((token, dir)),
+        let (token, path, file) = self.create()?;
+        match self.journal(token, &file, op, tenant, frame_bytes, max_result, data, faults) {
+            Ok(()) => Ok((token, path)),
             Err(e) => {
-                let _ = fs::remove_dir_all(&dir);
+                self.finish(token);
                 Err(e)
             }
         }
     }
 
-    /// Remove a finished (fully delivered) or aborted session's directory.
+    /// Remove a finished (fully delivered) or aborted session's file.
     pub fn finish(&self, token: u64) {
-        let dir = self.dir_for(token);
-        if fs::remove_dir_all(&dir).is_ok() {
+        if fs::remove_file(self.path_for(token)).is_ok() {
             let _ = fsync_dir(&self.sessions_dir);
         }
     }
 
-    /// Scan the state directory after a restart: verify every journal,
-    /// re-admit survivors against their tenant's quota, and
+    /// Scan the state directory after a restart: verify every session
+    /// file, re-admit survivors against their tenant's quota, and
     /// garbage-collect everything else. No leaked admitted bytes: every
     /// parked session holds a [`Charge`] that drops when it is claimed,
     /// swept, or the process exits.
@@ -423,55 +421,38 @@ impl SessionStore {
         let Ok(entries) = fs::read_dir(&self.sessions_dir) else {
             return report;
         };
-        let mut removed_any = false;
+        let mut parked = self.recovered.lock().expect("session store lock");
         for entry in entries.flatten() {
-            let dir = entry.path();
-            if !dir.is_dir() {
-                continue;
-            }
-            let journal = fs::read(dir.join(JOURNAL_FILE))
-                .map_err(|_| "journal unreadable")
-                .and_then(|bytes| Journal::decode(&bytes));
-            let journal = match journal {
-                Ok(j) if self.dir_for(j.token) == dir => j,
-                // Corrupt, torn, or moved: the session never becomes
-                // claimable, so its bytes can never be served wrong.
-                _ => {
-                    let _ = fs::remove_dir_all(&dir);
-                    removed_any = true;
-                    report.unresumable += 1;
-                    continue;
-                }
-            };
-            let mut parked = self.recovered.lock().expect("session store lock");
-            if parked.contains_key(&journal.token) {
-                let _ = fs::remove_dir_all(&dir);
-                removed_any = true;
+            let path = entry.path();
+            if entry.file_type().is_ok_and(|t| t.is_dir()) {
+                // A version-2 session directory: never claimable.
+                let _ = fs::remove_dir_all(&path);
                 report.unresumable += 1;
                 continue;
             }
-            match admission.admit_request(&journal.tenant, recovery_cost(&journal)) {
-                Ok(charge) => {
-                    parked.insert(
-                        journal.token,
-                        RecoveredSession {
-                            journal,
-                            dir,
-                            _charge: Some(charge),
-                            since: Instant::now(),
-                        },
-                    );
-                    report.recovered += 1;
+            match read_head(&path) {
+                Ok((journal, input_at))
+                    if self.path_for(journal.token) == path
+                        && !parked.contains_key(&journal.token) =>
+                {
+                    match admission.admit_request(&journal.tenant, recovery_cost(&journal)) {
+                        Ok(_charge) => {
+                            let since = Instant::now();
+                            let rec = RecoveredSession { journal, path, input_at, _charge, since };
+                            parked.insert(rec.journal.token, rec);
+                            report.recovered += 1;
+                            continue;
+                        }
+                        Err(_) => report.refused += 1,
+                    }
                 }
-                Err(_) => {
-                    drop(parked);
-                    let _ = fs::remove_dir_all(&dir);
-                    removed_any = true;
-                    report.refused += 1;
-                }
+                // Torn, corrupt, moved, or duplicated: the session never
+                // becomes claimable, so its bytes can never be served wrong.
+                _ => report.unresumable += 1,
             }
+            let _ = fs::remove_file(&path);
         }
-        if removed_any {
+        if report.unresumable + report.refused > 0 {
             let _ = fsync_dir(&self.sessions_dir);
         }
         report
@@ -497,7 +478,7 @@ impl SessionStore {
     }
 
     /// Garbage-collect parked sessions older than `ttl`: remove their
-    /// directories and release their quota charges. Returns how many were
+    /// files and release their quota charges. Returns how many were
     /// swept.
     pub fn sweep_orphans(&self, ttl: Duration) -> usize {
         let expired: Vec<RecoveredSession> = {
@@ -511,7 +492,7 @@ impl SessionStore {
         };
         let swept = expired.len();
         for rec in expired {
-            let _ = fs::remove_dir_all(&rec.dir);
+            let _ = fs::remove_file(&rec.path);
             // rec.charge drops here, returning the tenant's bytes.
         }
         if swept > 0 {
@@ -525,12 +506,30 @@ impl SessionStore {
         self.recovered.lock().expect("session store lock").len()
     }
 
-    /// Live session directories on disk (leak assertions in the drills).
-    pub fn session_dirs(&self) -> usize {
-        fs::read_dir(&self.sessions_dir)
-            .map(|rd| rd.flatten().filter(|e| e.path().is_dir()).count())
-            .unwrap_or(0)
+    /// Entries in the sessions directory: session files, and anything
+    /// else a leak would leave (leak assertions in the drills).
+    pub fn sessions_on_disk(&self) -> usize {
+        fs::read_dir(&self.sessions_dir).map(|rd| rd.flatten().count()).unwrap_or(0)
     }
+}
+
+/// Read and verify a session file's head: the `record_len u32` prefix,
+/// the record, and a file length of exactly prefix, record and input.
+/// Returns the record and the offset its input starts at.
+fn read_head(path: &Path) -> Result<(Journal, usize), &'static str> {
+    let mut file = File::open(path).map_err(|_| "session file unreadable")?;
+    let file_len = file.metadata().map_err(|_| "session file unreadable")?.len();
+    let mut prefix = [0u8; 4];
+    file.read_exact(&mut prefix).map_err(|_| "session file truncated")?;
+    // `take` bounds the read by the file, whatever a corrupt prefix says.
+    let mut record = Vec::new();
+    let record_len = u64::from(u32::from_be_bytes(prefix));
+    file.take(record_len).read_to_end(&mut record).map_err(|_| "session file unreadable")?;
+    let journal = Journal::decode(&record)?;
+    if (4 + record_len).checked_add(journal.content_len) != Some(file_len) {
+        return Err("session file length mismatch");
+    }
+    Ok((journal, 4 + record.len()))
 }
 
 fn unresumable(detail: impl Into<String>) -> JobFail {
@@ -539,15 +538,15 @@ fn unresumable(detail: impl Into<String>) -> JobFail {
 
 /// Compute a journaled compress session's result in memory. Its bytes are
 /// [`crate::jobs::compress_job`]'s (and so `FrameWriter`'s) for the same
-/// input, frame size and parameters: the session directory `_dir` holds
-/// only the input and the journal, and a resume recomputes through this
+/// input, frame size and parameters: the session file `_path` holds only
+/// the journal record and the input, and a resume recomputes through this
 /// same call.
 ///
 /// # Errors
 /// Typed cancellation stops, or [`RejectCode::Internal`] when a frame
 /// exhausts the degradation ladder.
 pub fn durable_compress(
-    _dir: &Path,
+    _path: &Path,
     data: &[u8],
     frame_bytes: u32,
     params: LzssParams,
@@ -556,15 +555,6 @@ pub fn durable_compress(
     ledger: &mut JobLedger,
 ) -> Result<Vec<u8>, JobFail> {
     compress_stream(data, frame_bytes as usize, &params, ctl, faults, ledger)
-}
-
-fn read_verified_input(rec: &RecoveredSession) -> Result<Vec<u8>, JobFail> {
-    let input = fs::read(rec.dir.join(INPUT_FILE))
-        .map_err(|_| unresumable("journaled session input is missing"))?;
-    if input.len() as u64 != rec.journal.content_len || crc32(&input) != rec.journal.content_crc {
-        return Err(unresumable("journaled session input failed CRC verification"));
-    }
-    Ok(input)
 }
 
 /// Re-produce a claimed session's full result after a crash by recomputing
@@ -595,11 +585,16 @@ pub fn recover_session(
             return Err(unresumable("journaled frame size is out of range"));
         }
     }
-    let input = read_verified_input(rec)?;
+    let mut input =
+        fs::read(&rec.path).map_err(|_| unresumable("journaled session input is missing"))?;
+    input.drain(..rec.input_at.min(input.len()));
+    if input.len() as u64 != journal.content_len || crc32(&input) != journal.content_crc {
+        return Err(unresumable("journaled session input failed CRC verification"));
+    }
     match journal.op {
         SessionOp::Decompress => decompress_job(&input, journal.max_result, ctl, ledger),
         SessionOp::Compress => {
-            durable_compress(&rec.dir, &input, journal.frame_bytes, params, ctl, faults, ledger)
+            durable_compress(&rec.path, &input, journal.frame_bytes, params, ctl, faults, ledger)
         }
     }
 }
@@ -686,19 +681,100 @@ mod tests {
         assert!(Journal::decode(&long).is_err());
     }
 
+    /// Journal a session, let `damage` rewrite its file, and require the
+    /// restart to sweep it as unresumable without parking it.
+    fn recover_damaged(tag: &str, damage: impl FnOnce(&mut Vec<u8>)) {
+        let tmp = TempDir::new(tag);
+        let store = SessionStore::open(&tmp.0).unwrap();
+        let data = sample(30_000);
+        let (token, path) =
+            store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        damage(&mut bytes);
+        fs::write(&path, &bytes).unwrap();
+        let adm = Admission::new(QuotaConfig::default());
+        let report = store.recover(&adm);
+        assert_eq!(report, RecoveryReport { recovered: 0, unresumable: 1, refused: 0 }, "{tag}");
+        assert_eq!(store.pending(), 0, "{tag}: a damaged session is never parked");
+        assert_eq!(store.sessions_on_disk(), 0, "{tag}: the damaged file is swept");
+        assert_eq!(adm.active_bytes(), 0, "{tag}: no quota held for swept sessions");
+        assert_eq!(store.claim(token, "acme").unwrap_err().code, RejectCode::Unresumable);
+    }
+
     #[test]
     fn begin_finish_leaves_no_directories() {
         let tmp = TempDir::new("begin");
         let store = SessionStore::open(&tmp.0).unwrap();
         let data = sample(10_000);
-        let (token, dir) =
+        let (token, path) =
             store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
-        assert!(dir.join(JOURNAL_FILE).is_file());
-        assert_eq!(fs::read(dir.join(INPUT_FILE)).unwrap(), data);
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2, "a session keeps input and journal");
-        assert_eq!(store.session_dirs(), 1);
+        // One file: the length prefix, the record, then the input.
+        let bytes = fs::read(&path).unwrap();
+        let record_len = u32::from_be_bytes(bytes[..4].try_into().unwrap()) as usize;
+        let journal = Journal::decode(&bytes[4..4 + record_len]).unwrap();
+        assert_eq!((journal.token, journal.content_crc), (token, crc32(&data)));
+        assert_eq!(&bytes[4 + record_len..], &data[..]);
+        assert_eq!(store.sessions_on_disk(), 1);
         store.finish(token);
-        assert_eq!(store.session_dirs(), 0);
+        assert_eq!(store.sessions_on_disk(), 0, "finish leaves no entry in sessions/");
+    }
+
+    #[test]
+    fn a_zero_length_session_file_is_swept() {
+        // A crash between `create` and the write.
+        recover_damaged("empty", Vec::clear);
+    }
+
+    #[test]
+    fn a_header_only_session_file_is_swept() {
+        recover_damaged("header-only", |b| {
+            let record_len = u32::from_be_bytes(b[..4].try_into().unwrap()) as usize;
+            b.truncate(4 + record_len);
+        });
+        recover_damaged("prefix-only", |b| b.truncate(4));
+        recover_damaged("huge-prefix", |b| b[..4].copy_from_slice(&u32::MAX.to_be_bytes()));
+    }
+
+    #[test]
+    fn a_session_file_of_the_wrong_length_is_swept() {
+        recover_damaged("truncated-input", |b| {
+            b.pop();
+        });
+        recover_damaged("overlong", |b| b.push(0));
+    }
+
+    #[test]
+    fn a_version_2_session_directory_is_swept() {
+        let tmp = TempDir::new("v2");
+        let store = SessionStore::open(&tmp.0).unwrap();
+        let data = sample(20_000);
+        let (token, path) =
+            store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
+        // The version-2 layout: a session directory holding `input.bin`
+        // and `journal`.
+        let bytes = fs::read(&path).unwrap();
+        let record_len = u32::from_be_bytes(bytes[..4].try_into().unwrap()) as usize;
+        fs::remove_file(&path).unwrap();
+        fs::create_dir(&path).unwrap();
+        fs::write(path.join("input.bin"), &data).unwrap();
+        fs::write(path.join("journal"), &bytes[4..4 + record_len]).unwrap();
+        let adm = Admission::new(QuotaConfig::default());
+        let report = store.recover(&adm);
+        assert_eq!(report, RecoveryReport { recovered: 0, unresumable: 1, refused: 0 });
+        assert_eq!(store.sessions_on_disk(), 0, "the version-2 directory is swept");
+        assert_eq!(adm.active_bytes(), 0);
+        assert_eq!(store.claim(token, "acme").unwrap_err().code, RejectCode::Unresumable);
+    }
+
+    #[test]
+    fn an_armed_journal_append_leaves_no_file() {
+        use lzfpga_faults::{FailPlan, FailRule};
+        let tmp = TempDir::new("append");
+        let store = SessionStore::open(&tmp.0).unwrap();
+        let plan = FailPlan::new(1).rule(FailRule::new(SERVER_JOURNAL_APPEND).errors());
+        let err = store.begin(SessionOp::Compress, "acme", 65536, 0, &sample(9_000), &plan);
+        assert!(err.is_err(), "the armed site fails the journal");
+        assert_eq!(store.sessions_on_disk(), 0, "the half-built session file is removed");
     }
 
     #[test]
@@ -740,7 +816,7 @@ mod tests {
             assert_eq!(resumed, fresh, "{len} bytes: the resume recomputes the fresh bytes");
             assert_eq!(ledger.frames, len.div_ceil(FRAME) as u64, "{len} bytes");
             store.finish(rec.journal.token);
-            assert_eq!(store.session_dirs(), 0);
+            assert_eq!(store.sessions_on_disk(), 0);
         }
     }
 
@@ -801,7 +877,7 @@ mod tests {
         let tmp = TempDir::new("v1");
         let store = SessionStore::open(&tmp.0).unwrap();
         let data = sample(20_000);
-        let (token, dir) =
+        let (token, path) =
             store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
         // The version-1 record: no engine parameters, otherwise the same
         // fields, under a valid CRC.
@@ -819,11 +895,15 @@ mod tests {
         let crc = crc32(&v1);
         v1.extend_from_slice(&crc.to_be_bytes());
         assert_eq!(Journal::decode(&v1), Err("unknown journal version"));
-        fs::write(dir.join(JOURNAL_FILE), &v1).unwrap();
+        // Framed as the one-file layout, so only the version refuses it.
+        let mut file = (v1.len() as u32).to_be_bytes().to_vec();
+        file.extend_from_slice(&v1);
+        file.extend_from_slice(&data);
+        fs::write(&path, &file).unwrap();
         let adm = Admission::new(QuotaConfig::default());
         let report = store.recover(&adm);
         assert_eq!(report, RecoveryReport { recovered: 0, unresumable: 1, refused: 0 });
-        assert_eq!(store.session_dirs(), 0, "the version-1 session is garbage-collected");
+        assert_eq!(store.sessions_on_disk(), 0, "the version-1 session is garbage-collected");
         assert_eq!(adm.active_bytes(), 0);
         assert_eq!(store.claim(token, "acme").unwrap_err().code, RejectCode::Unresumable);
     }
@@ -833,16 +913,16 @@ mod tests {
         let tmp = TempDir::new("corrupt");
         let store = SessionStore::open(&tmp.0).unwrap();
         let data = sample(50_000);
-        let (token, dir) =
+        let (token, path) =
             store.begin(SessionOp::Compress, "acme", 65536, 0, &data, &NoFaults).unwrap();
-        // Flip one journal byte, as the drill's hostile round does.
-        let mut j = fs::read(dir.join(JOURNAL_FILE)).unwrap();
-        j[10] ^= 0xFF;
-        fs::write(dir.join(JOURNAL_FILE), &j).unwrap();
+        // Flip one record byte, as the drill's hostile round does.
+        let mut j = fs::read(&path).unwrap();
+        j[4 + 10] ^= 0xFF;
+        fs::write(&path, &j).unwrap();
         let adm = Admission::new(QuotaConfig::default());
         let report = store.recover(&adm);
         assert_eq!(report, RecoveryReport { recovered: 0, unresumable: 1, refused: 0 });
-        assert_eq!(store.session_dirs(), 0, "corrupt session is garbage-collected");
+        assert_eq!(store.sessions_on_disk(), 0, "corrupt session is garbage-collected");
         assert_eq!(adm.active_bytes(), 0, "no quota held for swept sessions");
         assert_eq!(store.claim(token, "acme").unwrap_err().code, RejectCode::Unresumable);
     }
@@ -860,7 +940,7 @@ mod tests {
         assert_eq!(store.sweep_orphans(Duration::from_secs(3600)), 0, "fresh session survives");
         assert_eq!(store.sweep_orphans(Duration::ZERO), 1);
         assert_eq!(store.pending(), 0);
-        assert_eq!(store.session_dirs(), 0);
+        assert_eq!(store.sessions_on_disk(), 0);
         assert_eq!(adm.active_bytes(), 0, "sweep returned the tenant's bytes");
         assert_eq!(adm.active_streams(), 0);
     }

@@ -196,7 +196,7 @@ impl Histogram {
     /// not write: a negative number, a bucket index of [`BUCKETS`] or more,
     /// or an index that repeats or runs backwards.
     pub fn from_json(v: &JsonValue) -> Option<Histogram> {
-        let num = |v: &JsonValue| u64::try_from(v.as_i64()?).ok();
+        let num = JsonValue::as_u64;
         let (sum, max) = (num(v.get("sum")?)?, num(v.get("max")?)?);
         let mut counts = Vec::new();
         for row in v.get("buckets")?.as_array()? {

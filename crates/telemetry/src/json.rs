@@ -16,6 +16,9 @@ pub enum JsonValue {
     Bool(bool),
     /// An integer, rendered without a decimal point.
     Int(i64),
+    /// An integer above `i64::MAX` (counters and sums past 2^63); every
+    /// smaller integer is an `Int`.
+    UInt(u64),
     /// A float, rendered with Rust's shortest round-trip representation.
     Float(f64),
     /// A string.
@@ -40,8 +43,7 @@ impl From<i64> for JsonValue {
 
 impl From<u64> for JsonValue {
     fn from(v: u64) -> Self {
-        // Cycle/byte counters fit i64 in practice; degrade to float beyond.
-        i64::try_from(v).map_or(JsonValue::Float(v as f64), JsonValue::Int)
+        i64::try_from(v).map_or(JsonValue::UInt(v), JsonValue::Int)
     }
 }
 
@@ -112,10 +114,20 @@ impl JsonValue {
         }
     }
 
-    /// The value as a float (`Int` widened).
+    /// The value as an unsigned integer (`UInt` directly, else a
+    /// non-negative [`JsonValue::as_i64`]).
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            JsonValue::UInt(v) => Some(v),
+            _ => u64::try_from(self.as_i64()?).ok(),
+        }
+    }
+
+    /// The value as a float (`Int` and `UInt` widened).
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
             JsonValue::Int(v) => Some(v as f64),
+            JsonValue::UInt(v) => Some(v as f64),
             JsonValue::Float(v) => Some(v),
             _ => None,
         }
@@ -157,6 +169,9 @@ impl JsonValue {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             JsonValue::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            JsonValue::UInt(v) => {
                 let _ = write!(out, "{v}");
             }
             JsonValue::Float(v) => {
@@ -411,6 +426,7 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, ParseError> 
     } else {
         text.parse::<i64>()
             .map(JsonValue::Int)
+            .or_else(|_| text.parse::<u64>().map(JsonValue::UInt))
             .map_err(|_| ParseError { at: start, msg: "invalid number" })
     }
 }
@@ -453,6 +469,26 @@ mod tests {
         // Integer-ness survives: cycle counts must not become floats.
         assert_eq!(parsed.get("big").unwrap(), &JsonValue::Int(4_294_967_295));
         assert_eq!(parsed.get("whole_float").unwrap(), &JsonValue::Float(3.0));
+    }
+
+    #[test]
+    fn integers_round_trip_exactly_up_to_u64_max() {
+        let top = i64::MAX as u64;
+        for (v, want) in [
+            (top, JsonValue::Int(i64::MAX)),
+            (top + 1, JsonValue::UInt(top + 1)),
+            (u64::MAX, JsonValue::UInt(u64::MAX)),
+        ] {
+            let json = JsonValue::from(v);
+            assert_eq!(json, want);
+            assert_eq!(json.render(), v.to_string());
+            let parsed = parse(&json.render()).unwrap();
+            assert_eq!(parsed, json, "{v}");
+            assert_eq!(parsed.as_u64(), Some(v));
+        }
+        assert_eq!(JsonValue::UInt(u64::MAX).as_i64(), None, "no silent wrap");
+        assert!(parse("18446744073709551616").is_err(), "past u64::MAX");
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
     }
 
     #[test]

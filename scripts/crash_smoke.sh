@@ -7,7 +7,7 @@
 # on the same state directory, resumes with the surviving session token
 # (the server recomputes from the journaled input and replays from the
 # acknowledged offset), and asserts: zero wrong bytes, zero leaked
-# session directories or .part files, admission ledgers at zero after
+# session files or .part files, admission ledgers at zero after
 # the final drain, and a typed `unresumable` refusal for a corrupted
 # journal. Everything runs offline on the loopback interface.
 set -euo pipefail

@@ -3,7 +3,7 @@
 //! Four promises, each load-bearing for resume-after-kill:
 //!
 //! 1. a durable server announces a session token, serves bytes identical
-//!    to the in-memory path, and drains its session directories and quota
+//!    to the in-memory path, and drains its session files and quota
 //!    to zero once delivery completes;
 //! 2. a session crashed between its computed result and its first result
 //!    byte is recovered at startup, and a `Resume` with its token
@@ -77,34 +77,31 @@ fn start_durable_server(state_dir: &Path, ttl_ms: u64) -> lzfpga::server::Server
 }
 
 /// Park a journaled compress session in `state_dir`, as a server that
-/// crashed after announcing its token leaves it: input and journal
-/// durable, nothing else. Returns the token.
+/// crashed after announcing its token leaves it: one session file, its
+/// journal record and input durable, nothing else. Returns the token.
 fn fabricate_session(state_dir: &Path, data: &[u8]) -> u64 {
     let store = SessionStore::open(state_dir).expect("open store");
-    let (token, dir) = store
+    let (token, path) = store
         .begin(SessionOp::Compress, TENANT, FRAME_BYTES as u32, 0, data, &NoFaults)
         .expect("begin session");
-    assert!(dir.join("journal").is_file(), "journal is durable");
+    assert!(path.is_file(), "the session file is durable");
     token
 }
 
-/// Copy every session directory (flat files only) under `from` to `to`.
+/// Copy every session file under `from` to `to`.
 fn copy_sessions(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to.join("sessions")).unwrap();
     for entry in std::fs::read_dir(from.join("sessions")).unwrap() {
         let src = entry.unwrap().path();
-        let dst = to.join("sessions").join(src.file_name().unwrap());
-        std::fs::create_dir_all(&dst).unwrap();
-        for file in std::fs::read_dir(&src).unwrap() {
-            let file = file.unwrap().path();
-            std::fs::copy(&file, dst.join(file.file_name().unwrap())).unwrap();
-        }
+        assert!(src.is_file(), "a session is one file: {}", src.display());
+        std::fs::copy(&src, to.join("sessions").join(src.file_name().unwrap())).unwrap();
     }
 }
 
 fn wait_for_drained_sessions(store: &SessionStore) {
     let deadline = Instant::now() + Duration::from_secs(5);
-    while store.session_dirs() > 0 {
-        assert!(Instant::now() < deadline, "session directories never drained");
+    while store.sessions_on_disk() > 0 {
+        assert!(Instant::now() < deadline, "session files never drained");
         std::thread::sleep(Duration::from_millis(20));
     }
 }
@@ -127,7 +124,7 @@ fn durable_roundtrip_announces_token_and_drains_to_zero() {
     assert_eq!(plain, data);
 
     // Delivery completed on a live connection: both sessions are settled
-    // and their directories, streams, and bytes must all return.
+    // and their files, streams, and bytes must all return.
     wait_for_drained_sessions(&store);
     drop(client);
     let stats = handle.shutdown(Duration::from_secs(5));
@@ -184,7 +181,7 @@ fn crashed_session_recovers_and_resumes_byte_identically() {
     assert_eq!(resumed, reference, "resumed stream diverged from the fresh stream");
 
     // A second claim of the same token is refused: the promise is
-    // one-shot and the directory is gone.
+    // one-shot and the session file is gone.
     wait_for_drained_sessions(&store);
     match client.resume(token, &[], 0) {
         Err(ClientError::Request { code: RejectCode::Unresumable, .. }) => {}
@@ -202,15 +199,15 @@ fn corrupt_journal_is_unresumable_and_charges_nothing() {
     let data = generate(Corpus::JsonTelemetry, 79, 64 * 1024);
     let token = fabricate_session(&tmp.0, &data);
 
-    // Flip one byte inside the journal's token field: the CRC must catch
-    // it and the whole session must be garbage-collected at startup.
+    // Flip one byte inside the journal record's token field (after the
+    // file's 4-byte record-length prefix): the CRC must catch it and the
+    // whole session must be garbage-collected at startup.
     let sessions: Vec<_> =
         std::fs::read_dir(tmp.0.join("sessions")).unwrap().map(|e| e.unwrap().path()).collect();
     assert_eq!(sessions.len(), 1);
-    let journal = sessions[0].join("journal");
-    let mut bytes = std::fs::read(&journal).unwrap();
-    bytes[8] ^= 0x01;
-    std::fs::write(&journal, &bytes).unwrap();
+    let mut bytes = std::fs::read(&sessions[0]).unwrap();
+    bytes[4 + 8] ^= 0x01;
+    std::fs::write(&sessions[0], &bytes).unwrap();
 
     let handle = start_durable_server(&tmp.0, 600_000);
     let recovery = handle.recovery();
@@ -222,7 +219,7 @@ fn corrupt_journal_is_unresumable_and_charges_nothing() {
     assert_eq!(stats.active_streams, 0, "corrupt session charged a stream");
     assert_eq!(stats.active_bytes, 0, "corrupt session charged bytes");
     let store = handle.session_store().expect("store");
-    assert_eq!(store.session_dirs(), 0, "corrupt session directory leaked");
+    assert_eq!(store.sessions_on_disk(), 0, "corrupt session file leaked");
 
     let mut client = Client::connect(handle.addr(), TENANT, 1 << 22).expect("connect");
     match client.resume(token, &[], 0) {
@@ -252,7 +249,7 @@ fn orphan_sweep_returns_quota_and_disk() {
     assert_eq!(after.active_streams, 0, "sweep leaked a stream");
     assert_eq!(after.active_bytes, 0, "sweep leaked admitted bytes");
     let store = handle.session_store().expect("store");
-    assert_eq!(store.session_dirs(), 0, "sweep leaked the session directory");
+    assert_eq!(store.sessions_on_disk(), 0, "sweep leaked the session file");
 
     // The token's promise died with the orphan — typed refusal, not bytes.
     let mut client = Client::connect(handle.addr(), TENANT, 1 << 22).expect("connect");
