@@ -78,12 +78,11 @@ use lzfpga_deflate::zlib::zlib_decompress_limited;
 use lzfpga_deflate::Limits;
 use lzfpga_faults::{FailPlan, FailRule, FrameSite, MutationKind, StreamMutator};
 use lzfpga_lzss::TurboEngine;
-use lzfpga_obs::{snapshot_to_json, MetricsRegistry};
 use lzfpga_parallel::{
     compress_frames_parallel, compress_parallel, compress_parallel_with, EngineKind, ParallelConfig,
 };
 use lzfpga_telemetry::json::obj;
-use lzfpga_telemetry::JsonlWriter;
+use lzfpga_telemetry::{snapshot_to_json, JsonlWriter, MetricsRegistry};
 use lzfpga_workloads::{generate, Corpus};
 
 /// One well-formed base stream plus the decode paths it exercises.
@@ -219,11 +218,11 @@ fn main() {
 fn run_server_storm(seed: u64) -> bool {
     use std::time::{Duration, Instant};
 
-    use lzfpga_obs::validate_span_tree;
     use lzfpga_server::proto::encode_request;
     use lzfpga_server::{
         Client, ClientError, QuotaConfig, RejectCode, Request, Response, Server, ServerConfig,
     };
+    use lzfpga_telemetry::validate_span_tree;
 
     let fb = 16 * 1024usize;
     let quota = QuotaConfig {

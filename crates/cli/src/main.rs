@@ -37,17 +37,16 @@ use lzfpga_deflate::gzip::{gzip_compress_tokens, gzip_decompress_limited};
 use lzfpga_deflate::zlib::{zlib_compress_tokens, zlib_decompress, zlib_decompress_limited};
 use lzfpga_deflate::Limits;
 use lzfpga_lzss::params::CompressionLevel;
-use lzfpga_obs::bridge::{record_frames, record_pipeline, record_turbo};
-use lzfpga_obs::{
-    frame_span_tree, prometheus_text, snapshot_to_json, MetricsRegistry, StatsAggregate,
-};
 use lzfpga_parallel::{
     compress_frames_parallel, compress_parallel, decode_range_parallel, decompress_frames_parallel,
     EngineKind, ParallelConfig,
 };
 use lzfpga_server::{connect_with_retry, Client, ClientError, RetryPolicy, Server, ServerConfig};
 use lzfpga_telemetry::json::obj;
-use lzfpga_telemetry::{trace_events_json, FrameEvent, JsonValue, JsonlWriter, TurboCounters};
+use lzfpga_telemetry::{
+    frame_span_tree, prometheus_text, record_frames, snapshot_to_json, trace_events_json,
+    FrameEvent, JsonValue, JsonlWriter, MetricsRegistry, StatsAggregate, TurboCounters,
+};
 use lzfpga_workloads::Corpus;
 
 const USAGE: &str = "\
@@ -443,12 +442,12 @@ fn wants_obs(o: &CommonOpts) -> bool {
     o.metrics.is_some() || o.prometheus.is_some()
 }
 
-/// Finish a run's observability: fold the JSON-shaped events the typed
-/// bridge adapters do not cover into the registry, honor `--prometheus`,
-/// and append the registry snapshot as the final `metrics` event of the
-/// JSONL file. The typed counter families (turbo, parallel pipeline,
-/// frames, range cache) re-home through `lzfpga_obs::bridge` at each call
-/// site before this runs, so nothing is counted twice.
+/// Finish a run's observability: absorb the JSON reports of the crates
+/// that record nothing typed (run, hw, faults, salvage, index, range)
+/// into the registry, honor `--prometheus`, and append the registry
+/// snapshot as the final `metrics` event of the JSONL file. The typed
+/// families (turbo, parallel pipeline, frames) record themselves at each
+/// call site before this runs, so nothing is counted twice.
 fn finish_metrics(
     o: &CommonOpts,
     reg: &MetricsRegistry,
@@ -565,7 +564,7 @@ fn cmd_compress(o: &CommonOpts) -> Result<(), String> {
             }
             if wants_obs(o) {
                 let reg = MetricsRegistry::new();
-                record_pipeline(&reg, tel);
+                tel.record(&reg);
                 finish_metrics(
                     o,
                     &reg,
@@ -656,7 +655,7 @@ fn cmd_compress(o: &CommonOpts) -> Result<(), String> {
             events.push(("hw", rep.run.telemetry_json()));
         }
         if let Some(counters) = &turbo_counters {
-            record_turbo(&reg, counters);
+            counters.record(&reg);
             events.push(("turbo", counters.to_json()));
         }
         finish_metrics(o, &reg, events)?;
@@ -785,7 +784,7 @@ fn cmd_frame(o: &CommonOpts) -> Result<(), String> {
                 run_event(o, "frame", o.engine.name(), rep.input_bytes as usize, rep.framed.len());
             let mut events = vec![("run", run)];
             if let Some(counters) = &rep.counters {
-                record_turbo(&reg, counters);
+                counters.record(&reg);
                 events.push(("turbo", counters.to_json()));
             }
             for e in &rep.events {
@@ -1263,6 +1262,13 @@ fn cmd_client(o: &CommonOpts) -> Result<(), String> {
         .first()
         .map(String::as_str)
         .ok_or("client requires an operation: compress | decompress | range | shutdown")?;
+    // Usage errors come before the connect and the stdin read, either of
+    // which can block.
+    let range = match op {
+        "compress" | "decompress" | "shutdown" => None,
+        "range" | "cat" => Some(o.range.ok_or("client range requires --range START..END")?),
+        other => return Err(format!("unknown client operation '{other}'\n\n{USAGE}")),
+    };
     let mut client = if o.retry > 0 {
         connect_with_retry(addr, &o.tenant, 1 << 20, &retry_policy(o))
     } else {
@@ -1281,16 +1287,12 @@ fn cmd_client(o: &CommonOpts) -> Result<(), String> {
     // up front, so the default stays well under the server's default
     // 256 MiB per-tenant allowance; `--max-output-bytes` raises it.
     let max_result = o.max_output_bytes.unwrap_or(64 << 20);
-    let mut result = match op {
-        "compress" => {
+    let mut result = match (op, range) {
+        (_, Some((start, end))) => client.range(&data, start, end, max_result, o.deadline_ms),
+        ("compress", None) => {
             client.compress(&data, u32::try_from(o.frame_bytes).unwrap_or(0), o.deadline_ms)
         }
-        "decompress" => client.decompress(&data, max_result, o.deadline_ms),
-        "range" | "cat" => {
-            let (start, end) = o.range.ok_or("client range requires --range START..END")?;
-            client.range(&data, start, end, max_result, o.deadline_ms)
-        }
-        other => return Err(format!("unknown client operation '{other}'\n\n{USAGE}")),
+        _ => client.decompress(&data, max_result, o.deadline_ms),
     };
     if o.resume {
         // The server announced a durable session token before doing the
@@ -1961,7 +1963,7 @@ mod metrics_tests {
         assert_eq!(last.get("event").unwrap().as_str(), Some("metrics"));
         // The snapshot round-trips through the obs parser and reconciles
         // with the per-frame events it was built from.
-        let snap = lzfpga_obs::snapshot_from_json(last).expect("snapshot parses");
+        let snap = lzfpga_telemetry::snapshot_from_json(last).expect("snapshot parses");
         let frames =
             events.iter().filter(|e| e.get("event").unwrap().as_str() == Some("frame")).count();
         assert_eq!(snap.counter("frames_total"), frames as u64);
@@ -1986,7 +1988,7 @@ mod metrics_tests {
         ]))
         .unwrap();
         let text = std::fs::read_to_string(&prom).unwrap();
-        let samples = lzfpga_obs::parse_prometheus_text(&text).expect("valid exposition");
+        let samples = lzfpga_telemetry::parse_prometheus_text(&text).expect("valid exposition");
         assert!(!samples.is_empty());
         let covered = samples
             .iter()
@@ -2019,7 +2021,7 @@ mod metrics_tests {
         ]))
         .unwrap();
         let text = std::fs::read_to_string(&trace).unwrap();
-        let summary = lzfpga_obs::validate_trace_document(&text).expect("one causal tree");
+        let summary = lzfpga_telemetry::validate_trace_document(&text).expect("one causal tree");
         assert!(summary.max_depth >= 3, "file -> frame -> stage: {summary:?}");
         assert!(summary.spans > 200_000 / 32_768, "one span per frame plus stages");
     }
@@ -2043,7 +2045,8 @@ mod metrics_tests {
         ]))
         .unwrap();
         let summary =
-            lzfpga_obs::validate_trace_document(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+            lzfpga_telemetry::validate_trace_document(&std::fs::read_to_string(&trace).unwrap())
+                .unwrap();
         assert_eq!(summary.max_depth, 3);
     }
 
@@ -2506,5 +2509,19 @@ mod dict_tests {
         );
         run(vec!["client".into(), "--addr".into(), addr, "shutdown".into()]).unwrap();
         handle.wait();
+    }
+
+    #[test]
+    fn client_usage_errors_come_before_the_connect() {
+        // Nothing listens on port 1: a connect there fails, so each error
+        // below proves the operation was checked first.
+        let client = |args: &[&str]| {
+            let mut argv = vec!["client".to_string(), "--addr".into(), "127.0.0.1:1".into()];
+            argv.extend(args.iter().map(|a| a.to_string()));
+            run(argv).unwrap_err()
+        };
+        let unknown = client(&["frobnicate"]);
+        assert!(unknown.starts_with("unknown client operation 'frobnicate'"), "{unknown}");
+        assert_eq!(client(&["range"]), "client range requires --range START..END");
     }
 }

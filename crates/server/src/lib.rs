@@ -32,7 +32,7 @@
 //! * **[`client`]** — a small blocking client used by `lzfpga client`,
 //!   the tests, and the `faultstorm --server` drill.
 //! * **[`metrics`]** — per-stream/per-tenant counters exported through
-//!   the `lzfpga-obs` registry, plus connection → request → job span
+//!   the `lzfpga-telemetry` registry, plus connection → request → job span
 //!   trace events.
 //!
 //! The whole crate is dependency-free (workspace crates only) and

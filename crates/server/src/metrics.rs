@@ -1,4 +1,4 @@
-//! Per-stream and per-tenant server metrics through the `lzfpga-obs`
+//! Per-stream and per-tenant server metrics through the `lzfpga-telemetry`
 //! registry, plus connection → request → job span tracing.
 //!
 //! Hot-path handles (requests, bytes, latency) are registered once and
@@ -13,8 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use lzfpga_obs::MetricsRegistry;
-use lzfpga_telemetry::{frame_span, span_args, stage_span, SpanTimer, TraceEvent, ROOT_SPAN};
+use lzfpga_telemetry::{
+    frame_span, span_args, stage_span, Counter, Gauge, Histo, MetricsRegistry, SpanTimer,
+    TraceEvent, ROOT_SPAN,
+};
 
 use crate::proto::RejectCode;
 
@@ -25,33 +27,33 @@ const TENANT_NAME_CAP: usize = 24;
 pub struct ServerMetrics {
     registry: Arc<MetricsRegistry>,
     /// Connections that completed the handshake.
-    pub sessions_total: lzfpga_obs::Counter,
+    pub sessions_total: Counter,
     /// Requests admitted (any kind).
-    pub requests_total: lzfpga_obs::Counter,
+    pub requests_total: Counter,
     /// Requests that finished with all result bytes sent.
-    pub requests_done: lzfpga_obs::Counter,
+    pub requests_done: Counter,
     /// Requests that ended in a typed error (any code).
-    pub requests_failed: lzfpga_obs::Counter,
+    pub requests_failed: Counter,
     /// Request payload bytes received.
-    pub bytes_in: lzfpga_obs::Counter,
+    pub bytes_in: Counter,
     /// Result bytes sent as [`crate::proto::Response::Data`].
-    pub bytes_out: lzfpga_obs::Counter,
+    pub bytes_out: Counter,
     /// Frames processed across all jobs.
-    pub frames_total: lzfpga_obs::Counter,
+    pub frames_total: Counter,
     /// Worker panics contained by the job unwind boundary.
-    pub panics_contained: lzfpga_obs::Counter,
+    pub panics_contained: Counter,
     /// Ladder retries absorbed inside jobs.
-    pub retries: lzfpga_obs::Counter,
+    pub retries: Counter,
     /// Hostile/unparseable wire messages.
-    pub protocol_errors: lzfpga_obs::Counter,
+    pub protocol_errors: Counter,
     /// End-to-end request latency (admission to last byte queued), µs.
-    pub request_us: lzfpga_obs::Histo,
+    pub request_us: Histo,
     /// Live sessions gauge.
-    pub active_sessions: lzfpga_obs::Gauge,
+    pub active_sessions: Gauge,
     /// Live in-flight requests gauge.
-    pub active_streams: lzfpga_obs::Gauge,
+    pub active_streams: Gauge,
     /// Live admitted bytes gauge.
-    pub active_bytes: lzfpga_obs::Gauge,
+    pub active_bytes: Gauge,
     /// Span-trace events (connection → request → job), when enabled.
     trace: Option<Mutex<Vec<TraceEvent>>>,
     epoch: Instant,
@@ -203,7 +205,7 @@ pub fn sanitize_tenant(tenant: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lzfpga_obs::validate_span_tree;
+    use lzfpga_telemetry::validate_span_tree;
 
     #[test]
     fn tenant_names_are_sanitized_and_bounded() {

@@ -38,8 +38,7 @@ use lzfpga_core::HwConfig;
 use lzfpga_deflate::crc32::Crc32;
 use lzfpga_faults::registry::SERVER_RESULT_READY;
 use lzfpga_faults::{Failpoints, InjectedFault, NoFaults};
-use lzfpga_obs::MetricsRegistry;
-use lzfpga_telemetry::TraceEvent;
+use lzfpga_telemetry::{MetricsRegistry, TraceEvent};
 
 use crate::jobs::{
     compress_job, decompress_job, range_job, CancelReason, JobFail, JobLedger, RequestCtl,
@@ -1394,8 +1393,8 @@ mod tests {
     use crate::client::{Client, ClientError};
     use lzfpga_faults::registry::SERVER_JOURNAL_APPEND;
     use lzfpga_faults::{FailPlan, FailRule};
-    use lzfpga_obs::validate_span_tree;
     use lzfpga_parallel::{compress_frames_parallel, EngineKind, ParallelConfig};
+    use lzfpga_telemetry::validate_span_tree;
 
     fn sample(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i % 251) as u8 ^ (i / 11) as u8).collect()

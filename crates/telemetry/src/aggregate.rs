@@ -4,9 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use lzfpga_telemetry::{Histogram, JsonValue};
-
 use crate::export::snapshot_from_json;
+use crate::histogram::Histogram;
+use crate::json::JsonValue;
 use crate::registry::MetricsSnapshot;
 
 /// Running aggregate over a JSONL metrics stream.
@@ -196,9 +196,9 @@ fn get_u64(v: &JsonValue, key: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::histogram::bucket_index;
+    use crate::json::{obj, parse};
     use crate::registry::MetricValue;
-    use lzfpga_telemetry::histogram::bucket_index;
-    use lzfpga_telemetry::json::{obj, parse};
 
     fn ev(kind: &str, mut body: JsonValue) -> JsonValue {
         body.push("event", kind);
@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn malformed_histograms_are_not_merged() {
-        use lzfpga_telemetry::histogram::BUCKETS;
+        use crate::histogram::BUCKETS;
         let line = |hist: &str| {
             format!(
                 r#"{{"event":"metrics","counters":{{}},"gauges":{{}},"histograms":{{"lat":{hist}}}}}"#

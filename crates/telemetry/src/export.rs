@@ -1,17 +1,15 @@
 //! Dependency-free exporters: Prometheus text exposition and JSONL
 //! snapshot events.
 //!
-//! The Prometheus side emits the version-0.0.4 text format the future
-//! multi-stream server can serve verbatim from `/metrics`, and ships a
+//! The Prometheus side emits the version-0.0.4 text format a scraper
+//! ingests as is (`--prometheus`, `serve --prometheus`), and ships a
 //! minimal validating parser so tests (and the faultstorm reconciliation
 //! drill) can prove the output is well-formed without a prometheus
 //! dependency. The JSONL side round-trips [`MetricsSnapshot`] through the
 //! existing event sink so `lzfpga stats` can aggregate finished runs.
 
-use lzfpga_telemetry::histogram::{bucket_hi, BUCKETS};
-use lzfpga_telemetry::json::obj;
-use lzfpga_telemetry::{Histogram, JsonValue};
-
+use crate::histogram::{bucket_hi, Histogram, BUCKETS};
+use crate::json::{obj, JsonValue};
 use crate::registry::{MetricValue, MetricsSnapshot};
 
 /// Map a metric name onto the Prometheus name charset
@@ -29,7 +27,7 @@ pub fn sanitize_metric_name(name: &str) -> String {
 }
 
 /// Escape a label value per the exposition format: backslash, double
-/// quote, and newline (the satellite-1 class of bug, at the exporter).
+/// quote, and newline, so no value can break a sample line.
 pub fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
@@ -351,7 +349,7 @@ mod tests {
         let snap = sample_registry().snapshot();
         let body = snapshot_to_json(&snap);
         let text = body.render();
-        let parsed = lzfpga_telemetry::json::parse(&text).unwrap();
+        let parsed = crate::json::parse(&text).unwrap();
         let restored = snapshot_from_json(&parsed).expect("snapshot parses");
         assert_eq!(restored, snap);
     }

@@ -9,6 +9,7 @@
 //! schema.
 
 use crate::json::{obj, JsonValue};
+use crate::registry::MetricsRegistry;
 
 /// What happened to one frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,8 +53,9 @@ pub struct FrameEvent {
     /// Time spent in the match/encode stage for this frame, µs.
     pub encode_us: f64,
     /// When work on the frame started, µs since the producing writer's
-    /// epoch (0 when the producer predates span tracing). Lets the obs
-    /// layer rebuild a causal span tree from a finished event stream.
+    /// epoch (0 when the producer predates span tracing). Lets
+    /// [`crate::trace::frame_span_tree`] rebuild a causal span tree from a
+    /// finished event stream.
     pub start_us: f64,
     /// What happened to the frame.
     pub outcome: FrameOutcome,
@@ -72,6 +74,19 @@ impl FrameEvent {
             ("start_us", self.start_us.into()),
             ("outcome", self.outcome.as_str().into()),
         ])
+    }
+}
+
+/// Record frame events into `reg`: outcome counters, byte totals, and the
+/// per-frame latency histogram (`crc_us + encode_us`).
+pub fn record_frames(reg: &MetricsRegistry, events: &[FrameEvent]) {
+    let latency = reg.histogram("frame_latency_us");
+    for e in events {
+        reg.counter("frames_total").inc();
+        reg.counter(&format!("frames_{}", e.outcome.as_str().replace('-', "_"))).inc();
+        reg.counter("frame_uncompressed_bytes").add(e.uncompressed_bytes);
+        reg.counter("frame_payload_bytes").add(e.payload_bytes);
+        latency.record_us(e.crc_us + e.encode_us);
     }
 }
 
@@ -104,5 +119,30 @@ mod tests {
         assert_eq!(FrameOutcome::Recovered.as_str(), "recovered");
         assert_eq!(FrameOutcome::DeepRecovered.as_str(), "deep-recovered");
         assert_eq!(FrameOutcome::Skipped.as_str(), "skipped");
+    }
+
+    #[test]
+    fn frame_events_feed_the_latency_histogram() {
+        use crate::registry::MetricValue;
+        let reg = MetricsRegistry::new();
+        let mk = |seq: u32, outcome| FrameEvent {
+            seq,
+            uncompressed_bytes: 100,
+            payload_bytes: 40,
+            codec: "raw",
+            crc_us: 2.0,
+            encode_us: 50.0,
+            start_us: 0.0,
+            outcome,
+        };
+        record_frames(&reg, &[mk(0, FrameOutcome::Written), mk(1, FrameOutcome::DeepRecovered)]);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("frames_total"), 2);
+        assert_eq!(snap.counter("frames_written"), 1);
+        assert_eq!(snap.counter("frames_deep_recovered"), 1);
+        let Some(MetricValue::Histogram(h)) = snap.get("frame_latency_us") else {
+            panic!("latency histogram missing")
+        };
+        assert_eq!(h.count(), 2);
     }
 }

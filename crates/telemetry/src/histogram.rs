@@ -5,10 +5,10 @@
 //! ([`crate::TurboCounters`]), each snapshot of a metrics-registry
 //! histogram, and the frame-latency table of `lzfpga stats`.
 //!
-//! The bucketing is HDR-style: values below [`SUBS`] get exact unit
-//! buckets, and every octave above is split into [`SUBS`] linear
+//! The bucketing is HDR-style: values below `SUBS` get exact unit
+//! buckets, and every octave above is split into `SUBS` linear
 //! sub-buckets. A quantile is exact to within one sub-bucket (≈6.25%)
-//! over the full `u64` range in [`BUCKETS`] slots, and values below 32 are
+//! over the full `u64` range in `BUCKETS` slots, and values below 32 are
 //! exact.
 //!
 //! Counts are dense and grow on demand up to the highest bucket recorded:
@@ -20,11 +20,11 @@
 use crate::json::{obj, JsonValue};
 
 /// Linear sub-buckets per octave.
-pub const SUBS: usize = 16;
+pub(crate) const SUBS: usize = 16;
 
 /// Total buckets: `SUBS` unit buckets for `0..SUBS`, then `SUBS`
 /// sub-buckets for each of the 60 remaining octaves of `u64`.
-pub const BUCKETS: usize = SUBS + 60 * SUBS;
+pub(crate) const BUCKETS: usize = SUBS + 60 * SUBS;
 
 /// Bucket index for a sample value.
 #[inline]
@@ -40,7 +40,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// Smallest value landing in bucket `i` (the quantile estimate we report).
 #[inline]
-pub fn bucket_lo(i: usize) -> u64 {
+pub(crate) fn bucket_lo(i: usize) -> u64 {
     if i < SUBS {
         i as u64
     } else {
@@ -82,7 +82,7 @@ impl Histogram {
     /// A histogram with `counts[i]` samples in bucket `i`.
     ///
     /// # Panics
-    /// Panics if `counts` has more than [`BUCKETS`] entries.
+    /// Panics if `counts` has more than `BUCKETS` entries.
     pub fn from_parts(sum: u64, max: u64, mut counts: Vec<u64>) -> Self {
         assert!(counts.len() <= BUCKETS, "{} buckets, at most {BUCKETS}", counts.len());
         trim(&mut counts);
@@ -193,7 +193,7 @@ impl Histogram {
     }
 
     /// Parse the [`Histogram::to_json`] form. `None` for anything it would
-    /// not write: a negative number, a bucket index of [`BUCKETS`] or more,
+    /// not write: a negative number, a bucket index of `BUCKETS` or more,
     /// or an index that repeats or runs backwards.
     pub fn from_json(v: &JsonValue) -> Option<Histogram> {
         let num = JsonValue::as_u64;

@@ -14,8 +14,8 @@
 //!   bytes-per-probe.
 //! * **[`histogram`]** — the one histogram value type, log-linear
 //!   [`Histogram`], with its bucket math, merge/delta/quantile and JSON
-//!   forms. `TurboCounters`, the obs registry's snapshots and
-//!   `lzfpga stats` all record into it.
+//!   forms. `TurboCounters`, the registry's snapshots and `lzfpga stats`
+//!   all record into it.
 //! * **[`spans`]** — wall-clock span timing ([`spans::SpanTimer`]) that
 //!   doubles as a chrome://tracing *trace event* recorder: open the emitted
 //!   file in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) to
@@ -27,6 +27,21 @@
 //!   JSON object per line, append-friendly, greppable, machine-readable.
 //! * **[`pipeline`]** — the parallel-pipeline report types (per-worker
 //!   utilization, stitcher stalls, token-buffer freelist traffic).
+//! * **[`frames`]** and **[`range`]** — the container's per-frame events
+//!   and the range decoder's cache and seek-index counters.
+//! * **[`registry`]** — the lock-free sharded [`MetricsRegistry`]:
+//!   counters, gauges and histograms with mergeable [`MetricsSnapshot`]s.
+//!   Each typed counter family records itself beside its JSON form
+//!   ([`TurboCounters::record`], [`PipelineTelemetry::record`],
+//!   [`record_frames`]); [`MetricsRegistry::absorb`] folds the JSON
+//!   reports of crates that record nothing typed.
+//! * **[`export`]** — Prometheus text exposition (plus a validating
+//!   parser for tests) and the JSONL snapshot event.
+//! * **[`trace`]** — causal span-tree tooling: rebuild file→frame→chunk
+//!   trees from frame events and validate that a chrome://tracing export
+//!   forms one tree.
+//! * **[`aggregate`]** — the [`StatsAggregate`] behind `lzfpga stats`:
+//!   folds a JSONL metrics stream into operator tables.
 //!
 //! Everything here is plain `std`; the crate is a leaf every other crate
 //! can depend on.
@@ -34,22 +49,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod aggregate;
+pub mod export;
 pub mod frames;
 pub mod histogram;
 pub mod json;
 pub mod pipeline;
 pub mod probe;
 pub mod range;
+pub mod registry;
 pub mod sink;
 pub mod spans;
+pub mod trace;
 
-pub use frames::{FrameEvent, FrameOutcome};
+pub use aggregate::StatsAggregate;
+pub use export::{parse_prometheus_text, prometheus_text, snapshot_from_json, snapshot_to_json};
+pub use frames::{record_frames, FrameEvent, FrameOutcome};
 pub use histogram::Histogram;
 pub use json::JsonValue;
 pub use pipeline::{PipelineTelemetry, StitcherStats, WorkerStats};
 pub use probe::{MatchProbe, NoProbe, TurboCounters};
 pub use range::RangeCounters;
+pub use registry::{Counter, Gauge, Histo, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use sink::{parse_jsonl, JsonlWriter};
 pub use spans::{
     frame_span, span_args, stage_span, trace_events_json, SpanTimer, TraceEvent, ROOT_SPAN,
 };
+pub use trace::{frame_span_tree, validate_span_tree, validate_trace_document};

@@ -8,6 +8,7 @@
 
 use crate::json::{obj, JsonValue};
 use crate::probe::TurboCounters;
+use crate::registry::MetricsRegistry;
 use crate::spans::TraceEvent;
 
 /// One worker thread's utilization over the run.
@@ -109,6 +110,27 @@ impl PipelineTelemetry {
             ("trace_events", self.trace_events.len().into()),
         ])
     }
+
+    /// Record into `reg`: wall clock, worker busy/idle and stitcher
+    /// stall/encode totals (as microsecond counters so runs add), plus the
+    /// aggregated engine counters.
+    pub fn record(&self, reg: &MetricsRegistry) {
+        reg.gauge("parallel_wall_s").set(self.wall_s);
+        reg.counter("parallel_runs").inc();
+        reg.counter("parallel_workers").add(self.workers.len() as u64);
+        let us = |s: f64| if s <= 0.0 { 0 } else { (s * 1e6) as u64 };
+        for w in &self.workers {
+            reg.counter("parallel_worker_busy_us").add(us(w.busy_s));
+            reg.counter("parallel_worker_idle_us").add(us(w.idle_s));
+            reg.counter("parallel_chunks").add(w.chunks);
+            reg.counter("parallel_freelist_hits").add(w.freelist_hits);
+            reg.counter("parallel_freelist_misses").add(w.freelist_misses);
+        }
+        reg.counter("parallel_stitcher_stall_us").add(us(self.stitcher.stall_s));
+        reg.counter("parallel_stitcher_encode_us").add(us(self.stitcher.encode_s));
+        reg.counter("parallel_stitcher_queue_wait_us").add(us(self.stitcher.queue_wait_s));
+        self.turbo.record(reg);
+    }
 }
 
 #[cfg(test)]
@@ -133,5 +155,24 @@ mod tests {
         let parsed = crate::json::parse(&t.to_json().render()).unwrap();
         assert_eq!(parsed.get("workers").unwrap().as_array().unwrap().len(), 1);
         assert_eq!(parsed.get("stitcher").unwrap().get("stall_s").unwrap().as_f64(), Some(0.1));
+    }
+
+    #[test]
+    fn pipeline_report_re_homes() {
+        let reg = MetricsRegistry::new();
+        let t = PipelineTelemetry {
+            wall_s: 0.5,
+            workers: vec![WorkerStats {
+                busy_s: 0.4,
+                idle_s: 0.1,
+                chunks: 8,
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        t.record(&reg);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("parallel_chunks"), 8);
+        assert_eq!(snap.counter("parallel_worker_busy_us"), 400_000);
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::histogram::Histogram;
 use crate::json::{obj, JsonValue};
+use crate::registry::MetricsRegistry;
 
 /// Observation points inside the LZSS match loop.
 ///
@@ -213,6 +214,20 @@ impl TurboCounters {
             ("match_len", self.match_len_hist.report_json()),
         ])
     }
+
+    /// Record into `reg`: totals become `turbo_*` counters and the derived
+    /// ratios become gauges.
+    pub fn record(&self, reg: &MetricsRegistry) {
+        reg.counter("turbo_inserts").add(self.inserts);
+        reg.counter("turbo_probes").add(self.probes);
+        reg.counter("turbo_kernel_runs").add(self.kernel_runs);
+        reg.counter("turbo_kernel_bytes").add(self.kernel_bytes);
+        reg.counter("turbo_literals").add(self.literals);
+        reg.counter("turbo_matches").add(self.matches);
+        reg.counter("turbo_match_bytes").add(self.match_bytes);
+        reg.gauge("turbo_bytes_per_probe").set(self.bytes_per_probe());
+        reg.gauge("turbo_match_ratio").set(self.match_ratio());
+    }
 }
 
 #[cfg(test)]
@@ -280,5 +295,23 @@ mod tests {
         assert_eq!(parsed.get("kernel_runs").unwrap().as_i64(), Some(3));
         assert_eq!(parsed.get("kernel_bytes").unwrap().as_i64(), Some(31));
         assert_eq!(parsed.get("chain_len").unwrap().get("count").unwrap().as_i64(), Some(1));
+    }
+
+    #[test]
+    fn turbo_counters_re_home_exactly() {
+        let reg = MetricsRegistry::new();
+        let c = TurboCounters {
+            literals: 10,
+            match_bytes: 90,
+            matches: 9,
+            kernel_runs: 1,
+            ..Default::default()
+        };
+        c.record(&reg);
+        c.record(&reg);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("turbo_literals"), 20);
+        assert_eq!(snap.counter("turbo_match_bytes"), 180);
+        assert_eq!(snap.counter("turbo_kernel_runs"), 2);
     }
 }

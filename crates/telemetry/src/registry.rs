@@ -1,7 +1,7 @@
 //! The lock-free sharded metrics registry.
 //!
 //! Recording never takes a lock: counter handles write to one of
-//! [`SHARDS`] cache-line-padded atomic cells chosen by a per-thread shard
+//! `SHARDS` cache-line-padded atomic cells chosen by a per-thread shard
 //! index, so concurrent workers don't bounce a shared line. Registration
 //! (cold) goes through a `Mutex`-guarded name table; handles are cheap
 //! `Arc` clones that stay valid for the registry's lifetime.
@@ -20,11 +20,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use lzfpga_telemetry::histogram::{bucket_index, BUCKETS};
-use lzfpga_telemetry::{Histogram, JsonValue};
+use crate::histogram::{bucket_index, Histogram, BUCKETS};
+use crate::json::JsonValue;
 
 /// Concurrency shards per counter (power of two).
-pub const SHARDS: usize = 8;
+pub(crate) const SHARDS: usize = 8;
 
 fn shard_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -239,9 +239,9 @@ impl MetricsRegistry {
     /// * arrays contribute an element-count counter (`prefix_key_count`),
     /// * strings and nulls are skipped (identity, not measurement).
     ///
-    /// This is how ledgers owned by other crates (salvage reports, failure
-    /// reports, hw-model stats) re-home into the registry without obs
-    /// depending on those crates.
+    /// This is how crates that record nothing typed (salvage reports,
+    /// failure reports, hw-model stats) land their reports in the registry;
+    /// the telemetry families record themselves (`TurboCounters::record`).
     pub fn absorb(&self, prefix: &str, v: &JsonValue) {
         let JsonValue::Object(fields) = v else { return };
         for (key, val) in fields {
@@ -347,7 +347,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lzfpga_telemetry::json::obj;
+    use crate::json::obj;
 
     #[test]
     fn counters_and_gauges_register_once_and_accumulate() {

@@ -1,12 +1,10 @@
-//! Causal span-tree tooling: rebuild trees from frame events and validate
-//! that a trace export really forms one file→frame→chunk tree.
-//!
-//! The span ID scheme itself lives in `lzfpga_telemetry::spans` (so the
-//! parallel and container crates can stamp IDs without depending on obs);
-//! this module consumes it.
+//! Causal span-tree tooling over the span ID scheme in [`crate::spans`]:
+//! rebuild trees from frame events and validate that a trace export
+//! really forms one file→frame→chunk tree.
 
-use lzfpga_telemetry::spans::{frame_span, span_args, stage_span, ROOT_SPAN};
-use lzfpga_telemetry::{FrameEvent, JsonValue, TraceEvent};
+use crate::frames::FrameEvent;
+use crate::json::JsonValue;
+use crate::spans::{frame_span, span_args, stage_span, TraceEvent, ROOT_SPAN};
 
 /// Build a chrome://tracing span tree from a serial writer's
 /// [`FrameEvent`] stream: one root file span, one span per frame
@@ -154,7 +152,7 @@ pub fn validate_span_tree(events: &[TraceEvent]) -> Result<SpanTreeSummary, Stri
 /// # Errors
 /// Propagates JSON shape errors and [`validate_span_tree`] failures.
 pub fn validate_trace_document(text: &str) -> Result<SpanTreeSummary, String> {
-    let doc = lzfpga_telemetry::json::parse(text.trim())
+    let doc = crate::json::parse(text.trim())
         .map_err(|e| format!("trace document: bad JSON at byte {}", e.at))?;
     let list = doc
         .get("traceEvents")
@@ -188,7 +186,8 @@ pub fn validate_trace_document(text: &str) -> Result<SpanTreeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lzfpga_telemetry::{trace_events_json, FrameOutcome};
+    use crate::frames::FrameOutcome;
+    use crate::spans::trace_events_json;
 
     fn frame(seq: u32, start_us: f64) -> FrameEvent {
         FrameEvent {

@@ -6,12 +6,11 @@
 //! over the matching JSONL stream must equal the literals below byte for
 //! byte. A renamed series, a changed value or a changed rendering fails it.
 
-use lzfpga_obs::bridge::{record_frames, record_pipeline, record_turbo};
-use lzfpga_obs::{prometheus_text, snapshot_to_json, MetricsRegistry, StatsAggregate};
 use lzfpga_telemetry::json::obj;
 use lzfpga_telemetry::{
-    parse_jsonl, FrameEvent, FrameOutcome, JsonValue, JsonlWriter, PipelineTelemetry,
-    StitcherStats, TurboCounters, WorkerStats,
+    parse_jsonl, prometheus_text, record_frames, snapshot_to_json, FrameEvent, FrameOutcome,
+    JsonValue, JsonlWriter, MetricsRegistry, PipelineTelemetry, StatsAggregate, StitcherStats,
+    TurboCounters, WorkerStats,
 };
 
 fn turbo() -> TurboCounters {
@@ -108,8 +107,8 @@ fn salvage_report() -> JsonValue {
 
 fn recorded() -> MetricsRegistry {
     let reg = MetricsRegistry::new();
-    record_turbo(&reg, &turbo());
-    record_pipeline(&reg, &pipeline());
+    turbo().record(&reg);
+    pipeline().record(&reg);
     record_frames(&reg, &frames());
     reg.absorb("salvage", &salvage_report());
     reg

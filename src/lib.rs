@@ -12,8 +12,7 @@
 //! | [`estimator`] | `lzfpga-estimator` | Design-space exploration sweeps, Pareto/budget selection, interactive shell |
 //! | [`cam`] | `lzfpga-cam` | Related-work CAM and systolic matcher models |
 //! | [`parallel`] | `lzfpga-parallel` | Chunk-parallel multi-engine compression |
-//! | [`telemetry`] | `lzfpga-telemetry` | Counters, span timing, JSONL sink, chrome://tracing export |
-//! | [`obs`] | `lzfpga-obs` | Metrics registry, span-tree tooling, Prometheus/JSONL exporters, stats aggregation |
+//! | [`telemetry`] | `lzfpga-telemetry` | Counters, span timing and span trees, JSONL sink, chrome://tracing export, metrics registry, Prometheus exporter, stats aggregation |
 //! | [`faults`] | `lzfpga-faults` | Failpoints, failure reports, deterministic stream mutation |
 //! | [`container`] | `lzfpga-container` | LZFC crash-safe framed container: salvage decode, checkpointed streaming |
 //! | [`server`] | `lzfpga-server` | Fault-contained LZS1 compression daemon: admission, quotas, backpressure, drain |
@@ -59,11 +58,8 @@ pub use lzfpga_parallel as parallel;
 /// VHDL-93 generation from a hardware configuration (the THDL++ flow role).
 pub use lzfpga_rtlgen as rtlgen;
 
-/// Unified telemetry: counters, spans, JSONL sink, trace-event export.
+/// Observability: counters, spans, JSONL sink, metrics registry, exporters.
 pub use lzfpga_telemetry as telemetry;
-
-/// Observability: metrics registry, span trees, exporters, stats.
-pub use lzfpga_obs as obs;
 
 /// Fault injection: failpoints, failure reports, stream mutation.
 pub use lzfpga_faults as faults;
